@@ -2,8 +2,9 @@
 
 One command per process.  Every run writes a manifest (config hash,
 version, budgets, resolved r values, wall time) next to its artifacts;
-exit status 0 on success, 1 on a configuration/validation error, 2 when a
-memory budget was exhausted (partial results are still written).
+exit status 0 on success, 1 on a configuration, validation or any other
+error, 2 when a memory budget was exhausted (partial results are still
+written).
 """
 
 from __future__ import annotations
@@ -490,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--truncation", default=None, metavar="m,B")
     parser.add_argument("--series-order", type=int, default=None)
     parser.add_argument("--r-grid", default=None, metavar="f1,f2,...")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--memory-cap", type=int, default=None, metavar="MB")
     parser.add_argument("--exact", action="store_true")
     parser.add_argument("--float", dest="float_mode", action="store_true")
@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     budgets: dict = {}
     try:
         cfg = load_config(args.config)
+        target = Path(args.out if args.out is not None else cfg.get("out", "out"))
+        target.mkdir(parents=True, exist_ok=True)
+        out_dir = target
         cfg_text = json.dumps(cfg, sort_keys=True)
         mode = "float" if args.float_mode and not args.exact else \
             cfg.get("arithmetic", "exact")
@@ -525,8 +528,6 @@ def main(argv=None) -> int:
         cap_mb = budgets.get("memory_cap_mb")
         if cap_mb is not None:
             measure.max_table_elements = int(cap_mb) * 1_000_000 // 200
-        out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
         ctx = {
             "args": args,
             "group": group,
@@ -545,13 +546,15 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         status = 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        status = 1
     if out_dir is not None:
         manifest = {
             "command": args.command,
             "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
             "version": __version__,
             "budgets": budgets,
-            "threads": args.threads,
             "resolved_r": extra.get("resolved_r", []),
             "wall_time_s": round(time.monotonic() - t0, 3),
             "exit_status": status,

@@ -2,9 +2,10 @@
 
 This is the workhorse behind exact convolution powers, Green evaluations
 and first-return kernels.  Elements reachable from e inside a word-radius
-cap are interned once into a compact byte-keyed table together with the
-support adjacency; every random-walk computation is then a sequence of
-bincount scatter-adds over flat weight arrays.
+cap are interned once into a trie of (parent id, syllable code) rows,
+grown one breadth-first layer at a time with numpy sort and search,
+together with the support adjacency; every random-walk computation is
+then a sequence of bincount scatter-adds over flat weight arrays.
 
 Exactness: integer-valued weights are carried in float64, which is exact
 while every value stays below 2^53; callers must check `exact_capacity`
@@ -15,12 +16,11 @@ Python big ints.
 from __future__ import annotations
 
 import operator
-from array import array
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import FactorElement, FreeProduct, GroupElement, FINITE_CYCLIC
+from .groups import FactorElement, FreeProduct, GroupElement
 
 _FLOAT_EXACT_LIMIT = 2.0**53
 
@@ -37,23 +37,78 @@ class BudgetExceededError(RuntimeError):
         self.completed = completed
 
 
-def _syllable_pack(factor: int, coords) -> bytes:
-    # layout per syllable: coords as int16 little-endian, then the factor byte;
-    # the trailing factor byte makes right-to-left parsing unambiguous
-    buf = bytearray()
-    for c in coords:
-        buf += int(c).to_bytes(2, "little", signed=True)
-    buf.append(factor)
-    return bytes(buf)
+_ZERO = -2  # merge row value: the two syllables cancel
+_OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
+_PASS = 1 << 18  # sources expanded per builder pass; bounds the temporaries
+
+
+def _syllable_alphabet(group: FreeProduct, support, cap: int) -> list[FactorElement]:
+    """Every syllable an element of the ball can carry.
+
+    Such a syllable is a running sum of one factor's support syllables whose
+    partial sums are all nonzero and within the cap, so the alphabet is the
+    closure of the support syllables under adding one more, within the cap.
+    It stays as sparse as the support: steps of +-40000 give multiples of
+    40000, not the whole word ball of the factor.
+    """
+    steps: dict[int, list] = {}
+    for g in support:
+        for f, c in g.syllables:
+            if c not in steps.setdefault(f, []):
+                steps[f].append(c)
+    out = []
+    for f, cs in sorted(steps.items()):
+        frontier = [c for c in cs if group.factor_word_length(f, c) <= cap]
+        seen = set(frontier)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for c in cs:
+                    s = group.factor_add(f, a, c)
+                    if any(s) and s not in seen and group.factor_word_length(f, s) <= cap:
+                        seen.add(s)
+                        nxt.append(s)
+            frontier = nxt
+        out.extend(FactorElement(f, c) for c in sorted(seen))
+    return out
+
+
+def _merge_row(group: FreeProduct, codes: dict, slots, y: FactorElement) -> np.ndarray:
+    """For each syllable a of `slots` in y's factor: the code of a + y in
+    `codes`, _ZERO if it cancels, _OUT if it is missing; _OUT elsewhere."""
+    row = np.full(len(slots), _OUT, dtype=np.int32)
+    for c, a in enumerate(slots):
+        if a is not None and a.factor == y.factor:
+            total = group.factor_add(y.factor, a.coords, y.coords)
+            row[c] = codes.get(FactorElement(y.factor, total), _OUT) if any(total) else _ZERO
+    return row
+
+
+def _lookup(keys: np.ndarray, kid: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Ids stored under the queried keys of a sorted key array, -1 if absent."""
+    if not len(keys):
+        return np.full(len(q), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[pos] == q, kid[pos], -1).astype(np.int64)
 
 
 class BallTable:
     """All elements reachable from e by support steps within a word-radius cap.
 
+    The table is a trie over syllable normal forms: every element but the
+    identity is its parent (itself without its last syllable) times one
+    syllable of a finite alphabet, and parents have smaller ids.  Ids follow
+    the breadth-first discovery order: sources by id, then support index,
+    then syllable index inside a multi-syllable step, whose intermediate
+    products are interned too.
+
     Attributes
     ----------
-    ids : dict bytes -> int
-    encs : list of bytes (index = element id; id 0 is the identity)
+    size : number of elements; id 0 is the identity
+    syllables : tuple of FactorElement, the syllable alphabet
+    parent, code : per-id int32 arrays; element i is element parent[i] times
+        syllables[code[i]] (the identity has parent -1 and the empty code
+        len(syllables))
     wl, rel, maxfac, first_f : per-id int arrays (word length, relative
         length, max factor word length over syllables, first syllable factor)
     nbr : (M, K) int32 array; nbr[i, j] = id of element_i * support_j, or -1
@@ -65,243 +120,149 @@ class BallTable:
         self.group = group
         self.support = tuple(support)
         self.cap = cap
-        self._dims = {k: group.factor(k).dim for k in range(1, group.num_factors + 1)}
-        self._orders = {
-            k: (group.factor(k).order if group.factor(k).kind == FINITE_CYCLIC else 0)
-            for k in range(1, group.num_factors + 1)
-        }
-        self._build(max_elements)
+        self.syllables = tuple(_syllable_alphabet(group, self.support, cap))
+        self._code = {s: c for c, s in enumerate(self.syllables)}
+        # trie key of (parent p, code c) is p * stride + c; the last code is the empty one
+        self._stride = len(self.syllables) + 1
+        self._fac = np.array([s.factor for s in self.syllables] + [0], dtype=np.int32)
+        self._len = np.array(
+            [group.factor_word_length(*s) for s in self.syllables] + [0], dtype=np.int32
+        )
+        self._cols = None
         self._inv_perm: np.ndarray | None = None
+        self._build(max_elements)
 
     # -- construction -------------------------------------------------------
 
     def _build(self, max_elements):
-        group = self.group
-        dims, orders = self._dims, self._orders
-        sup_syls = [g.syllables for g in self.support]
-        rank_one = all(d == 1 for d in dims.values())
-        short_support = all(len(s) <= 1 for s in sup_syls)
-        if rank_one and short_support:
-            self._build_rank_one(max_elements)
-        else:
-            self._build_general(max_elements)
+        """Grow the trie breadth first, expanding up to _PASS sources per pass.
 
-    def _build_rank_one(self, max_elements):
-        """Hot path: every factor has one coordinate and every support step
-        is a single syllable (or the identity)."""
-        orders = self._orders
-        cap = self.cap
-        steps = []  # (factor, delta, pack, word_length) or None for identity
-        for g in self.support:
-            if not g.syllables:
-                steps.append(None)
-                continue
-            f, (c,) = g.syllables[0]
-            o = orders[f]
-            swl = min(c % o, o - c % o) if o else abs(c)
-            steps.append((f, c, _syllable_pack(f, (c,)), swl))
+        A pass runs the support steps syllable by syllable over all its
+        sources at once: each product is a pop to the parent, or a
+        (parent, code) key that is looked up among the known elements or
+        interned.  New elements are numbered by their first discovery, and
+        the pass's keys join the sorted key array at its end.
+        """
+        cap, stride, fac, slen = self.cap, self._stride, self._fac, self._len
+        slots = list(self.syllables) + [None]
+        # per support element and syllable: (factor, code or -1 beyond the
+        # cap, word length, merge row over the alphabet)
+        steps = [
+            [(s.factor, self._code.get(s, -1), self.group.factor_word_length(*s),
+              _merge_row(self.group, self._code, slots, s)) for s in g.syllables]
+            for g in self.support
+        ]
+        K = len(steps)
+        depth = max((len(st) for st in steps), default=0)
+        # discovery position of (support j, syllable k) within one source
+        offset = np.cumsum([0] + [len(st) for st in steps])
+        span = int(offset[-1])
 
-        pack_cache: dict = {}
+        parent = np.full(1, -1, dtype=np.int32)
+        code = np.full(1, stride - 1, dtype=np.int32)
+        wl, rel, maxfac = (np.zeros(1, dtype=np.int32) for _ in range(3))
+        first_f = np.zeros(1, dtype=np.int8)
+        per_id = (parent, code, wl, rel, maxfac, first_f)
+        nbr = np.empty((0, K), dtype=np.int32)
+        keys = np.empty(0, dtype=np.int64)
+        kid = np.empty(0, dtype=np.int32)
 
-        def pack_of(f, m):
-            key = (f, m)
-            p = pack_cache.get(key)
-            if p is None:
-                p = _syllable_pack(f, (m,))
-                pack_cache[key] = p
-            return p
-
-        ids: dict[bytes, int] = {b"": 0}
-        encs: list[bytes] = [b""]
-        wl = [0]
-        rel = [0]
-        maxfac = [0]
-        first_f = [0]
-        nbr = array("i")
-        nbr_append = nbr.append
-        ids_get = ids.get
-        encs_append = encs.append
-        from_bytes = int.from_bytes
-        i = 0
-        while i < len(encs):
-            if max_elements is not None and len(encs) > max_elements:
+        def check_budget(count, completed):
+            if max_elements is not None and count > max_elements:
                 raise BudgetExceededError(
-                    f"ball table exceeded {max_elements} elements", completed=i
+                    f"ball table exceeded {max_elements} elements", completed=completed
                 )
-            x = encs[i]
-            xw = wl[i]
-            if x:
-                xf = x[-1]
-                xc = from_bytes(x[-3:-1], "little", signed=True)
-            else:
-                xf = 0
-                xc = 0
-            for st in steps:
-                if st is None:
-                    nbr_append(i)
-                    continue
-                f, c, pack, swl = st
-                if xf != f:
-                    nw = xw + swl
-                    if nw > cap:
-                        nbr_append(-1)
-                        continue
-                    ne = x + pack
-                    j = ids_get(ne)
-                    if j is None:
-                        j = len(encs)
-                        ids[ne] = j
-                        encs_append(ne)
-                        wl.append(nw)
-                        rel.append(rel[i] + 1)
-                        mf = maxfac[i]
-                        maxfac.append(mf if mf >= swl else swl)
-                        first_f.append(first_f[i] if x else f)
-                    nbr_append(j)
-                else:
-                    o = orders[f]
-                    if o:
-                        m = (xc + c) % o
-                        ml = min(m, o - m)
-                        xl = min(xc % o, o - xc % o)
-                    else:
-                        m = xc + c
-                        ml = m if m >= 0 else -m
-                        xl = xc if xc >= 0 else -xc
-                    pe = x[:-3]
-                    if m == 0:
-                        nbr_append(ids[pe])
-                        continue
-                    nw = xw - xl + ml
-                    if nw > cap:
-                        nbr_append(-1)
-                        continue
-                    ne = pe + pack_of(f, m)
-                    j = ids_get(ne)
-                    if j is None:
-                        pid = ids[pe]
-                        j = len(encs)
-                        ids[ne] = j
-                        encs_append(ne)
-                        wl.append(nw)
-                        rel.append(rel[pid] + 1)
-                        mf = maxfac[pid]
-                        maxfac.append(mf if mf >= ml else ml)
-                        first_f.append(first_f[pid] if pe else f)
-                    nbr_append(j)
-            i += 1
-        self._finalize(ids, encs, wl, rel, maxfac, first_f, nbr)
 
-    def _finalize(self, ids, encs, wl, rel, maxfac, first_f, nbr):
-        self.ids = ids
-        self.encs = encs
-        self.size = len(encs)
-        self.wl = np.asarray(wl, dtype=np.int32)
-        self.rel = np.asarray(rel, dtype=np.int32)
-        self.maxfac = np.asarray(maxfac, dtype=np.int32)
-        self.first_f = np.asarray(first_f, dtype=np.int8)
-        self.nbr = (
-            np.frombuffer(nbr, dtype=np.int32)
-            .reshape(self.size, len(self.support)).copy()
-        )
-        self._cols = None
+        def multiply(c, step):
+            """Products of the ids c (-1: dead) with one syllable per column:
+            the ids known at once (pops to the parent, else -1), the mask of
+            products to look up, and their parents, codes and word lengths."""
+            f, t, tlen, rows = (np.array(x, dtype=np.int32) for x in zip(*step))
+            alive = c >= 0
+            c = np.where(alive, c, 0)
+            last = code[c]
+            merge = alive & (fac[last] == f)
+            m = rows[np.arange(len(f)), last]
+            par = np.where(merge, parent[c], c)
+            syl = np.where(merge, m, t)
+            w = np.where(merge, wl[c] - slen[last] + slen[np.maximum(m, 0)], wl[c] + tlen)
+            look = alive & (syl >= 0) & (w <= cap)
+            return np.where(merge & (m == _ZERO), par, -1), look, par[look], syl[look], w[look]
 
-    def _build_general(self, max_elements):
-        group = self.group
-        dims, orders = self._dims, self._orders
-        sup_syls = [g.syllables for g in self.support]
-        ids: dict[bytes, int] = {b"": 0}
-        encs: list[bytes] = [b""]
-        wl = array("i", [0])
-        rel = array("i", [0])
-        maxfac = array("i", [0])
-        first_f = array("b", [0])
-        nbr = array("i")
-        cap = self.cap
+        check_budget(1, 0)
+        n, lo = 1, 0
+        while lo < n:
+            hi, start = min(n, lo + _PASS), n
+            cur = np.repeat(np.arange(lo, hi, dtype=np.int32)[:, None], K, axis=1)
+            pos_min = np.empty(0, dtype=np.int64)  # first discovery of each new element
+            for k in range(depth):
+                js = [j for j in range(K) if len(steps[j]) > k]
+                res, look, lpar, lsyl, lw = multiply(cur[:, js], [steps[j][k] for j in js])
+                uq, first, inv = np.unique(lpar.astype(np.int64) * stride + lsyl,
+                                           return_index=True, return_inverse=True)
+                got = _lookup(keys, kid, uq)
+                if n > start:  # a later syllable can meet this pass's new elements
+                    pkeys = parent[start:n].astype(np.int64) * stride + code[start:n]
+                    order = np.argsort(pkeys)
+                    got = np.where(got >= 0, got,
+                                   _lookup(pkeys[order], start + order, uq))
+                new = np.flatnonzero(got < 0)
+                new = new[np.argsort(first[new], kind="stable")]
+                check_budget(n + len(new), lo)
+                got[new] = np.arange(n, n + len(new))
+                cell = first[new]
+                p, s = lpar[cell], lsyl[cell]
+                for a in per_id:
+                    a.resize(n + len(new), refcheck=False)
+                parent[n:] = p
+                code[n:] = s
+                wl[n:] = lw[cell]
+                rel[n:] = rel[p] + 1
+                maxfac[n:] = np.maximum(maxfac[p], slen[s])
+                first_f[n:] = np.where(p == 0, fac[s], first_f[p])
+                n += len(new)
+                res[look] = got[inv]
+                cur[:, js] = res
+                if depth > 1:
+                    # stage by stage is not discovery order: keep each new
+                    # element's first (source, support, syllable) position
+                    rows_at, cols_at = np.nonzero(look)
+                    pos = rows_at * span + offset[js][cols_at] + k
+                    pos_min = np.concatenate(
+                        [pos_min, np.full(len(new), np.iinfo(np.int64).max)])
+                    hit = res[look] >= start
+                    np.minimum.at(pos_min, res[look][hit] - start, pos[hit])
+            if depth > 1:
+                order = np.argsort(pos_min, kind="stable")
+                if (order != np.arange(len(order))).any():
+                    self._renumber(per_id, cur, start, order)
+            nbr.resize((hi, K), refcheck=False)
+            nbr[lo:] = cur
+            lk = parent[start:].astype(np.int64) * stride + code[start:]
+            order = np.argsort(lk)
+            lk = lk[order]
+            at = np.searchsorted(keys, lk)
+            keys = np.insert(keys, at, lk)
+            kid = np.insert(kid, at, (start + order).astype(np.int32))
+            lo = hi
+        self.size = n
+        self.parent, self.code, self.wl, self.rel, self.maxfac, self.first_f = per_id
+        self.nbr = nbr
+        self._keys, self._kid = keys, kid
 
-        def syl_len(f, coords):
-            o = orders[f]
-            if o:
-                r = coords[0] % o
-                return min(r, o - r)
-            return sum(abs(c) for c in coords)
-
-        def intern(enc, w, r, mf, ff):
-            j = ids.get(enc)
-            if j is None:
-                j = len(encs)
-                ids[enc] = j
-                encs.append(enc)
-                wl.append(w)
-                rel.append(r)
-                maxfac.append(mf)
-                first_f.append(ff)
-            return j
-
-        def tail_of(enc):
-            f = enc[-1]
-            d = dims[f]
-            coords = tuple(
-                int.from_bytes(enc[-1 - 2 * d + 2 * i: -1 - 2 * d + 2 * i + 2],
-                               "little", signed=True)
-                for i in range(d)
-            )
-            return f, coords, 1 + 2 * d
-
-        i = 0
-        while i < len(encs):
-            if max_elements is not None and len(encs) > max_elements:
-                raise BudgetExceededError(
-                    f"ball table exceeded {max_elements} elements", completed=i
-                )
-            x = encs[i]
-            xw = wl[i]
-            for syls in sup_syls:
-                cur, cw = x, xw
-                cur_id = i
-                dead = False
-                for (f, coords) in syls:
-                    if cur:
-                        cf, ccoords, tail = tail_of(cur)
-                    else:
-                        cf, ccoords, tail = 0, (), 0
-                    if cf != f:
-                        w = cw + syl_len(f, coords)
-                        if w > cap:
-                            dead = True
-                            break
-                        pe = cur
-                        ne = cur + _syllable_pack(f, coords)
-                        pid = cur_id
-                        new_rel = rel[pid] + 1
-                        new_mf = max(maxfac[pid], syl_len(f, coords))
-                        new_ff = first_f[pid] if pe else f
-                    else:
-                        o = orders[f]
-                        if o:
-                            merged = ((ccoords[0] + coords[0]) % o,)
-                        else:
-                            merged = tuple(a + b for a, b in zip(ccoords, coords))
-                        pe = cur[:-tail]
-                        pid = ids[pe]
-                        if not any(merged):
-                            cur, cw, cur_id = pe, wl[pid], pid
-                            continue
-                        w = cw - syl_len(f, ccoords) + syl_len(f, merged)
-                        if w > cap:
-                            dead = True
-                            break
-                        ne = pe + _syllable_pack(f, merged)
-                        new_rel = rel[pid] + 1
-                        new_mf = max(maxfac[pid], syl_len(f, merged))
-                        new_ff = first_f[pid] if pe else f
-                    nid = ids.get(ne)
-                    if nid is None:
-                        nid = intern(ne, w, new_rel, new_mf, new_ff)
-                    cur, cw, cur_id = ne, w, nid
-                nbr.append(-1 if dead else cur_id)
-            i += 1
-        self._finalize(ids, encs, wl, rel, maxfac, first_f, nbr)
+    @staticmethod
+    def _renumber(per_id, cur, start, order):
+        """Renumber the pass's new elements (ids from `start`) so that
+        new id start + r goes to the element order[r]."""
+        new_id = np.empty(len(order), dtype=np.int64)
+        new_id[order] = np.arange(start, start + len(order))
+        for a in per_id:
+            a[start:] = a[start:][order]
+        parent = per_id[0][start:]
+        moved = parent >= start
+        parent[moved] = new_id[parent[moved] - start]
+        moved = cur >= start
+        cur[moved] = new_id[cur[moved] - start]
 
     def columns(self):
         """Per-support compacted adjacency: (source ids, target ids) with the
@@ -318,47 +279,57 @@ class BallTable:
 
     # -- element <-> id -------------------------------------------------------
 
-    def encode(self, g: GroupElement) -> bytes:
-        buf = bytearray()
-        for f, coords in g.syllables:
-            buf += _syllable_pack(f, coords)
-        return bytes(buf)
+    def _child(self, ids: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Ids of element ids[i] times syllables[codes[i]]; -1 if absent."""
+        got = _lookup(self._keys, self._kid, ids.astype(np.int64) * self._stride + codes)
+        return np.where(codes >= 0, got, -1)
 
-    def decode(self, enc: bytes) -> GroupElement:
-        syls = []
-        pos = len(enc)
-        while pos > 0:
-            f = enc[pos - 1]
-            d = self._dims.get(f)
-            if d is None or pos - 1 - 2 * d < 0:
-                raise ValueError("corrupt element encoding")
-            start = pos - 1 - 2 * d
-            coords = tuple(
-                int.from_bytes(enc[start + 2 * i: start + 2 * i + 2],
-                               "little", signed=True)
-                for i in range(d)
-            )
-            syls.append(FactorElement(f, coords))
-            pos = start
-        syls.reverse()
-        return GroupElement(tuple(syls))
+    def _child_at(self, i: int, c: int) -> int:
+        """Scalar _child; codes outside the alphabet give -1."""
+        if not 0 <= c < self._stride - 1:
+            return -1
+        key = i * self._stride + c
+        at = int(self._keys.searchsorted(key))
+        return int(self._kid[at]) if at < len(self._keys) and self._keys[at] == key else -1
 
     def id_of(self, g: GroupElement) -> int | None:
-        return self.ids.get(self.encode(g))
+        i = 0
+        for s in g.syllables:
+            i = self._child_at(i, self._code.get(s, -1))
+            if i < 0:
+                return None
+        return i
 
     def element_of(self, i: int) -> GroupElement:
-        return self.decode(self.encs[i])
+        syls = []
+        while i > 0:
+            syls.append(self.syllables[self.code[i]])
+            i = self.parent[i]
+        return GroupElement(tuple(reversed(syls)))
 
     def inverse_perm(self) -> np.ndarray:
-        """Permutation sending each id to the id of its inverse."""
+        """Permutation sending each id to the id of its inverse (-1 when the
+        inverse leaves the table).
+
+        Pass t appends the inverse of every element's t-th last syllable to
+        its inverse's prefix, for all elements at once."""
         if self._inv_perm is None:
             group = self.group
-            perm = np.empty(self.size, dtype=np.int32)
-            for i, enc in enumerate(self.encs):
-                inv = group.inverse(self.decode(enc))
-                j = self.ids.get(self.encode(inv))
-                perm[i] = -1 if j is None else j
-            self._inv_perm = perm
+            neg = np.array(
+                [self._code.get(FactorElement(f, group.factor_neg(f, c)), -1)
+                 for f, c in self.syllables] + [-1],
+                dtype=np.int64,
+            )
+            inv = np.zeros(self.size, dtype=np.int64)
+            rest = np.arange(self.size)  # the prefix of each element still to invert
+            live = np.nonzero(self.rel > 0)[0]
+            while live.size:
+                r = rest[live]
+                got = self._child(inv[live], neg[self.code[r]])
+                inv[live] = got
+                rest[live] = self.parent[r]
+                live = live[(got >= 0) & (self.parent[r] > 0)]
+            self._inv_perm = inv.astype(np.int32)
         return self._inv_perm
 
     def mask_ball(self, m: int, B: int) -> np.ndarray:
@@ -369,6 +340,66 @@ class BallTable:
         """Ids of table elements lying in the factor subgroup H_k."""
         mask = (self.rel == 0) | ((self.rel == 1) & (self.first_f == k))
         return np.nonzero(mask)[0].astype(np.int32)
+
+
+def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
+    """Table ids of g_i^-1 g_j for all pairs of a prefix-closed element list
+    (each element's syllable prefix is in the list); -1 where the product
+    lies outside the table.
+
+    Column j is the column of g_j's prefix times g_j's last syllable: a pop,
+    a merge or an append on the trie, for all rows at once.  The column of
+    e holds the inverses g_i^-1; those missing from the table get extra ids
+    >= table.size together with their prefixes, since later columns can pop
+    back through them into the table.  A merge or append that lands outside
+    the table stays outside: the rest of g_j only appends.
+    """
+    size, group = table.size, table.group
+    index = {g.syllables: j for j, g in enumerate(elems)}
+    if () not in index or any(g.syllables[:-1] not in index for g in elems):
+        raise ValueError("pair_ids needs a prefix-closed element list")
+    slots = list(table.syllables) + [None]
+    codes = dict(table._code)  # extended by the inverses' missing syllables
+    extra: dict[tuple[int, int], int] = {}  # (parent, code) -> extra id
+    pair = np.full((len(elems), len(elems)), -1, dtype=np.int64)
+    for i, g in enumerate(elems):
+        node = 0
+        for s in group.inverse(g).syllables:
+            c = codes.setdefault(s, len(slots))
+            if c == len(slots):
+                slots.append(s)
+            child = table._child_at(node, c)
+            node = child if child >= 0 else extra.setdefault((node, c), size + len(extra))
+        pair[i, index[()]] = node
+    extra_parent, extra_code = np.array(list(extra), dtype=np.int64).reshape(-1, 2).T
+    slot_fac = np.array([0 if s is None else s.factor for s in slots], dtype=np.int64)
+    merge_rows: dict[FactorElement, np.ndarray] = {}
+    for j in sorted(range(len(elems)), key=lambda j: len(elems[j].syllables)):
+        syls = elems[j].syllables
+        if not syls:
+            continue
+        y = syls[-1]
+        row = merge_rows.get(y)
+        if row is None:
+            row = merge_rows[y] = _merge_row(group, table._code, slots, y)
+        v = pair[:, index[syls[:-1]]]
+        ok = v >= 0
+        ext = v >= size
+        at = np.where(ok & ~ext, v, 0)
+        last = table.code[at].astype(np.int64)
+        up = table.parent[at].astype(np.int64)
+        last[ext] = extra_code[v[ext] - size]
+        up[ext] = extra_parent[v[ext] - size]
+        merge = ok & (slot_fac[last] == y.factor)
+        m = row[last]
+        base = np.where(merge, up, v)
+        c = np.where(merge, m, table._code.get(y, -1))
+        col = np.where(merge & (m == _ZERO), up, -1)
+        look = ok & (c >= 0) & (base >= 0) & (base < size)
+        col[look] = table._child(base[look], c[look])
+        pair[:, j] = col
+    pair[pair >= size] = -1
+    return pair
 
 
 # -- DP drivers ----------------------------------------------------------------

@@ -351,66 +351,14 @@ def _ball_ids(measure: Measure, m: int, B: int, radius: int):
 
 
 def _pair_matrix_ids(measure: Measure, m: int, B: int, radius: int):
-    """Table ids of gamma^-1 gamma' over the (m, B)-ball, cached per budgets.
-
-    Products are merged at the raw syllable level and looked up by their
-    byte encoding; the transpose entry reuses the merge through the inverse
-    encoding (G is evaluated at the inverse there, which costs nothing for
-    symmetric measures and one permutation otherwise).
-    """
+    """Table ids of gamma^-1 gamma' over the (m, B)-ball, cached per budgets."""
     key = ("pairids", m, B, radius)
     hit = measure._q_cache.get(key)
     if hit is not None:
         return hit
-    grp = measure.group
+    # the table is prefix-closed, so the ball elements it holds are too
     table, elems, ids = _ball_ids(measure, m, B, radius)
-    n = len(elems)
-    pair = np.full((n, n), -1, dtype=np.int64)
-    factor_add = grp.factor_add
-    lookup = table.ids
-    from .engine import _syllable_pack
-
-    # the ball is prefix-closed in enumeration order, so each product
-    # gamma_i^-1 gamma_j extends the product at gamma_j's parent by one
-    # syllable; products are threaded as (enc, last_factor, last_coords,
-    # parent_node) chains for O(1) extension and popping
-    index_of = {g.syllables: j for j, g in enumerate(elems)}
-    parent = [0] * n
-    last_syl = [None] * n
-    for j, g in enumerate(elems):
-        if g.syllables:
-            parent[j] = index_of[g.syllables[:-1]]
-            last_syl[j] = g.syllables[-1]
-
-    for i in range(n):
-        # root node: the chain of prefixes of gamma_i^-1
-        node = (b"", 0, (), None)
-        for f, c in reversed(elems[i].syllables):
-            neg = grp.factor_neg(f, c)
-            node = (node[0] + _syllable_pack(f, neg), f, neg, node)
-        nodes = [None] * n
-        nodes[0] = node
-        row = pair[i]
-        t = lookup.get(node[0])
-        if t is not None:
-            row[0] = t
-        for j in range(1, n):
-            f, c = last_syl[j]
-            p = nodes[parent[j]]
-            if p[1] != f:
-                child = (p[0] + _syllable_pack(f, c), f, c, p)
-            else:
-                merged = factor_add(f, p[2], c)
-                gp = p[3]
-                if any(merged):
-                    child = (gp[0] + _syllable_pack(f, merged), f, merged, gp)
-                else:
-                    child = gp
-            nodes[j] = child
-            t = lookup.get(child[0])
-            if t is not None:
-                row[j] = t
-    result = (table, elems, ids, pair)
+    result = (table, elems, ids, engine.pair_ids(table, elems))
     measure._q_cache[key] = result
     return result
 

@@ -322,24 +322,15 @@ def green_moments(measure: Measure, k: int, r: float,
 
     partials = []
     for B in ladder:
-        hs = _factor_ball(group, k, B)
-        ids = np.array(
-            [i if (i := table.id_of(h)) is not None else -1 for h in hs], dtype=np.int64
-        )
-        keep = ids >= 0
-        hs = [h for h, kp in zip(hs, keep) if kp]
-        ids = ids[keep]
+        # row 0 is h = e: the ids of the ball elements themselves
+        pair = engine.pair_ids(table, _factor_ball(group, k, B))
+        keep = pair[0] >= 0
+        ids = pair[0, keep]
+        pair = pair[np.ix_(keep, keep)]
         v = gf[ids]
         u = gb[ids]
-        n = len(hs)
-        pair = np.zeros((n, n))
-        for i, h in enumerate(hs):
-            hi = group.inverse(h)
-            for j, hp in enumerate(hs):
-                t = table.id_of(group.multiply(hi, hp))
-                if t is not None:
-                    pair[i, j] = gf[t]
-        partials.append(float(v @ pair @ u))
+        G = np.where(pair >= 0, gf[np.maximum(pair, 0)], 0.0)
+        partials.append(float(v @ G @ u))
 
     increments = [partials[0]] + [b - a for a, b in zip(partials, partials[1:])]
     ratios = tuple(

@@ -128,14 +128,26 @@ def test_flag_overrides(config_path, tmp_path):
     assert manifest["budgets"]["n_max"] == 14
 
 
-def test_threads_flag_does_not_change_outputs(config_path, tmp_path):
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    assert run("llt", config_path, out1, "--threads", "1") == 0
-    assert run("llt", config_path, out8, "--threads", "8") == 0
-    assert (out1 / "q.csv").read_bytes() == (out8 / "q.csv").read_bytes()
-    fit1 = json.loads((out1 / "fit.json").read_text())
-    fit8 = json.loads((out8 / "fit.json").read_text())
-    assert fit1 == fit8
+def test_any_other_error_exits_one_with_manifest(tmp_path, capsys):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["budgets"]["depth"] = "four"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["validate", str(path), "--out", str(out)]) == 1
+    assert "error: TypeError:" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["partial"] is False
+
+
+def test_coordinates_beyond_int16(tmp_path):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["measure"] = [["1:(40000)", "1/2"], ["1:(-40000)", "1/2"]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["radius", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
 
 
 def test_exact_outputs_byte_identical_across_runs(config_path, tmp_path):
