@@ -1,6 +1,6 @@
 """Exact convolution powers and the spectral radius.
 
-Run:  python demos/02_walks_and_spectral_radius.py   (about a minute)
+Run:  python demos/02_walks_and_spectral_radius.py   (under a second)
 """
 
 import math

@@ -1,6 +1,6 @@
 """Green functions, derivatives, and the combinatorial identities.
 
-Run:  python demos/03_green_functions_and_identities.py   (about a minute)
+Run:  python demos/03_green_functions_and_identities.py   (a few seconds)
 """
 
 from freewalk import free_group, lazy_walk

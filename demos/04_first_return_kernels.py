@@ -1,6 +1,6 @@
 """First-return kernels to the factors and the classification.
 
-Run:  python demos/04_first_return_kernels.py   (about a minute)
+Run:  python demos/04_first_return_kernels.py   (a few seconds)
 """
 
 from freewalk import free_group, lazy_walk

@@ -1,6 +1,6 @@
 """The relative-geodesic automaton and its canonical refinement.
 
-Run:  python demos/05_automaton.py
+Run:  python demos/05_automaton.py   (about 15 seconds)
 """
 
 from freewalk import FactorSpec, free_group, free_product

@@ -1,6 +1,6 @@
 """Multiplicativity audits and the return-exponent fit.
 
-Run:  python demos/06_audits_and_exponents.py   (about a minute)
+Run:  python demos/06_audits_and_exponents.py   (under a second)
 """
 
 from freewalk import free_group, lazy_walk, return_sequence

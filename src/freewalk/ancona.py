@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .groups import FreeProduct, GroupElement
-from .measures import Measure
+from .measures import Measure, default_radius
 from .green import _field, field_tails, spectral_radius
 
 
@@ -116,7 +116,7 @@ def triangle_audit(measure: Measure, triples, r_values: Sequence[float],
                    n_max_spectral: int = 28) -> TriangleAuditReport:
     """Worst signed slack of G(x,y)G(y,z) <= G(e,e)G(x,z) + eps over the
     sampled triples, eps from tail estimates."""
-    radius = min(order, 12) * max(1, measure.d_mu) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     rho = 1.0 / spectral_radius(measure, n_max_spectral).point
     rs = [float(r) for r in r_values]
     fld = _field(measure, rs, order, radius)
@@ -167,7 +167,7 @@ def ratio_audit(measure: Measure, pairs, r_values: Sequence[float],
     admissible for the multiplicativity heuristics to apply.
     """
     grp = measure.group
-    radius = min(order, 12) * max(1, measure.d_mu) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     rho = 1.0 / spectral_radius(measure, n_max_spectral).point
     rs = [float(r) for r in r_values]
     fld = _field(measure, rs, order, radius)

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .engine import BudgetExceededError
 from .groups import FINITE_CYCLIC, FREE_ABELIAN, FactorSpec, FreeProduct
-from .measures import Measure, measure_from_pairs, return_sequence, validate
+from .measures import Measure, default_radius, measure_from_pairs, return_sequence, validate
 from . import green as green_mod
 from . import parabolic as parabolic_mod
 from . import ancona as ancona_mod
@@ -37,7 +37,6 @@ COMMANDS = (
 DEFAULT_BUDGETS = {
     "n_max": 20,
     "series_order": 48,
-    "radius": 10,
     "truncation": [4, 3],
     "horizon": 48,
     "kernel_order": 256,
@@ -200,9 +199,7 @@ def cmd_green(ctx) -> dict:
     for frac in fractions:
         r = frac * est.point
         resolved.append(r)
-        g = math.fsum(q * r**n for n, q in enumerate(qf))
-        g1 = math.fsum(n * q * r ** (n - 1) for n, q in enumerate(qf) if n >= 1)
-        g2 = math.fsum(n * (n - 1) * q * r ** (n - 2) for n, q in enumerate(qf) if n >= 2)
+        g, g1, g2 = (green_mod.series_derivative(qf, r, j) for j in range(3))
         tail = qf[-1] * r ** order
         rows.append((_fmt(frac), _fmt(r), _fmt(g), _fmt(g1), _fmt(g2), _fmt(tail)))
     _write_csv(ctx["out"] / "green.csv",
@@ -415,11 +412,10 @@ def cmd_tauber(ctx) -> dict:
     args = ctx["args"]
     doc: dict = {}
     if args.input:
-        vals = []
         with open(args.input, newline="") as fh:
-            for row in csv.DictReader(fh):
-                vals.append((int(row["n"]), float(row["value"])))
-        vals.sort()
+            rows = [row for row in list(csv.reader(fh))[1:] if row]
+        # n in the first column, the value (a float or an exact "p/q") in the second
+        vals = sorted((int(row[0]), float(Fraction(row[1]))) for row in rows)
         seq = tauberian_mod.SequenceSpec(tuple(v for _, v in vals), args.input)
         beta = args.beta if args.beta is not None else 1.0
         n_top = len(seq) - 1
@@ -496,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--float", dest="float_mode", action="store_true")
     parser.add_argument("--out", default=None)
     parser.add_argument("--export-dot", action="store_true")
-    parser.add_argument("--input", default=None, help="CSV (n, value) for tauber")
+    parser.add_argument("--input", default=None,
+                        help="tauber: CSV with n in the first column and the value in "
+                             "the second after a header row, such as llt's q.csv")
     parser.add_argument("--beta", type=float, default=None)
     return parser
 
@@ -525,6 +523,7 @@ def main(argv=None) -> int:
         group = build_group(cfg)
         measure = build_measure(cfg, group, mode)
         budgets = _budgets(cfg, args)
+        budgets.setdefault("radius", default_radius(measure, budgets["series_order"]))
         cap_mb = budgets.get("memory_cap_mb")
         if cap_mb is not None:
             measure.max_table_elements = int(cap_mb) * 1_000_000 // 200

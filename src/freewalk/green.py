@@ -17,11 +17,7 @@ import numpy as np
 
 from . import engine
 from .groups import GroupElement
-from .measures import Measure, return_sequence
-
-# default word-radius for pruned series: min(order, this) * d_mu.  Callers
-# with tight residual targets (the acceptance budgets) pass radius explicitly.
-DEFAULT_RADIUS_FACTOR = 10
+from .measures import Measure, default_radius, return_sequence
 
 
 @dataclass(frozen=True)
@@ -73,31 +69,22 @@ class IdentityReport:
 # -- shared field machinery ------------------------------------------------------
 
 
-def _default_radius(measure: Measure, order: int) -> int:
-    return min(order, DEFAULT_RADIUS_FACTOR) * max(1, measure.d_mu)
-
-
 def _weights(measure: Measure) -> list[float]:
     return [float(w) for w in measure.entries.values()]
 
 
 def _field(measure: Measure, r_values: Sequence[float], order: int, radius: int) -> dict:
     """G(e, . | r) arrays over the ball table, one DP pass for all r."""
-    key = ("field", tuple(round(float(r), 15) for r in r_values), order, radius)
-    cache = measure._q_cache  # reuse the measure-level cache dict
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    table = measure.table(radius)
-    out = engine.green_field(table, _weights(measure), order, [float(r) for r in r_values])
-    result = {"table": table, "G": out["final"], "e_series": out["e_series"],
-              "last_terms": out["last_terms"]}
+    rs = tuple(float(r) for r in r_values)
+
+    def compute() -> dict:
+        table = measure.table(radius)
+        out = engine.green_field(table, _weights(measure), order, list(rs))
+        return {"table": table, "G": out["final"], "e_series": out["e_series"],
+                "last_terms": out["last_terms"]}
+
     # fields hold several full-table float arrays; keep at most two alive
-    stale = [k for k in cache if isinstance(k, tuple) and k and k[0] == "field"]
-    for k in stale[:-1]:
-        del cache[k]
-    cache[key] = result
-    return result
+    return measure.memo(("field", rs, order, radius), compute, keep=2)
 
 
 def field_tails(field: dict, r: float, ratio_cap: float | None = None) -> np.ndarray:
@@ -141,18 +128,22 @@ def pruned_return_weights(measure: Measure, order: int, radius: int) -> list[flo
     Exact while order * d_mu <= radius; beyond that a lower bound missing
     only the paths that exit the radius.
     """
-    key = ("qf", order, radius)
-    hit = measure._q_cache.get(key)
-    if hit is not None:
-        return hit
-    table = measure.table(radius)
-    out: list[float] = []
-    engine.float_levels(
-        table, _weights(measure), order,
-        bound_fn=lambda t: radius, on_level=lambda t, w: out.append(float(w[0])),
-    )
-    measure._q_cache[key] = out
-    return out
+    e = measure.group.identity
+    return measure.memo(("qf", order, radius),
+                        lambda: _target_series(measure, [e], order, radius)[e])
+
+
+def _derivative_terms(coeffs: Sequence[float], r: float, j: int = 0) -> list[float]:
+    """Terms n(n-1)...(n-j+1) coeffs[n] r^(n-j), n >= j, of the j-th derivative
+    at r of the truncated series sum_n coeffs[n] r^n."""
+    return [math.prod(range(n - j + 1, n + 1)) * coeffs[n] * r ** (n - j)
+            for n in range(j, len(coeffs))]
+
+
+def series_derivative(coeffs: Sequence[float], r: float, j: int = 0) -> float:
+    """j-th derivative at r of the truncated series sum_n coeffs[n] r^n, term
+    by term, exactly rounded."""
+    return math.fsum(_derivative_terms(coeffs, r, j))
 
 
 def _series_stats(terms: list[float], r: float, ratio_cap: float | None) -> SeriesValue:
@@ -220,12 +211,11 @@ def green_value(measure: Measure, x: GroupElement, y: GroupElement, r: float,
         raise ValueError("r must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    radius = _default_radius(measure, order) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     grp = measure.group
     w = grp.multiply(grp.inverse(x), y)
     coeffs = _target_series(measure, [w], order, radius)[w]
-    terms = [c * r**n for n, c in enumerate(coeffs)]
-    return _series_stats(terms, r, ratio_cap)
+    return _series_stats(_derivative_terms(coeffs, r), r, ratio_cap)
 
 
 def green_derivative(measure: Measure, x: GroupElement, y: GroupElement, r: float,
@@ -233,29 +223,21 @@ def green_derivative(measure: Measure, x: GroupElement, y: GroupElement, r: floa
     """Term-wise k-th derivative: sum_{n>=k} n(n-1)...(n-k+1) mu^{*n} r^{n-k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    radius = _default_radius(measure, order) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     grp = measure.group
     w = grp.multiply(grp.inverse(x), y)
     coeffs = _target_series(measure, [w], order, radius)[w]
-    terms = []
-    for n in range(k, order + 1):
-        fall = 1.0
-        for i in range(k):
-            fall *= n - i
-        terms.append(fall * coeffs[n] * r ** (n - k))
-    return _series_stats(terms, r, None)
+    return _series_stats(_derivative_terms(coeffs, r, k), r, None)
 
 
 def f_ratio(measure: Measure, x: GroupElement, y: GroupElement, r: float,
             order: int = 48, radius: int | None = None) -> float:
     """F(x, y | r) = G(x, y | r) / G(e, e | r)."""
-    radius = _default_radius(measure, order) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     grp = measure.group
     w = grp.multiply(grp.inverse(x), y)
     series = _target_series(measure, [w, grp.identity], order, radius)
-    num = math.fsum(c * r**n for n, c in enumerate(series[w]))
-    den = math.fsum(c * r**n for n, c in enumerate(series[grp.identity]))
-    return num / den
+    return series_derivative(series[w], r) / series_derivative(series[grp.identity], r)
 
 
 def green_metrics(measure: Measure, x: GroupElement, y: GroupElement, r: float,
@@ -298,37 +280,35 @@ def spectral_radius(measure: Measure, n_max: int = 28) -> SpectralRadiusEstimate
     The certified bound is min_n q_{2n}^{-1/2n}: by supermultiplicativity
     q_{2(n+m)} >= q_{2n} q_{2m}, so q_{2n}^{1/2n} increases to 1/R_mu.
     """
-    key = ("sre", n_max)
-    hit = measure._q_cache.get(key)
-    if hit is not None:
-        return hit
-    q = return_sequence(measure, n_max).values
-    evens = [(n, float(q[2 * n])) for n in range(1, n_max // 2 + 1)]
-    positive = [(n, v) for n, v in evens if v > 0]
-    if not positive:
-        raise ValueError("no positive even return probabilities up to n_max")
-    diagnostics = tuple(v ** (1.0 / (2 * n)) for n, v in positive)
-    certified = min(v ** (-1.0 / (2 * n)) for n, v in positive)
-    ratios = tuple(
-        float(q[2 * n + 2] / q[2 * n]) for n, _ in positive[:-1] if q[2 * n] > 0
-    )
-    symmetric = measure.is_symmetric()
-    if symmetric and len(positive) >= 4:
-        logs = [(n, math.log(v)) for n, v in positive]
-        rho = math.exp(_ratio_extrapolate(logs) / 2.0)
-    else:
-        rho = diagnostics[-1]
-    est = SpectralRadiusEstimate(
-        certified_upper=certified,
-        point=1.0 / rho,
-        rho_point=rho,
-        diagnostics=diagnostics,
-        ratios=ratios,
-        n_max=n_max,
-        symmetric=symmetric,
-    )
-    measure._q_cache[key] = est
-    return est
+
+    def compute() -> SpectralRadiusEstimate:
+        q = return_sequence(measure, n_max).values
+        evens = [(n, float(q[2 * n])) for n in range(1, n_max // 2 + 1)]
+        positive = [(n, v) for n, v in evens if v > 0]
+        if not positive:
+            raise ValueError("no positive even return probabilities up to n_max")
+        diagnostics = tuple(v ** (1.0 / (2 * n)) for n, v in positive)
+        certified = min(v ** (-1.0 / (2 * n)) for n, v in positive)
+        ratios = tuple(
+            float(q[2 * n + 2] / q[2 * n]) for n, _ in positive[:-1] if q[2 * n] > 0
+        )
+        symmetric = measure.is_symmetric()
+        if symmetric and len(positive) >= 4:
+            logs = [(n, math.log(v)) for n, v in positive]
+            rho = math.exp(_ratio_extrapolate(logs) / 2.0)
+        else:
+            rho = diagnostics[-1]
+        return SpectralRadiusEstimate(
+            certified_upper=certified,
+            point=1.0 / rho,
+            rho_point=rho,
+            diagnostics=diagnostics,
+            ratios=ratios,
+            n_max=n_max,
+            symmetric=symmetric,
+        )
+
+    return measure.memo(("sre", n_max), compute)
 
 
 def resolve_r(measure: Measure, fraction: float, n_max: int = 28) -> float:
@@ -352,15 +332,13 @@ def _ball_ids(measure: Measure, m: int, B: int, radius: int):
 
 def _pair_matrix_ids(measure: Measure, m: int, B: int, radius: int):
     """Table ids of gamma^-1 gamma' over the (m, B)-ball, cached per budgets."""
-    key = ("pairids", m, B, radius)
-    hit = measure._q_cache.get(key)
-    if hit is not None:
-        return hit
-    # the table is prefix-closed, so the ball elements it holds are too
-    table, elems, ids = _ball_ids(measure, m, B, radius)
-    result = (table, elems, ids, engine.pair_ids(table, elems))
-    measure._q_cache[key] = result
-    return result
+
+    def compute():
+        # the table is prefix-closed, so the ball elements it holds are too
+        table, elems, ids = _ball_ids(measure, m, B, radius)
+        return table, elems, ids, engine.pair_ids(table, elems)
+
+    return measure.memo(("pairids", m, B, radius), compute)
 
 
 def spatial_sum(measure: Measure, k: int, r: float, truncation: tuple[int, int],
@@ -378,7 +356,7 @@ def spatial_sum(measure: Measure, k: int, r: float, truncation: tuple[int, int],
     if k < 1:
         raise ValueError("k must be >= 1")
     m, B = truncation
-    radius = _default_radius(measure, order) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     fld = _field(measure, [r], order, radius)
     gf = fld["G"][r]
     gb = _g_backward(measure, fld, r)
@@ -417,7 +395,7 @@ def sphere_sums(measure: Measure, r: float, M: int, B: int,
                 order: int = 48, radius: int | None = None) -> SphereSumTable:
     """u_m = sum over the truncated relative sphere of H(e, g | r)
     = G(e, g | r) G(g, e | r), m = 0..M."""
-    radius = _default_radius(measure, order) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     fld = _field(measure, [r], order, radius)
     table = fld["table"]
     gf = fld["G"][r]
@@ -443,9 +421,9 @@ def derivative_identity_residual(measure: Measure, r: float, truncation: tuple[i
     same value, so the residual shrinks as the budgets grow.
     """
     m, B = truncation
-    radius = _default_radius(measure, order) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     q = pruned_return_weights(measure, order, radius)
-    left = math.fsum((n + 1) * q[n] * r**n for n in range(order + 1))
+    left = series_derivative([0.0] + q, r, 1)  # r G(e,e|r) = sum q_n r^(n+1)
     fld = _field(measure, [r], order, radius)
     table = fld["table"]
     gf = fld["G"][r]
@@ -481,16 +459,12 @@ def fk_identity_residual(measure: Measure, k: int, r: float, truncation: tuple[i
     the f_{j,k} coefficient scheme over derivatives of G(e,e|r)."""
     if k < 2:
         raise ValueError("the identity check starts at k = 2")
-    radius = _default_radius(measure, order) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     q = pruned_return_weights(measure, order, radius)
     coeffs = fk_coefficients(k)
     left = 0.0
     for j, f_jk in enumerate(coeffs):
-        deriv = math.fsum(
-            math.prod(range(n - j + 1, n + 1)) * q[n] * r ** (n - j)
-            for n in range(j, order + 1)
-        )
-        left += f_jk * r ** (k + j - 1) * deriv
+        left += f_jk * r ** (k + j - 1) * series_derivative(q, r, j)
     right = math.factorial(k) * r ** (k - 1) * spatial_sum(
         measure, k, r, truncation, order, radius
     )

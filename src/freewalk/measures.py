@@ -1,8 +1,9 @@
 """Finitely supported probability measures and exact convolution powers.
 
-Measures and everything computed from them are immutable values; caches
-only memoize pure results, so instances are safe to share across threads
-and results are identical regardless of any worker configuration.
+Measures and everything computed from them are immutable values.  Each
+measure memoizes pure results keyed by their budgets (`Measure.memo`): ball
+tables, return sequences, Green fields, pair matrices and absorption
+profiles.  `Measure.drop_tables` forgets all of them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ class Measure:
     """A finitely supported probability measure on a free product.
 
     Weights are exact `Fraction`s (mode "exact") or floats (mode "float").
-    Instances are immutable by convention; engine tables and return
-    sequences are cached on the instance and shared by later calls.
+    Instances are immutable by convention.  Results computed from the
+    measure live in its memo under a tuple key whose first item names the
+    kind, such as ("table", cap) or ("field", r_values, order, radius); they
+    stay until `drop_tables`, except that at most two fields are kept.
     """
 
     def __init__(self, group: FreeProduct, entries: Mapping[GroupElement, Fraction | float],
@@ -53,8 +56,7 @@ class Measure:
         )
         self.mode = mode
         self.max_table_elements: int | None = None
-        self._tables: dict[int, BallTable] = {}
-        self._q_cache: dict = {}
+        self._memo: dict[tuple, object] = {}
 
     # -- basic views ---------------------------------------------------------
 
@@ -89,18 +91,31 @@ class Measure:
         denom = math.lcm(*(w.denominator for w in self.entries.values()))
         return [int(w * denom) for w in self.entries.values()], denom
 
+    def memo(self, key: tuple, compute, keep: int | None = None):
+        """The memoized value under `key`, computed by `compute()` on a miss.
+
+        `keep` bounds how many entries of the key's kind (its first item)
+        stay alive: storing a new one evicts the oldest beyond that.
+        """
+        if key not in self._memo:
+            value = compute()
+            if keep is not None:
+                same = [k for k in self._memo if k[0] == key[0]]
+                for k in same[:max(0, len(same) + 1 - keep)]:
+                    del self._memo[k]
+            self._memo[key] = value
+        return self._memo[key]
+
     def table(self, cap: int, max_elements: int | None = None) -> BallTable:
         """Interned ball table for this support at the given word-radius cap."""
-        tbl = self._tables.get(cap)
-        if tbl is None:
-            budget = max_elements if max_elements is not None else self.max_table_elements
-            tbl = BallTable(self.group, list(self.entries), cap, budget)
-            self._tables[cap] = tbl
-        return tbl
+        budget = max_elements if max_elements is not None else self.max_table_elements
+        return self.memo(("table", cap),
+                         lambda: BallTable(self.group, list(self.entries), cap, budget))
 
     def drop_tables(self):
-        """Release cached engine tables (they dominate memory)."""
-        self._tables.clear()
+        """Forget every memoized result: the engine tables, which dominate
+        memory, and everything computed on them that would keep them alive."""
+        self._memo.clear()
 
 
 @dataclass(frozen=True)
@@ -125,6 +140,12 @@ class ReturnSequence:
 
     def floats(self) -> list[float]:
         return [float(v) for v in self.values]
+
+
+def default_radius(measure: Measure, n: int) -> int:
+    """Word-radius budget for an n-term series or an n-step horizon when the
+    caller names none: min(n, 10) * max(1, d_mu)."""
+    return min(n, 10) * max(1, measure.d_mu)
 
 
 # -- constructors -----------------------------------------------------------------
@@ -270,23 +291,20 @@ def return_sequence(measure: Measure, n_max: int,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    cached = measure._q_cache.get(n_max)
-    if cached is not None:
-        return cached
     d_mu = max(1, measure.d_mu)
     half_radius = ((n_max + 1) // 2) * d_mu
 
-    if measure.mode == FLOAT:
-        table = measure.table(half_radius, max_elements)
-        weights = [float(w) for w in measure.entries.values()]
-        qs: list[float] = []
-        engine.float_levels(
-            table, weights, n_max,
-            bound_fn=lambda t: None if t <= n_max - t else (n_max - t) * d_mu,
-            on_level=lambda t, w: qs.append(float(w[0])),
-        )
-        result = ReturnSequence(tuple(qs), FLOAT, n_max, pruned_radius=half_radius)
-    else:
+    def compute() -> ReturnSequence:
+        if measure.mode == FLOAT:
+            table = measure.table(half_radius, max_elements)
+            weights = [float(w) for w in measure.entries.values()]
+            qs: list[float] = []
+            engine.float_levels(
+                table, weights, n_max,
+                bound_fn=lambda t: None if t <= n_max - t else (n_max - t) * d_mu,
+                on_level=lambda t, w: qs.append(float(w[0])),
+            )
+            return ReturnSequence(tuple(qs), FLOAT, n_max, pruned_radius=half_radius)
         ints, denom = measure.integerized()
         if engine.exact_capacity(denom, (n_max + 1) // 2):
             table = measure.table(half_radius, max_elements)
@@ -296,10 +314,10 @@ def return_sequence(measure: Measure, n_max: int,
             vals = tuple(Fraction(num, denom**n) for n, num in enumerate(numerators))
         else:
             vals = tuple(_dict_power_sequence(measure, n_max))
-        result = ReturnSequence(vals, EXACT, n_max, denominator=denom,
-                                pruned_radius=half_radius)
-    measure._q_cache[n_max] = result
-    return result
+        return ReturnSequence(vals, EXACT, n_max, denominator=denom,
+                              pruned_radius=half_radius)
+
+    return measure.memo(("q", n_max), compute)
 
 
 def distribution(measure: Measure, n: int, prune_radius: int | None = None,

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import engine
 from .groups import FINITE_CYCLIC, GroupElement
-from .measures import Measure
+from .measures import Measure, default_radius
 from .green import (_field, _g_backward, _ratio_extrapolate, pruned_return_weights,
-                    spectral_radius)
+                    series_derivative, spectral_radius)
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,16 @@ def _factor_ball(group, k: int, radius: int) -> list[GroupElement]:
 
 def _absorption(measure: Measure, k: int, horizon: int, radius: int):
     """Cached first-entrance profile into H_k: per step n and offset sigma."""
-    key = ("absorb", k, horizon, radius)
-    hit = measure._q_cache.get(key)
-    if hit is not None:
-        return hit
-    table = measure.table(radius)
-    h_ids = table.subgroup_ids(k)
-    prof, live = engine.absorbed_profile(
-        table, [float(w) for w in measure.entries.values()], h_ids, horizon
-    )
-    offsets = [table.element_of(int(i)) for i in h_ids]
-    result = (prof, offsets, live)
-    measure._q_cache[key] = result
-    return result
+
+    def compute():
+        table = measure.table(radius)
+        h_ids = table.subgroup_ids(k)
+        prof, live = engine.absorbed_profile(
+            table, [float(w) for w in measure.entries.values()], h_ids, horizon
+        )
+        return prof, [table.element_of(int(i)) for i in h_ids], live
+
+    return measure.memo(("absorb", k, horizon, radius), compute)
 
 
 def first_return_kernel(measure: Measure, k: int, r: float, horizon: int = 64,
@@ -154,9 +151,7 @@ def first_return_kernel(measure: Measure, k: int, r: float, horizon: int = 64,
     if r < 0:
         raise ValueError("r must be >= 0")
     radius = (
-        min(horizon, 12) * max(1, measure.d_mu)
-        if exploration_radius is None
-        else exploration_radius
+        default_radius(measure, horizon) if exploration_radius is None else exploration_radius
     )
     prof, offsets, _ = _absorption(measure, k, horizon, radius)
     nu: dict[GroupElement, float] = {}
@@ -238,15 +233,10 @@ def parabolic_green(measure: Measure, k: int, r: float, t: float, order: int = 2
                     horizon: int = 64, exploration_radius: int | None = None,
                     h_ball: int = 64) -> ParabolicGreenValue:
     """G_{k,r}(e, e | t) = sum_n t^n p_{k,r}^{(n)}(e, e) to the stated order."""
-    series = kernel_power_series(measure, k, r, order, horizon, exploration_radius, h_ball)
-    value = math.fsum(p * t**n for n, p in enumerate(series))
-    kern_radius = (
-        exploration_radius
-        if exploration_radius is not None
-        else min(horizon, 12) * max(1, measure.d_mu)
-    )
+    kern = first_return_kernel(measure, k, r, horizon, exploration_radius)
+    value = series_derivative(_kernel_power_series(measure, kern, order, h_ball), t)
     return ParabolicGreenValue(factor=k, r=r, t=t, value=value, order=order,
-                               horizon=horizon, exploration_radius=kern_radius,
+                               horizon=horizon, exploration_radius=kern.exploration_radius,
                                h_ball=h_ball)
 
 
@@ -258,9 +248,9 @@ def same_green_residual(measure: Measure, k: int, r: float, order: int = 64,
     The whole-group side uses the radius-pruned return weights; the kernel
     side composes first-return excursions explored inside the same radius.
     """
-    radius = min(order, 12) * max(1, measure.d_mu) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     qf = pruned_return_weights(measure, order, radius)
-    g_whole = math.fsum(q * r**n for n, q in enumerate(qf))
+    g_whole = series_derivative(qf, r)
     g_par = parabolic_green(measure, k, r, 1.0, kernel_order, horizon, radius, h_ball)
     return {
         "factor": k,
@@ -314,7 +304,7 @@ def green_moments(measure: Measure, k: int, r: float,
     (finite Green moments); non-decaying increments mean it cannot.
     """
     group = measure.group
-    radius = min(order, 12) * max(1, measure.d_mu) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     fld = _field(measure, [r], order, radius)
     table = fld["table"]
     gf = fld["G"][r]
@@ -373,7 +363,7 @@ def classify(measure: Measure, n_max: int = 24, order: int = 128,
     if report.admissible_to_depth < 1:
         raise ValueError("measure is not admissible to depth 1; classification "
                          "needs a walk that can reach the whole group")
-    radius = min(order, 12) * max(1, measure.d_mu) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     est = spectral_radius(measure, n_max)
     r_top = est.point
     warnings: list[str] = []
@@ -408,8 +398,7 @@ def classify(measure: Measure, n_max: int = 24, order: int = 128,
     grid = []
     for i in range(6):
         rr = r_top * (1.0 - 0.2 * 0.5**i)
-        g1 = math.fsum(n * q * rr ** (n - 1) for n, q in enumerate(qf) if n >= 1)
-        grid.append((rr, g1))
+        grid.append((rr, series_derivative(qf, rr, 1)))
     xs = [math.log(r_top - rr) for rr, _ in grid]
     ys = [math.log(g) for _, g in grid]
     n_pts = len(xs)
@@ -466,19 +455,19 @@ def equadiff_table(measure: Measure, fractions: Sequence[float], n_max: int = 24
     G''_{k,r} is the second t-derivative of the parabolic Green series at
     t = 1, computed term-wise from the kernel powers.
     """
-    radius = min(order, 12) * max(1, measure.d_mu) if radius is None else radius
+    radius = default_radius(measure, order) if radius is None else radius
     est = spectral_radius(measure, n_max)
     qf = pruned_return_weights(measure, order, radius)
     rows = []
     for frac in fractions:
         r = frac * est.point
-        g1 = math.fsum(n * q * r ** (n - 1) for n, q in enumerate(qf) if n >= 1)
-        g2 = math.fsum(n * (n - 1) * q * r ** (n - 2) for n, q in enumerate(qf) if n >= 2)
+        g1 = series_derivative(qf, r, 1)
+        g2 = series_derivative(qf, r, 2)
         rhs = 1.0
         for k in range(1, measure.group.num_factors + 1):
             series = kernel_power_series(measure, k, r, kernel_order, horizon,
                                          radius, h_ball)
-            rhs += math.fsum(n * (n - 1) * p for n, p in enumerate(series) if n >= 2)
+            rhs += series_derivative(series, 1.0, 2)
         lhs = g2 / g1**3 if g1 > 0 else math.inf
         rows.append(EquadiffRow(r=r, lhs=lhs, rhs=rhs,
                                 ratio=lhs / rhs if rhs > 0 else math.inf))

@@ -128,6 +128,25 @@ def test_flag_overrides(config_path, tmp_path):
     assert manifest["budgets"]["n_max"] == 14
 
 
+def test_default_radius_resolved_into_manifest(tmp_path):
+    cfg = json.loads(json.dumps(CONFIG))
+    del cfg["budgets"]["radius"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["radius", str(path), "--out", str(out), "--series-order", "4"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["budgets"]["radius"] == 4
+
+
+def test_tauber_reads_llt_output(config_path, tmp_path):
+    out = tmp_path / "o"
+    assert run("llt", config_path, out) == 0
+    with open(out / "q.csv", "a") as fh:
+        fh.write("\n")  # a trailing blank line is skipped
+    assert run("tauber", config_path, out, "--input", str(out / "q.csv")) == 0
+    assert json.loads((out / "tauber.json").read_text())["input"]["beta"] == 1.0
+
+
 def test_any_other_error_exits_one_with_manifest(tmp_path, capsys):
     cfg = json.loads(json.dumps(CONFIG))
     cfg["budgets"]["depth"] = "four"

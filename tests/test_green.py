@@ -15,6 +15,7 @@ from freewalk.green import (
     green_metrics,
     green_value,
     resolve_r,
+    series_derivative,
     spatial_sum,
     spectral_radius,
     sphere_sums,
@@ -109,9 +110,19 @@ def test_divergence_flag(zz, lazy):
 def test_f_ratio_and_metrics(zz, walk):
     r = 0.5
     assert f_ratio(walk, zz.identity, zz.identity, r) == 1.0
-    d, dsym = green_metrics(walk, zz.identity, zz.gen("a"), r)
+    e, a = zz.identity, zz.gen("a")
+    d, dsym = green_metrics(walk, e, a, r)
     assert d > 0
     assert abs(dsym - 2 * d) < 1e-12  # symmetric walk
+    assert d == -math.log(f_ratio(walk, e, a, r))
+    b = zz.gen("b")
+    drift = Measure(zz, {a: Fraction(1, 2), zz.inverse(a): Fraction(1, 4),
+                         b: Fraction(1, 8), zz.inverse(b): Fraction(1, 8)})
+    d, dsym = green_metrics(drift, e, a, r, order=12, radius=6)
+    fxy = f_ratio(drift, e, a, r, order=12, radius=6)
+    fyx = f_ratio(drift, a, e, r, order=12, radius=6)
+    assert fxy != fyx
+    assert (d, dsym) == (-math.log(fxy), -math.log(fxy) - math.log(fyx))
 
 
 def test_triangle_inequality_instance(zz, walk):
@@ -235,6 +246,24 @@ def test_sphere_sums_basics(zz, lazy):
     tab = sphere_sums(lazy, r, 3, 2, order=16, radius=8)
     assert abs(tab.values[0] - g * g) < 1e-12
     assert all(v >= 0 for v in tab.values)
+
+
+def test_sphere_sums_at_adjacent_floats(zz):
+    # fields are memoized under their exact r values: a neighbouring float
+    # is its own field, not a hit that lacks the requested r
+    mu = lazy_walk(zz).as_float()
+    r = 0.3
+    r_next = math.nextafter(r, 1.0)
+    a = sphere_sums(mu, r, 2, 2, order=8, radius=6)
+    b = sphere_sums(mu, r_next, 2, 2, order=8, radius=6)
+    assert b.r == r_next
+    assert b.values[0] >= a.values[0]
+
+
+def test_series_derivative_small_cases():
+    assert series_derivative([1.0, 2.0, 3.0], 2.0) == 17.0
+    assert series_derivative([1.0, 2.0, 3.0], 2.0, 2) == 6.0
+    assert series_derivative([1.0, 2.0], 2.0, 3) == 0.0
 
 
 def test_resolve_r(lazy):

@@ -1,6 +1,8 @@
 """Measures, validation, and the exact convolution engine."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,8 @@ from freewalk import (
     simple_walk,
     validate,
 )
-from freewalk.measures import _dict_power_sequence
+from freewalk.green import _field, spatial_sum, sphere_sums
+from freewalk.measures import _dict_power_sequence, default_radius
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +207,30 @@ def test_asymmetric_return_sequence_matches_brute_force(zz):
     q = return_sequence(m, 6).values
     oracle = brute_force_returns(m, 6)
     assert list(q[:7]) == oracle
+
+
+def test_drop_tables_releases_tables_held_by_results(zz):
+    mu = lazy_walk(zz).as_float()
+    sphere_sums(mu, 0.3, 2, 2, order=8, radius=6)
+    spatial_sum(mu, 2, 0.3, (2, 2), order=8, radius=6)
+    table = weakref.ref(mu.table(6))
+    mu.drop_tables()
+    gc.collect()
+    assert table() is None
+
+
+def test_memo_keeps_two_fields(zz):
+    mu = lazy_walk(zz).as_float()
+    first = weakref.ref(_field(mu, [0.1], 8, 6)["G"][0.1])  # a dict cannot be weakly held
+    second = _field(mu, [0.2], 8, 6)
+    assert _field(mu, [0.1], 8, 6)["G"][0.1] is first()
+    _field(mu, [0.3], 8, 6)
+    gc.collect()
+    assert first() is None
+    assert _field(mu, [0.2], 8, 6) is second
+
+
+def test_default_radius(zz, walk):
+    assert [default_radius(walk, n) for n in (0, 4, 10, 48)] == [0, 4, 10, 10]
+    wide = measure_from_pairs(zz, [("1:(2)", "1/2"), ("1:(-2)", "1/2")])
+    assert default_radius(wide, 48) == 20
