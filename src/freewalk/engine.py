@@ -5,7 +5,9 @@ and first-return kernels.  Elements reachable from e inside a word-radius
 cap are interned once into a trie of (parent id, syllable code) rows,
 grown one breadth-first layer at a time with numpy sort and search,
 together with the support adjacency; every random-walk computation is
-then a sequence of bincount scatter-adds over flat weight arrays.
+then a sequence of level steps over flat weight arrays, each one gather
+and one in-order scatter-add (`np.add.at`) per support column, so every
+element sums its incoming weight in support order.
 
 Exactness: integer-valued weights are carried in float64, which is exact
 while every value stays below 2^53; callers must check `exact_capacity`
@@ -411,26 +413,28 @@ def exact_capacity(denominator: int, steps: int) -> bool:
 
 
 def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np.ndarray:
-    # the table cap already enforces any bound at least as large
-    if bound is not None and bound >= table.cap:
-        bound = None
-    nw = np.zeros(table.size)
-    if bound is None:
-        for (src, tgt), cj in zip(table.columns(), col_weights):
-            if cj == 0:
-                continue
-            nw += np.bincount(tgt, weights=w[src] * cj, minlength=table.size)
-        return nw
-    live = np.nonzero(w)[0]
-    wl = table.wl
-    for j, cj in enumerate(col_weights):
+    """One level of the DP: nw[g s_j] += w[g] * col_weights[j] over the table.
+
+    Every target sums its contributions in support-column order, starting
+    from 0: right multiplication by s_j is injective, so a column hits each
+    target at most once, and `np.add.at` adds into nw in edge order.  The
+    identity column (support element e, first when present) is the identity
+    map, so it starts the sum as w * c_0.  Zero-weight sources add exact
+    zeros, so a bound only zeroes the targets beyond it, after the full
+    step.  No temporary is larger than one column.
+    """
+    cols = table.columns()
+    first = 1 if table.support and not table.support[0].syllables else 0
+    nw = w * col_weights[0] if first else np.zeros(table.size)
+    for (src, tgt), cj in zip(cols[first:], col_weights[first:]):
         if cj == 0:
             continue
-        tgt = table.nbr[live, j]
-        ok = tgt >= 0
-        ok &= wl[np.where(ok, tgt, 0)] <= bound
-        t = tgt[ok]
-        nw += np.bincount(t, weights=w[live[ok]] * cj, minlength=table.size)
+        v = w[src]
+        v *= cj
+        np.add.at(nw, tgt, v)
+    # the table cap already enforces any bound at least as large
+    if bound is not None and bound < table.cap:
+        nw[table.wl > bound] = 0.0
     return nw
 
 

@@ -80,6 +80,8 @@ def _field(measure: Measure, r_values: Sequence[float], order: int, radius: int)
     def compute() -> dict:
         table = measure.table(radius)
         out = engine.green_field(table, _weights(measure), order, list(rs))
+        # the same unpruned DP as pruned_return_weights: serve it from here
+        measure.memo(("qf", order, radius), lambda: out["e_series"])
         return {"table": table, "G": out["final"], "e_series": out["e_series"],
                 "last_terms": out["last_terms"]}
 
@@ -187,8 +189,7 @@ def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int
         for i in rows:
             rows[i].append(float(wvec[i]))
 
-    engine.float_levels(table, _weights(measure), order,
-                        bound_fn=lambda t: radius, on_level=observe)
+    engine.float_levels(table, _weights(measure), order, on_level=observe)
     out = {}
     for w, i in zip(targets, tids):
         out[w] = rows[i] if i >= 0 else [0.0] * (order + 1)
@@ -422,9 +423,9 @@ def derivative_identity_residual(measure: Measure, r: float, truncation: tuple[i
     """
     m, B = truncation
     radius = default_radius(measure, order) if radius is None else radius
+    fld = _field(measure, [r], order, radius)  # first: it also serves q
     q = pruned_return_weights(measure, order, radius)
     left = series_derivative([0.0] + q, r, 1)  # r G(e,e|r) = sum q_n r^(n+1)
-    fld = _field(measure, [r], order, radius)
     table = fld["table"]
     gf = fld["G"][r]
     gb = _g_backward(measure, fld, r)
@@ -460,13 +461,14 @@ def fk_identity_residual(measure: Measure, k: int, r: float, truncation: tuple[i
     if k < 2:
         raise ValueError("the identity check starts at k = 2")
     radius = default_radius(measure, order) if radius is None else radius
+    # the spatial sum first: its field also serves q
+    right = math.factorial(k) * r ** (k - 1) * spatial_sum(
+        measure, k, r, truncation, order, radius
+    )
     q = pruned_return_weights(measure, order, radius)
     coeffs = fk_coefficients(k)
     left = 0.0
     for j, f_jk in enumerate(coeffs):
         left += f_jk * r ** (k + j - 1) * series_derivative(q, r, j)
-    right = math.factorial(k) * r ** (k - 1) * spatial_sum(
-        measure, k, r, truncation, order, radius
-    )
     return IdentityReport(left=left, right=right, residual=abs(left - right),
                           r=r, truncation=truncation, order=order, radius=radius)

@@ -1,4 +1,5 @@
-"""BallTable against an independent queue-BFS builder, and the trie lookups."""
+"""BallTable against an independent queue-BFS builder, the trie lookups, and
+the DP step against the column-by-column bincount kernel."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from freewalk import BudgetExceededError, free_group, measure_from_pairs, return_sequence
 from freewalk.cli import build_group, build_measure, load_config
-from freewalk.engine import BallTable, pair_ids
+from freewalk.engine import BallTable, _step, pair_ids
 from freewalk.groups import (
     FINITE_CYCLIC,
     FREE_ABELIAN,
@@ -124,6 +125,7 @@ def small_products(draw):
 def test_builder_matches_reference_on_random_products(case):
     group, support, cap = case
     table, elems = assert_matches_reference(group, support, cap)
+    assert_step_matches_reference(table)
     inv = table.inverse_perm()
     for i, g in enumerate(elems):
         j = table.id_of(group.inverse(g))
@@ -196,3 +198,88 @@ def test_coordinates_beyond_int16():
     assert q[2] == Fraction(1, 2) and q[4] == Fraction(3, 8)
     table = measure.table(4 * 40000)
     assert len(table.syllables) == 8  # multiples of 40000, not the word ball
+
+
+# -- the DP step -------------------------------------------------------------------
+
+
+def reference_step(table, w, col_weights, bound):
+    """The column-by-column bincount kernel: full steps add one bincount per
+    support column; bounded steps scatter only the live sources' edges to
+    targets within the bound."""
+    if bound is not None and bound >= table.cap:
+        bound = None
+    nw = np.zeros(table.size)
+    if bound is None:
+        for (src, tgt), cj in zip(table.columns(), col_weights):
+            if cj == 0:
+                continue
+            nw += np.bincount(tgt, weights=w[src] * cj, minlength=table.size)
+        return nw
+    live = np.nonzero(w)[0]
+    for j, cj in enumerate(col_weights):
+        if cj == 0:
+            continue
+        tgt = table.nbr[live, j]
+        ok = tgt >= 0
+        ok &= table.wl[np.where(ok, tgt, 0)] <= bound
+        nw += np.bincount(tgt[ok], weights=w[live[ok]] * cj, minlength=table.size)
+    return nw
+
+
+def assert_step_matches_reference(table, weight_sets=()):
+    """_step equals the reference bit for bit, for every bound 0..cap and
+    None, with the given column weights and four random sets, on DP levels
+    from e and on random weights with zeros."""
+    rng = np.random.default_rng(0)
+    K = len(table.support)
+    weight_sets = list(weight_sets) + [
+        list(rng.random(K)),  # non-dyadic: the sum order shows in the last bits
+        [0.0] + list(rng.random(K - 1)),  # a zero column weight (e's, when present)
+        list(rng.random(K - 1)) + [0.0],
+        [float(c) for c in rng.integers(0, 4, K)],  # integer weights, some zero
+    ]
+    for cols in weight_sets:
+        w = np.zeros(table.size)
+        w[0] = 1.0
+        levels = []
+        for _ in range(3):
+            levels.append(w)
+            w = reference_step(table, w, cols, None)
+        levels.append(rng.random(table.size) * (rng.random(table.size) < 0.5))
+        for w in levels:
+            for bound in [None, *range(table.cap + 1)]:
+                want = reference_step(table, w, cols, bound)
+                got = _step(table, w, cols, bound)
+                assert np.array_equal(got, want), (cols, bound)
+
+
+def measure_weights(measure):
+    """A measure's float weights and its integerized (exact-mode) weights."""
+    ints, _ = measure.integerized()
+    return [[float(w) for w in measure.entries.values()], [float(c) for c in ints]]
+
+
+@pytest.mark.parametrize("name,cap", [("f2-lazy", 7), ("f2-simple", 7), ("z2-z3-lazy", 5)])
+def test_step_matches_reference_on_configs(name, cap):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    group = build_group(cfg)
+    measure = build_measure(cfg, group, "exact")  # f2-simple has no e in its support
+    assert_step_matches_reference(measure.table(cap), measure_weights(measure))
+
+
+@pytest.mark.parametrize("make_group,texts,cap", [
+    (free_group, MULTI_F2, 6),
+    (free_group, ODD_F2, 9),  # a non-symmetric support without e
+    (z3_z5_z, Z3_Z5_Z, 4),
+])
+def test_step_matches_reference_on_multi_syllable_supports(make_group, texts, cap):
+    group = make_group()
+    assert_step_matches_reference(BallTable(group, _parse(group, texts), cap))
+
+
+def test_step_matches_reference_on_a_non_symmetric_walk():
+    group = free_group(2)
+    weights = {"e": 2, "1:(1)": 2, "1:(-1)": 1, "2:(1)": 2, "2:(-1)": 1}
+    measure = measure_from_pairs(group, [(g, Fraction(c, 8)) for g, c in weights.items()])
+    assert_step_matches_reference(measure.table(8), measure_weights(measure))

@@ -281,3 +281,21 @@ def test_derivative_identity_asymmetric(zz):
     assert not m.is_symmetric()
     rep = derivative_identity_residual(m, 0.3, (6, 6), order=16, radius=10)
     assert rep.residual < 1e-6
+
+
+def test_field_serves_pruned_return_weights(zz, monkeypatch):
+    # a field's DP is the unpruned DP of pruned_return_weights on the same
+    # table: after the field, the return weights need no DP of their own
+    from freewalk import engine
+    from freewalk.green import _field, pruned_return_weights
+
+    order, radius = 12, 6
+    mu = lazy_walk(zz).as_float()
+    _field(mu, [0.3], order, radius)
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("pruned_return_weights ran a DP after the field")
+
+    want = pruned_return_weights(lazy_walk(zz).as_float(), order, radius)
+    monkeypatch.setattr(engine, "float_levels", no_dp)
+    assert pruned_return_weights(mu, order, radius) == want
