@@ -11,20 +11,21 @@ element sums its incoming weight in support order.
 
 Exactness: integer-valued weights are carried in float64, which is exact
 while every value stays below 2^53; callers must check `exact_capacity`
-first.  Reductions that can exceed 2^53 (pairing dot products) are done in
-Python big ints.
+first.  Dot products that can exceed 2^53 (the pairing of two DP halves)
+cut one side into integer limbs small enough that every limb's float64 dot
+is exact, and combine the limb dots in Python ints.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .groups import FactorElement, FreeProduct, GroupElement
 
-_FLOAT_EXACT_LIMIT = 2.0**53
+_FLOAT_BITS = 53  # float64 holds every integer below 2^53 exactly
+_FLOAT_EXACT_LIMIT = 2.0**_FLOAT_BITS
 
 
 class BudgetExceededError(RuntimeError):
@@ -42,6 +43,7 @@ class BudgetExceededError(RuntimeError):
 _ZERO = -2  # merge row value: the two syllables cancel
 _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
 _PASS = 1 << 18  # sources expanded per builder pass; bounds the temporaries
+_BLOCK = 1 << 16  # entries per block of an exact dot; bounds its temporaries
 
 
 def _syllable_alphabet(group: FreeProduct, support, cap: int) -> list[FactorElement]:
@@ -132,6 +134,7 @@ class BallTable:
         )
         self._cols = None
         self._inv_perm: np.ndarray | None = None
+        self._inv_out: np.ndarray | None = None  # ids whose inverse leaves the table
         self._build(max_elements)
 
     # -- construction -------------------------------------------------------
@@ -282,9 +285,13 @@ class BallTable:
     # -- element <-> id -------------------------------------------------------
 
     def _child(self, ids: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Ids of element ids[i] times syllables[codes[i]]; -1 if absent."""
-        got = _lookup(self._keys, self._kid, ids.astype(np.int64) * self._stride + codes)
-        return np.where(codes >= 0, got, -1)
+        """Ids of element ids[i] times syllables[codes[i]]; -1 if absent or
+        if ids[i] is -1.  The keys are searched in sorted order."""
+        q = ids.astype(np.int64) * self._stride + codes
+        order = np.argsort(q)
+        got = np.empty(len(q), dtype=np.int64)
+        got[order] = _lookup(self._keys, self._kid, q[order])
+        return np.where((codes >= 0) & (ids >= 0), got, -1)
 
     def _child_at(self, i: int, c: int) -> int:
         """Scalar _child; codes outside the alphabet give -1."""
@@ -313,8 +320,12 @@ class BallTable:
         """Permutation sending each id to the id of its inverse (-1 when the
         inverse leaves the table).
 
-        Pass t appends the inverse of every element's t-th last syllable to
-        its inverse's prefix, for all elements at once."""
+        Goes up the relative length, two lookups per element: g = s t with
+        first syllable s has the inverse t^-1 s^-1, the child of its tail
+        t's inverse, and its tail is the child of its parent's tail.  The
+        trie is prefix-closed but not suffix-closed, so a tail can leave the
+        table while the inverse stays in; such elements walk their own
+        syllables back from the last one instead."""
         if self._inv_perm is None:
             group = self.group
             neg = np.array(
@@ -322,17 +333,45 @@ class BallTable:
                  for f, c in self.syllables] + [-1],
                 dtype=np.int64,
             )
-            inv = np.zeros(self.size, dtype=np.int64)
-            rest = np.arange(self.size)  # the prefix of each element still to invert
-            live = np.nonzero(self.rel > 0)[0]
-            while live.size:
-                r = rest[live]
-                got = self._child(inv[live], neg[self.code[r]])
-                inv[live] = got
-                rest[live] = self.parent[r]
-                live = live[(got >= 0) & (self.parent[r] > 0)]
-            self._inv_perm = inv.astype(np.int32)
+            inv = np.zeros(self.size, dtype=np.int32)
+            tail = np.zeros(self.size, dtype=np.int32)
+            head = self.code.copy()  # code of the first syllable
+            for r in range(1, int(self.rel.max(initial=0)) + 1):
+                ids = np.flatnonzero(self.rel == r)
+                if r > 1:
+                    p = self.parent[ids]
+                    head[ids] = head[p]
+                    tail[ids] = self._child(tail[p], self.code[ids])
+                t = tail[ids]
+                inv[ids] = self._child(np.where(t >= 0, inv[t], -1), neg[head[ids]])
+                lost = ids[t < 0]  # before the next level reads their inverses
+                inv[lost] = self._walk_inverse(lost, neg)
+            self._inv_perm = inv
         return self._inv_perm
+
+    def _walk_inverse(self, ids: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        """Ids of the inverses of ids (-1 if absent): pass k appends the
+        inverse of each element's k-th last syllable to its inverse's
+        prefix."""
+        inv = np.zeros(len(ids), dtype=np.int64)
+        rest = ids.astype(np.int64)  # the prefix of each element still to invert
+        live = np.flatnonzero(self.rel[ids] > 0)
+        while live.size:
+            r = rest[live]
+            got = self._child(inv[live], neg[self.code[r]])
+            inv[live] = got
+            rest[live] = self.parent[r]
+            live = live[(got >= 0) & (self.parent[r] > 0)]
+        return inv
+
+    def pull_back(self, x: np.ndarray) -> np.ndarray:
+        """x composed with inversion: at id g, x at the id of g^-1, or 0
+        where g^-1 leaves the table."""
+        if self._inv_out is None:
+            self._inv_out = np.flatnonzero(self.inverse_perm() < 0)
+        y = x[self._inv_perm]  # -1 picks the last entry, zeroed next
+        y[self._inv_out] = 0.0
+        return y
 
     def mask_ball(self, m: int, B: int) -> np.ndarray:
         """Membership mask of the relative (m, B)-truncated ball."""
@@ -438,6 +477,37 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     return nw
 
 
+def _exact_dots(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[int]:
+    """The dot product of a with each b of bs, exactly, as Python ints.
+
+    Every entry must be a non-negative integer below 2^53, and every sum(b)
+    below 2^53.  a is cut into k-bit limbs with k = 53 - bitlen(max sum(b)),
+    at least 1, so each limb's dot with b is at most (2^k - 1) sum(b) < 2^53
+    and float64 gets it exactly in any summation order; the limb dots are
+    shifted back and added in Python ints.  Works in blocks of _BLOCK
+    entries, so no temporary is larger than a block.
+    """
+    # a float sum of non-negative integers reaches 2^53 iff the exact one does
+    top = max((b.sum() for b in bs), default=0.0)
+    if top >= _FLOAT_EXACT_LIMIT:
+        raise OverflowError("dot operand sum reaches 2^53")
+    k = max(1, _FLOAT_BITS - int(top).bit_length())
+    base, scale = 2.0**k, 2.0**-k
+    shifts = range(0, int(a.max(initial=0)).bit_length(), k)
+    out = [0] * len(bs)
+    for lo in range(0, len(a), _BLOCK):
+        hi = a[lo:lo + _BLOCK]
+        blocks = [b[lo:lo + _BLOCK] for b in bs]
+        for s in shifts:
+            limb = hi
+            if s + k < shifts.stop:  # split off the low k bits; scaling by 2^+-k is exact
+                hi = np.floor(limb * scale)
+                limb = limb - hi * base
+            for i, b in enumerate(blocks):
+                out[i] += int(limb @ b) << s
+    return out
+
+
 def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: int,
                           d_mu: int, symmetric: bool) -> list[int]:
     """Integer numerators of q_n = mu^{*n}(e), n = 0..n_max, for integerized
@@ -445,31 +515,27 @@ def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: i
 
     Runs the forward half of the min(t, n_max - t) * d_mu pruned DP and pairs
     the two halves through each split point; exact by the path-splitting
-    identity.
+    identity.  Level t holds integers summing to at most D^t < 2^53, so the
+    pairing is `_exact_dots` of the pulled-back level t with levels t - 1
+    and t.
     """
     half = (n_max + 1) // 2
     if not exact_capacity(sum(int_weights), half):
         raise OverflowError("weights exceed float64-exact range; use dict fallback")
     w = np.zeros(table.size)
     w[0] = 1.0
-    inv = None if symmetric else table.inverse_perm()
-    cur_list = [1] + [0] * (table.size - 1)
-    dots = {0: 1}
+    dots = [1] + [0] * n_max
     cols = [float(c) for c in int_weights]
     for t in range(1, half + 1):
         # states reachable in t steps satisfy the bound automatically while
         # t <= n_max - t; only the final odd-split step can actually prune
         bound = None if t <= n_max - t else min(t, n_max - t) * d_mu
-        w = _step(table, w, cols, bound=bound)
-        prev_list = cur_list
-        ws = w if inv is None else np.where(inv >= 0, w[np.maximum(inv, 0)], 0.0)
-        cur_list = w.astype(np.int64).tolist()
-        side = ws.astype(np.int64).tolist() if inv is not None else cur_list
-        if 2 * t - 1 <= n_max:
-            dots[2 * t - 1] = sum(map(operator.mul, side, prev_list))
-        if 2 * t <= n_max:
-            dots[2 * t] = sum(map(operator.mul, side, cur_list))
-    return [dots.get(n, 0) for n in range(n_max + 1)]
+        prev, w = w, _step(table, w, cols, bound=bound)
+        side = w if symmetric else table.pull_back(w)
+        ns = [n for n in (2 * t - 1, 2 * t) if n <= n_max]
+        for n, d in zip(ns, _exact_dots(side, [prev, w][:len(ns)])):
+            dots[n] = d
+    return dots
 
 
 def float_levels(table: BallTable, weights: Sequence[float], n_steps: int,

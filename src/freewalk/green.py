@@ -120,8 +120,7 @@ def _g_backward(measure: Measure, field: dict, r: float) -> np.ndarray:
     gf = field["G"][r]
     if measure.is_symmetric():
         return gf
-    inv = field["table"].inverse_perm()
-    return np.where(inv >= 0, gf[np.maximum(inv, 0)], 0.0)
+    return field["table"].pull_back(gf)
 
 
 def pruned_return_weights(measure: Measure, order: int, radius: int) -> list[float]:

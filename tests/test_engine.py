@@ -1,6 +1,8 @@
-"""BallTable against an independent queue-BFS builder, the trie lookups, and
-the DP step against the column-by-column bincount kernel."""
+"""BallTable against an independent queue-BFS builder, the trie lookups and
+inversion, the DP step against the column-by-column bincount kernel, and
+the exact pairing against Python big ints."""
 
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +13,20 @@ from hypothesis import strategies as st
 
 from freewalk import BudgetExceededError, free_group, measure_from_pairs, return_sequence
 from freewalk.cli import build_group, build_measure, load_config
-from freewalk.engine import BallTable, _step, pair_ids
+from freewalk.engine import (
+    _BLOCK,
+    BallTable,
+    _exact_dots,
+    _lookup,
+    _step,
+    exact_capacity,
+    pair_ids,
+    pruned_power_sequence,
+)
 from freewalk.groups import (
     FINITE_CYCLIC,
     FREE_ABELIAN,
+    FactorElement,
     FactorSpec,
     GroupElement,
     free_product,
@@ -130,6 +142,11 @@ def test_builder_matches_reference_on_random_products(case):
     for i, g in enumerate(elems):
         j = table.id_of(group.inverse(g))
         assert inv[i] == (-1 if j is None else j)
+    ints = [1 + k % 3 for k in range(len(support))]
+    d_mu = max(group.word_length(g) for g in support)
+    for n_max in range(2 * cap + 2):
+        if exact_capacity(sum(ints), (n_max + 1) // 2):
+            assert_pairing_matches_reference(table, ints, n_max, d_mu, False)
 
 
 @pytest.mark.parametrize("make_group,texts,cap,leaves", [
@@ -283,3 +300,194 @@ def test_step_matches_reference_on_a_non_symmetric_walk():
     weights = {"e": 2, "1:(1)": 2, "1:(-1)": 1, "2:(1)": 2, "2:(-1)": 1}
     measure = measure_from_pairs(group, [(g, Fraction(c, 8)) for g, c in weights.items()])
     assert_step_matches_reference(measure.table(8), measure_weights(measure))
+
+
+# -- inversion ---------------------------------------------------------------------
+
+
+def reference_inverse_perm(table):
+    """The syllable walk: pass t appends the inverse of every element's t-th
+    last syllable to its inverse's prefix, searching the keys unsorted."""
+    group = table.group
+    code = {s: c for c, s in enumerate(table.syllables)}
+    neg = np.array([code.get(FactorElement(s.factor, group.factor_neg(*s)), -1)
+                    for s in table.syllables] + [-1], dtype=np.int64)
+    inv = np.zeros(table.size, dtype=np.int64)
+    rest = np.arange(table.size)
+    live = np.nonzero(table.rel > 0)[0]
+    while live.size:
+        r = rest[live]
+        c = neg[table.code[r]]
+        got = _lookup(table._keys, table._kid, inv[live] * table._stride + c)
+        got = np.where(c >= 0, got, -1)
+        inv[live] = got
+        rest[live] = table.parent[r]
+        live = live[(got >= 0) & (table.parent[r] > 0)]
+    return inv.astype(np.int32)
+
+
+AB_BA = ["1:(1)|2:(1)", "2:(-1)|1:(-1)"]  # b is never reached, so the tail of ab leaves
+
+
+@pytest.mark.parametrize("make_group,texts,cap", [
+    (free_group, ["e", "1:(1)", "1:(-1)", "2:(1)", "2:(-1)"], 10),  # 118 k elements
+    (free_group, ODD_F2, 14),
+    (free_group, MULTI_F2, 8),
+    (free_group, AB_BA, 12),
+    (z3_z5_z, Z3_Z5_Z, 5),
+])
+def test_inverse_perm_matches_the_syllable_walk(make_group, texts, cap):
+    group = make_group()
+    table = BallTable(group, _parse(group, texts), cap)
+    assert table.rel.max() >= 5  # several levels
+    want = reference_inverse_perm(table)
+    got = table.inverse_perm()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    y = table.pull_back(np.arange(1.0, table.size + 1))
+    assert np.array_equal(y, np.where(want >= 0, want + 1.0, 0.0))
+
+
+def test_inverse_perm_where_a_tail_leaves_the_table_but_the_inverse_stays():
+    group = free_group(2)
+    table = BallTable(group, _parse(group, AB_BA), 8)
+    inv = table.inverse_perm()
+    lost_but_inverted = 0
+    for i in range(table.size):
+        g = table.element_of(i)
+        j = table.id_of(group.inverse(g))
+        assert inv[i] == (-1 if j is None else j)
+        tail_out = len(g.syllables) > 1 and table.id_of(GroupElement(g.syllables[1:])) is None
+        lost_but_inverted += tail_out and j is not None
+    assert lost_but_inverted > 0
+
+
+# -- the exact dot and the pairing -------------------------------------------------
+
+
+def big_int_dot(a, b):
+    return sum(map(operator.mul, a.astype(np.int64).tolist(), b.astype(np.int64).tolist()))
+
+
+def split_sum(rng, n, total):
+    """n non-negative integers (as float64) summing to exactly total."""
+    if n == 0:
+        return np.zeros(0)
+    cuts = np.sort(rng.integers(0, total + 1, n - 1)).tolist()
+    return np.diff([0] + cuts + [total]).astype(np.float64)
+
+
+def assert_exact_dots(a, bs):
+    assert _exact_dots(a, bs) == [big_int_dot(a, b) for b in bs]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 400), st.integers(0, 53), st.integers(0, 2**53 - 1),
+       st.integers(0, 2**32 - 1))
+def test_exact_dot_matches_big_ints(n, a_bits, b_total, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2**a_bits, n).astype(np.float64)
+    a[rng.random(n) < 0.3] = 0.0
+    b = split_sum(rng, n, b_total)
+    assert_exact_dots(a, [b, b[::-1].copy(), np.zeros(n)])
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_exact_dot_around_the_block_size(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 2**53, n).astype(np.float64)
+    assert_exact_dots(a, [split_sum(rng, n, 2**53 - 1), split_sum(rng, n, 12345)])
+
+
+def test_exact_dot_with_an_all_zero_side():
+    a = np.full(10, 2.0**53 - 1)
+    assert _exact_dots(a, [np.zeros(10)]) == [0]
+    assert _exact_dots(np.zeros(10), [np.full(10, 2.0**40)]) == [0]
+
+
+def test_exact_dot_over_four_limbs_and_more():
+    rng = np.random.default_rng(7)
+    n = 3 * _BLOCK + 5
+    a = rng.integers(2**52, 2**53, n).astype(np.float64)
+    b = split_sum(rng, n, 2**40)  # 41-bit sum: 12-bit limbs, five of them
+    assert -(-53 // (53 - (2**40).bit_length())) >= 4
+    assert_exact_dots(a, [b])
+
+
+def test_exact_dot_refuses_a_sum_at_2_to_53():
+    with pytest.raises(OverflowError):
+        _exact_dots(np.ones(2), [np.array([2.0**52, 2.0**52])])
+
+
+def reference_power_sequence(table, int_weights, n_max, d_mu, symmetric):
+    """The big-int pairing: each level as a Python int list, each dot a sum
+    of Python int products."""
+    half = (n_max + 1) // 2
+    w = np.zeros(table.size)
+    w[0] = 1.0
+    inv = None if symmetric else table.inverse_perm()
+    cur_list = [1] + [0] * (table.size - 1)
+    dots = {0: 1}
+    cols = [float(c) for c in int_weights]
+    for t in range(1, half + 1):
+        bound = None if t <= n_max - t else min(t, n_max - t) * d_mu
+        w = _step(table, w, cols, bound=bound)
+        prev_list = cur_list
+        ws = w if inv is None else np.where(inv >= 0, w[np.maximum(inv, 0)], 0.0)
+        cur_list = w.astype(np.int64).tolist()
+        side = ws.astype(np.int64).tolist() if inv is not None else cur_list
+        if 2 * t - 1 <= n_max:
+            dots[2 * t - 1] = sum(map(operator.mul, side, prev_list))
+        if 2 * t <= n_max:
+            dots[2 * t] = sum(map(operator.mul, side, cur_list))
+    return [dots.get(n, 0) for n in range(n_max + 1)]
+
+
+def assert_pairing_matches_reference(table, ints, n_max, d_mu, symmetric):
+    got = pruned_power_sequence(table, ints, n_max, d_mu, symmetric)
+    want = reference_power_sequence(table, ints, n_max, d_mu, symmetric)
+    assert got == want and all(type(x) is int for x in got), n_max
+
+
+def assert_pairing_on_measure(measure, n_values):
+    ints, denom = measure.integerized()
+    d_mu = max(1, measure.d_mu)
+    symmetric = measure.is_symmetric()
+    for n_max in n_values:
+        table = measure.table(((n_max + 1) // 2) * d_mu)
+        assert_pairing_matches_reference(table, ints, n_max, d_mu, symmetric)
+        if symmetric:  # the pull-back path gives the same numbers
+            assert_pairing_matches_reference(table, ints, n_max, d_mu, False)
+
+
+def test_pairing_at_the_exact_capacity_of_denominator_97():
+    group = free_group(2)
+    weights = {"e": 49, "1:(1)": 13, "1:(-1)": 11, "2:(1)": 17, "2:(-1)": 7}
+    measure = measure_from_pairs(group, [(g, Fraction(c, 97)) for g, c in weights.items()])
+    assert exact_capacity(97, 7) and not exact_capacity(97, 8)  # n = 14 is the largest
+    assert not measure.is_symmetric()
+    assert_pairing_on_measure(measure, range(15))  # n = 13, 14: eight 6-bit limbs
+
+
+@pytest.mark.parametrize("name,n_max", [("f2-lazy", 16), ("f2-simple", 17), ("z2-z3-lazy", 11)])
+def test_pairing_matches_reference_on_configs(name, n_max):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    measure = build_measure(cfg, build_group(cfg), "exact")
+    assert_pairing_on_measure(measure, range(n_max + 1))
+
+
+@pytest.mark.parametrize("make_group,texts,cap", [
+    (free_group, ODD_F2, 9),
+    (free_group, MULTI_F2, 6),
+    (free_group, AB_BA, 8),
+    (z3_z5_z, Z3_Z5_Z, 4),
+])
+def test_pairing_matches_reference_on_multi_syllable_supports(make_group, texts, cap):
+    """On one table per support, below the radius that return_sequence would
+    take: the numbers are then not q_n, but both pairings must agree."""
+    group = make_group()
+    support = _parse(group, texts)
+    table = BallTable(group, support, cap)
+    ints = [k + 1 for k in range(len(support))]
+    d_mu = max(group.word_length(g) for g in support)
+    for n_max in range(13):
+        assert_pairing_matches_reference(table, ints, n_max, d_mu, False)
