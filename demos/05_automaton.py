@@ -1,6 +1,6 @@
 """The relative-geodesic automaton and its canonical refinement.
 
-Run:  python demos/05_automaton.py   (about 15 seconds)
+Run:  python demos/05_automaton.py   (about 1.5 seconds)
 """
 
 from freewalk import FactorSpec, free_group, free_product

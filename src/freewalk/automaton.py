@@ -6,14 +6,19 @@ which in a free product just means consecutive letters come from distinct
 factors.  Two constructions are provided:
 
 * `reduced_automaton` accepts exactly the reduced sequences: one state per
-  cone type (the class of a word by its reduced-extension behaviour, which
-  in a free product is determined by the final factor).
+  cone type (the class of a word by its reduced-extension behaviour).  In a
+  free product the last factor alone decides the cone type, so the types
+  are built directly: the identity, which extends by every factor, and one
+  type per factor k, which extends by every factor but k.
 * `canonical_automaton` refines the states with competitor-offset sets
   (P-sets) tracking lexicographically smaller spellings that stay within a
   word-ball of radius C; a letter whose refreshed offset set would contain
   the identity is rejected.  In a free product every element has a unique
   reduced spelling, so the accepted language coincides with the reduced
-  one; the P-sets are still computed faithfully and exposed.
+  one; the P-sets are still computed faithfully and exposed.  The offsets
+  g with x.g a single letter come from syllables, not from a search of the
+  C-ball: g = x^-1 s for a letter s, which either merges into the last
+  syllable of x^-1 (s in the factor of x's first syllable) or is appended.
 
 Edges come in bundles: one symbolic edge per (state, factor, coordinate
 class), since factors may be infinite.  Far coordinates collapse to one
@@ -121,26 +126,6 @@ class AutomatonGraph:
 # -- cone types ------------------------------------------------------------------
 
 
-def _extension_factors(group: FreeProduct, g: GroupElement, B: int) -> tuple[int, ...]:
-    """Factors whose letters extend g to a longer relative geodesic,
-    probed over the truncated alphabet."""
-    out = []
-    base = group.relative_length(g)
-    for k in range(1, group.num_factors + 1):
-        letters = group.factor_elements(k, B)
-        votes = [
-            group.relative_length(group.multiply(g, GroupElement((fe,)))) == base + 1
-            for fe in letters
-        ]
-        if all(votes):
-            out.append(k)
-        elif any(votes):
-            raise AssertionError(
-                f"inconsistent extension behaviour within factor {k} at {g}"
-            )
-    return tuple(out)
-
-
 def _fingerprint(group: FreeProduct, g: GroupElement,
                  domain: Sequence[GroupElement]) -> tuple[int, ...]:
     base = group.relative_length(g)
@@ -149,37 +134,54 @@ def _fingerprint(group: FreeProduct, g: GroupElement,
     )
 
 
+def _canonical(g: GroupElement) -> tuple:
+    """Sort key of the canonical order: relative length, then syllables."""
+    return len(g.syllables), g.syllables
+
+
 def word_ball(group: FreeProduct, C: int) -> tuple[GroupElement, ...]:
     """Elements of word length <= C, canonical order."""
-    return tuple(
-        g for g in group.enumerate_ball(C, C) if group.word_length(g) <= C
-    )
+    out, frontier = [group.identity], [((), C)]
+    while frontier:
+        prefix, room = frontier.pop()
+        for k in range(1, group.num_factors + 1):
+            if prefix and prefix[-1].factor == k:
+                continue
+            for fe in group.factor_elements(k, room):
+                g = prefix + (fe,)
+                out.append(GroupElement(g))
+                frontier.append((g, room - group.factor_word_length(k, fe.coords)))
+    return tuple(sorted(out, key=_canonical))
 
 
 def cone_types(group: FreeProduct, m: int = 4, B: int = 3, C: int = 3) -> list[ConeType]:
     """Distinct cone types over the (m, B)-ball.
 
-    Elements are grouped by reduced-extension behaviour (exact in a free
-    product); each type carries the word-ball fingerprint
+    In a free product a nonidentity element extends to a longer relative
+    geodesic by exactly the factors other than its last one, so the types
+    are the identity and, when m >= 1, one per last factor k, represented
+    by the least letter of H_k.  Each type carries the word-ball fingerprint
     g -> d^(e, rep g) - d^(e, rep) of its representative.  Equal
     fingerprints imply equal types, never the converse.
     """
+    if m < 0 or B < 1:
+        raise ValueError("need m >= 0 and B >= 1")
     domain = word_ball(group, C)
-    seen: dict[tuple, ConeType] = {}
-    for g in group.enumerate_ball(m, B):
-        ext = _extension_factors(group, g, B)
-        last = g.syllables[-1].factor if g.syllables else 0
-        key = (last, ext)
-        if key not in seen:
-            seen[key] = ConeType(
-                index=len(seen),
-                representative=g,
-                last_factor=last,
-                extension_factors=ext,
-                domain=domain,
-                fingerprint=_fingerprint(group, g, domain),
-            )
-    return list(seen.values())
+    factors = tuple(range(1, group.num_factors + 1))
+    reps = [(0, group.identity)]
+    if m >= 1:
+        reps += [(k, GroupElement((group.factor_elements(k, B)[0],))) for k in factors]
+    return [
+        ConeType(
+            index=i,
+            representative=g,
+            last_factor=last,
+            extension_factors=tuple(k for k in factors if k != last),
+            domain=domain,
+            fingerprint=_fingerprint(group, g, domain),
+        )
+        for i, (last, g) in enumerate(reps)
+    ]
 
 
 # -- P-set machinery ---------------------------------------------------------------
@@ -191,7 +193,6 @@ class GroupAlphabet:
     def __init__(self, group: FreeProduct, C: int):
         self.group = group
         self.C = C
-        self.ball = word_ball(group, C)
 
     def letter_keys(self, x: GroupElement) -> list[tuple]:
         """Order keys of the letters spelling x (at most one in a group)."""
@@ -200,15 +201,39 @@ class GroupAlphabet:
         fe = x.syllables[0]
         return [(fe.factor, fe.coords)]
 
+    def offsets(self, x: GroupElement) -> list[tuple[GroupElement, tuple]]:
+        """(g, key) for every g != e of word length <= C with x.g a single
+        letter s, key being the order key of s; in word-ball order.
+
+        g = x^-1 s: a letter s of the factor of x's first syllable x_1 merges
+        with x_1^-1 into t = x_1^-1 s, any other letter is appended.
+        """
+        grp = self.group
+        xinv = grp.inverse(x).syllables
+        room = self.C - grp.word_length(x)
+        first = x.syllables[0] if x.syllables else None
+        out = []
+        for k in range(1, grp.num_factors + 1):
+            if first is None or k != first.factor:
+                out += [(GroupElement(xinv + (s,)), (k, s.coords))
+                        for s in grp.factor_elements(k, room)]
+                continue
+            head = xinv[:-1]
+            reach = room + grp.factor_word_length(k, first.coords)
+            if head and reach >= 0:  # t = e: s = x_1, g = x^-1 without x_1^-1
+                out.append((GroupElement(head), (k, first.coords)))
+            for t in grp.factor_elements(k, reach):
+                s = grp.factor_add(k, first.coords, t.coords)
+                if any(s):
+                    out.append((GroupElement(head + (t,)), (k, s)))
+        out.sort(key=lambda item: _canonical(item[0]))
+        return out
+
     def mul(self, a, b):
         return self.group.multiply(a, b)
 
     def inv(self, a):
         return self.group.inverse(a)
-
-    @property
-    def identity(self):
-        return self.group.identity
 
 
 def pset_transition(alphabet, pset: Iterable[GroupElement], sigma: GroupElement,
@@ -219,35 +244,22 @@ def pset_transition(alphabet, pset: Iterable[GroupElement], sigma: GroupElement,
     of the same prefix exists (the identity entered the offset set), so the
     letter must be rejected.
     """
-    mul, inv = alphabet.mul, alphabet.inv
     killed = any(k < sigma_key for k in alphabet.letter_keys(sigma))
-    new = set()
-    for g in alphabet.ball:
-        sg = mul(sigma, g)
-        if g == alphabet.identity:
-            continue
-        if any(k < sigma_key for k in alphabet.letter_keys(sg)):
-            new.add(g)
+    new = {g for g, key in alphabet.offsets(sigma) if key < sigma_key}
     for gamma in pset:
-        base = mul(inv(gamma), sigma)
+        base = alphabet.mul(alphabet.inv(gamma), sigma)
         if alphabet.letter_keys(base):
             killed = True
-        for g in alphabet.ball:
-            if g == alphabet.identity:
-                continue
-            if alphabet.letter_keys(mul(base, g)):
-                new.add(g)
+        new.update(g for g, _ in alphabet.offsets(base))
     return killed, frozenset(new)
 
 
 # -- construction --------------------------------------------------------------------
 
 
-def _sorted_pset(pset: frozenset) -> tuple[GroupElement, ...]:
-    return tuple(sorted(pset, key=lambda g: (len(g.syllables), g.syllables)))
-
-
 def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGraph:
+    if C < 1:
+        raise ValueError(f"need automaton ball radius C >= 1, got C = {C}")
     types = cone_types(group, m, B, C)
     by_last = {t.last_factor: t for t in types}
     window = 2 * C + 1
@@ -269,13 +281,24 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
                     probes.append(group.normalize([group.syllable(k, coords)]))
         return probes
 
-    start_key = (by_last[0].index, frozenset())
-    index: dict[tuple, int] = {start_key: 0}
-    vertices = [Vertex(0, by_last[0].index, ())]
-    psets: list[frozenset] = [frozenset()]
+    index: dict[tuple, int] = {}
+    vertices: list[Vertex] = []
+    psets: list[frozenset] = []
     bundles: list[Bundle] = []
     trans: dict = {}
-    queue = [0]
+    queue: list[int] = []
+
+    def vertex(cone_type: int, pset: frozenset) -> int:
+        """The vertex of (cone type, P-set), queued for expansion when new."""
+        j = index.get((cone_type, pset))
+        if j is None:
+            j = index[(cone_type, pset)] = len(vertices)
+            vertices.append(Vertex(j, cone_type, tuple(sorted(pset, key=_canonical))))
+            psets.append(pset)
+            queue.append(j)
+        return j
+
+    vertex(by_last[0].index, frozenset())
     while queue:
         v = queue.pop(0)
         vt = types[vertices[v].cone_type]
@@ -283,14 +306,7 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
         for k in sorted(vt.extension_factors):
             target_type = by_last[k].index
             if kind == "reduced":
-                tkey = (target_type, frozenset())
-                j = index.get(tkey)
-                if j is None:
-                    j = len(vertices)
-                    index[tkey] = j
-                    vertices.append(Vertex(j, target_type, ()))
-                    psets.append(frozenset())
-                    queue.append(j)
+                j = vertex(target_type, frozenset())
                 bundles.append(Bundle(v, j, k, ("all",)))
                 trans[(v, k)] = {"window": _AllCoords(j), "far": j}
                 continue
@@ -327,30 +343,14 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
             ):
                 if ckey[0] == "dead":
                     continue
-                new_pset = ckey[1]
-                tkey = (target_type, new_pset)
-                j = index.get(tkey)
-                if j is None:
-                    j = len(vertices)
-                    index[tkey] = j
-                    vertices.append(Vertex(j, target_type, _sorted_pset(new_pset)))
-                    psets.append(new_pset)
-                    queue.append(j)
+                j = vertex(target_type, ckey[1])
                 bundles.append(Bundle(v, j, k, ("coords", tuple(sorted(coords_list)))))
                 for coords in coords_list:
                     per["window"][coords] = j
             if far_results:
                 fkey = next(iter(far_results))
                 if fkey[0] == "live":
-                    new_pset = fkey[1]
-                    tkey = (target_type, new_pset)
-                    j = index.get(tkey)
-                    if j is None:
-                        j = len(vertices)
-                        index[tkey] = j
-                        vertices.append(Vertex(j, target_type, _sorted_pset(new_pset)))
-                        psets.append(new_pset)
-                        queue.append(j)
+                    j = vertex(target_type, fkey[1])
                     bundles.append(Bundle(v, j, k, ("far", window)))
                     per["far"] = j
             trans[(v, k)] = per

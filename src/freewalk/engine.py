@@ -559,20 +559,18 @@ def float_levels(table: BallTable, weights: Sequence[float], n_steps: int,
 
 
 def green_field(table: BallTable, weights: Sequence[float], order: int,
-                r_values: Sequence[float], snapshots: Sequence[int] = ()) -> dict:
+                r_values: Sequence[float]) -> dict:
     """Accumulate G(e, g | r) = sum_n r^n mu^{*n}(g) over the whole table.
 
-    Returns {"final": {r: array}, "snapshots": {order': {r: array}},
-    "e_series": list mu^{*n}(e), "last_terms": {r: [three term arrays]}}
-    computed in one DP pass; the e_series gives the (radius-truncated)
-    return weights and the last term arrays feed per-element tail estimates.
+    Returns {"final": {r: array}, "e_series": list mu^{*n}(e),
+    "last_terms": {r: [three term arrays]}} computed in one DP pass; the
+    e_series gives the (radius-truncated) return weights and the last term
+    arrays feed per-element tail estimates.
     """
     rs = list(r_values)
     acc = {r: np.zeros(table.size) for r in rs}
-    snaps: dict[int, dict[float, np.ndarray]] = {}
     e_series: list[float] = []
     last_terms: dict[float, list] = {r: [] for r in rs}
-    want = set(snapshots)
 
     def observe(t, w):
         e_series.append(float(w[0]))
@@ -580,12 +578,9 @@ def green_field(table: BallTable, weights: Sequence[float], order: int,
             acc[r] += (r ** t) * w
             if t >= order - 2:
                 last_terms[r].append((r ** t) * w)
-        if t in want:
-            snaps[t] = {r: acc[r].copy() for r in rs}
 
     float_levels(table, weights, order, on_level=observe)
-    return {"final": acc, "snapshots": snaps, "e_series": e_series,
-            "last_terms": last_terms}
+    return {"final": acc, "e_series": e_series, "last_terms": last_terms}
 
 
 def absorbed_profile(table: BallTable, weights: Sequence[float], absorb_ids: np.ndarray,

@@ -147,7 +147,7 @@ def series_derivative(coeffs: Sequence[float], r: float, j: int = 0) -> float:
     return math.fsum(_derivative_terms(coeffs, r, j))
 
 
-def _series_stats(terms: list[float], r: float, ratio_cap: float | None) -> SeriesValue:
+def _series_stats(terms: list[float], r: float) -> SeriesValue:
     value = math.fsum(terms)
     nz = [t for t in terms if t > 0]
     last = nz[-1] if nz else 0.0
@@ -158,8 +158,6 @@ def _series_stats(terms: list[float], r: float, ratio_cap: float | None) -> Seri
         ratio = (nz[-1] / nz[-3]) ** 0.5 if nz[-3] > 0 else 0.0
     elif len(nz) == 2:
         ratio = nz[-1] / nz[-2]
-    if ratio_cap is not None:
-        ratio = min(ratio, ratio_cap)
     diverged = ratio > 1.0
     reliable = 0.0 <= ratio <= 0.999 and not diverged
     tail = last * ratio / (1.0 - ratio) if reliable and ratio < 1.0 else math.inf
@@ -199,8 +197,7 @@ def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int
 
 
 def green_value(measure: Measure, x: GroupElement, y: GroupElement, r: float,
-                order: int = 48, radius: int | None = None,
-                ratio_cap: float | None = None) -> SeriesValue:
+                order: int = 48, radius: int | None = None) -> SeriesValue:
     """Partial sum of G(x, y | r) to the stated order.
 
     States beyond `radius` (word metric) are pruned; the result is a lower
@@ -215,7 +212,7 @@ def green_value(measure: Measure, x: GroupElement, y: GroupElement, r: float,
     grp = measure.group
     w = grp.multiply(grp.inverse(x), y)
     coeffs = _target_series(measure, [w], order, radius)[w]
-    return _series_stats(_derivative_terms(coeffs, r), r, ratio_cap)
+    return _series_stats(_derivative_terms(coeffs, r), r)
 
 
 def green_derivative(measure: Measure, x: GroupElement, y: GroupElement, r: float,
@@ -227,7 +224,7 @@ def green_derivative(measure: Measure, x: GroupElement, y: GroupElement, r: floa
     grp = measure.group
     w = grp.multiply(grp.inverse(x), y)
     coeffs = _target_series(measure, [w], order, radius)[w]
-    return _series_stats(_derivative_terms(coeffs, r, k), r, None)
+    return _series_stats(_derivative_terms(coeffs, r, k), r)
 
 
 def f_ratio(measure: Measure, x: GroupElement, y: GroupElement, r: float,
@@ -342,16 +339,12 @@ def _pair_matrix_ids(measure: Measure, m: int, B: int, radius: int):
 
 
 def spatial_sum(measure: Measure, k: int, r: float, truncation: tuple[int, int],
-                order: int = 48, radius: int | None = None,
-                basepoints: tuple[GroupElement, GroupElement] | None = None) -> float:
+                order: int = 48, radius: int | None = None) -> float:
     """Truncated I^(k)(r): the k-fold chain sum of Green factors over the
-    relative (m, B)-ball.
+    relative (m, B)-ball, based at (e, e).
 
-    Computed as v^T M^(k-1) u with v = G(x, .), u = G(., y) and
+    Computed as v^T M^(k-1) u with v = G(e, .), u = G(., e) and
     M[g, g'] = G(e, g^-1 g'); monotone non-decreasing in every budget.
-    Basepoints default to (e, e) and are the values used everywhere
-    downstream; other basepoints are accepted but must stay within the
-    table radius of the ball.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -360,35 +353,15 @@ def spatial_sum(measure: Measure, k: int, r: float, truncation: tuple[int, int],
     fld = _field(measure, [r], order, radius)
     gf = fld["G"][r]
     gb = _g_backward(measure, fld, r)
-    grp = measure.group
-    if basepoints is not None and basepoints != (grp.identity, grp.identity):
-        # v_g = G(x, g) = G(e, x^-1 g) and u_g = G(g, y) = G(e, g^-1 y)
-        x, y = basepoints
-        table, elems, ids, pair = _pair_matrix_ids(measure, m, B, radius)
-        xinv = grp.inverse(x)
-        v = np.array([
-            gf[i] if (i := table.id_of(grp.multiply(xinv, g))) is not None else 0.0
-            for g in elems
-        ])
-        u = np.array([
-            gf[i] if (i := table.id_of(grp.multiply(grp.inverse(g), y))) is not None
-            else 0.0
-            for g in elems
-        ])
-    elif k == 1:
+    if k == 1:
         mask = fld["table"].mask_ball(m, B)
         return float((gf[mask] * gb[mask]).sum())
-    else:
-        table, elems, ids, pair = _pair_matrix_ids(measure, m, B, radius)
-        v = gf[ids]
-        u = gb[ids]
-    if k == 1:
-        return float(np.dot(v, u))
+    _, _, ids, pair = _pair_matrix_ids(measure, m, B, radius)
     M = np.where(pair >= 0, gf[np.maximum(pair, 0)], 0.0)
-    vec = u
+    vec = gb[ids]
     for _ in range(k - 1):
         vec = M @ vec
-    return float(np.dot(v, vec))
+    return float(np.dot(gf[ids], vec))
 
 
 def sphere_sums(measure: Measure, r: float, M: int, B: int,

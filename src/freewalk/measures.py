@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -107,10 +107,17 @@ class Measure:
         return self._memo[key]
 
     def table(self, cap: int, max_elements: int | None = None) -> BallTable:
-        """Interned ball table for this support at the given word-radius cap."""
+        """Interned ball table for this support at the given word-radius cap.
+
+        A cached table is served only within the budget of this call, so a
+        call raises `BudgetExceededError` whether or not the table is cached.
+        """
         budget = max_elements if max_elements is not None else self.max_table_elements
-        return self.memo(("table", cap),
-                         lambda: BallTable(self.group, list(self.entries), cap, budget))
+        table = self.memo(("table", cap),
+                          lambda: BallTable(self.group, list(self.entries), cap, budget))
+        if budget is not None and table.size > budget:
+            raise BudgetExceededError(f"ball table exceeded {budget} elements")
+        return table
 
     def drop_tables(self):
         """Forget every memoized result: the engine tables, which dominate
@@ -263,23 +270,29 @@ def convolve(m: Measure, n: Measure, allow_cast: bool = False) -> Measure:
     return Measure(grp, out, m.mode)
 
 
-def _dict_power_sequence(measure: Measure, n_max: int) -> list[Fraction]:
-    """Pruned exact DP over dicts; fallback when integer weights overflow."""
+def _fraction_levels(measure: Measure, n: int,
+                     bound: Callable[[int], int]) -> Iterator[dict]:
+    """mu^{*t} for t = 1..n as exact dicts, each pruned to word length <= bound(t)."""
     grp = measure.group
-    d_mu = max(1, measure.d_mu)
     cur = {grp.identity: Fraction(1)}
-    qs = [Fraction(1)]
-    for t in range(1, n_max + 1):
-        bound = min(t, n_max - t) * d_mu
+    for t in range(1, n + 1):
+        limit = bound(t)
         nxt: dict[GroupElement, Fraction] = {}
         for x, wx in cur.items():
             for s, ws in measure.entries.items():
                 y = grp.multiply(x, s)
-                if grp.word_length(y) <= bound:
+                if grp.word_length(y) <= limit:
                     nxt[y] = nxt.get(y, Fraction(0)) + wx * ws
         cur = nxt
-        qs.append(cur.get(grp.identity, Fraction(0)))
-    return qs
+        yield cur
+
+
+def _dict_power_sequence(measure: Measure, n_max: int) -> list[Fraction]:
+    """Pruned exact DP over dicts; fallback when integer weights overflow."""
+    e = measure.group.identity
+    d_mu = max(1, measure.d_mu)
+    levels = _fraction_levels(measure, n_max, lambda t: min(t, n_max - t) * d_mu)
+    return [Fraction(1)] + [level.get(e, Fraction(0)) for level in levels]
 
 
 def return_sequence(measure: Measure, n_max: int,
@@ -332,7 +345,6 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    grp = measure.group
     d_mu = max(1, measure.d_mu)
     radius = n * d_mu if prune_radius is None else prune_radius
 
@@ -340,15 +352,8 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None,
         return min(t * d_mu, radius + (n - t) * d_mu)
 
     if measure.mode == EXACT:
-        cur: dict[GroupElement, Fraction] = {grp.identity: Fraction(1)}
-        for t in range(1, n + 1):
-            nxt: dict[GroupElement, Fraction] = {}
-            for x, wx in cur.items():
-                for s, ws in measure.entries.items():
-                    y = grp.multiply(x, s)
-                    if grp.word_length(y) <= bound(t):
-                        nxt[y] = nxt.get(y, Fraction(0)) + wx * ws
-            cur = nxt
+        cur: dict[GroupElement, Fraction] = {measure.group.identity: Fraction(1)}
+        for cur in _fraction_levels(measure, n, bound):
             if max_elements is not None and len(cur) > max_elements:
                 raise BudgetExceededError(
                     f"distribution support exceeded {max_elements}", partial=cur

@@ -341,20 +341,20 @@ def green_moments(measure: Measure, k: int, r: float,
 
 
 DEGENERACY_BAND = (1.0 - 1e-3, 1.0 + 5e-3)
+ESCAPE_RATIO = 5.0  # growth of G'(e,e|r) across the grid that counts as escape
 
 
 def classify(measure: Measure, n_max: int = 24, order: int = 128,
              radius: int | None = None, horizon: int = 64,
              kernel_order: int = 192, h_ball: int = 48,
-             ladder: Sequence[int] = (1, 2, 4, 8),
-             escape_ratio: float = 5.0) -> Classification:
+             ladder: Sequence[int] = (1, 2, 4, 8)) -> Classification:
     """Spectral positive-recurrence classification of an admissible walk.
 
     Per factor: kernel radius at r = R-hat decides degeneracy (inside the
     tolerance band is inconclusive; below it is flagged as a truncation
     artifact since R_k >= 1 always).  Divergence is a regression heuristic:
     G'(e,e|r) sampled on a geometric grid approaching R-hat, declared
-    divergent when it escapes by `escape_ratio` with a positive fitted
+    divergent when it escapes by `ESCAPE_RATIO` with a positive fitted
     blow-up exponent.  Positive-recurrence = divergent + all moments finite.
     """
     from .measures import validate
@@ -408,7 +408,7 @@ def classify(measure: Measure, n_max: int = 24, order: int = 128,
     slope = (n_pts * sxy - sx * sy) / (n_pts * sxx - sx * sx)
     blowup = -slope
     escaped = grid[-1][1] / grid[0][1]
-    if blowup > 0.1 and escaped > escape_ratio:
+    if blowup > 0.1 and escaped > ESCAPE_RATIO:
         divergent = "yes"
     elif blowup < 0.02 and escaped < 1.5:
         divergent = "no"

@@ -1,17 +1,21 @@
 """Cone types, the relative automaton, P-set refinement, verification."""
 
+import hashlib
+
 import pytest
 
 from freewalk import FactorSpec, free_group, free_product
-from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN, FactorElement
+from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN, FactorElement, GroupElement
 from freewalk.automaton import (
     Bundle,
+    GroupAlphabet,
     canonical_automaton,
     cone_types,
     export_dot,
     pset_transition,
     reduced_automaton,
     verify_structure,
+    word_ball,
 )
 
 
@@ -32,6 +36,13 @@ def zzz():
     return free_group(3)
 
 
+@pytest.fixture(scope="module")
+def z3z4():
+    return free_product(
+        FactorSpec(FINITE_CYCLIC, order=3), FactorSpec(FINITE_CYCLIC, order=4)
+    )
+
+
 def test_cone_type_count(zz, z2z3, zzz):
     assert len(cone_types(zz, 4, 3, 3)) == 3
     assert len(cone_types(z2z3, 3, 2, 3)) == 3
@@ -48,22 +59,79 @@ def test_identity_type_is_singleton(zz):
     assert identity_types[0].extension_factors == (1, 2)
 
 
-def test_fingerprints_refine_types(zz):
+def _probe_extension_factors(group, g, B):
+    """Reference: factors whose letters of word length <= B all extend g to a
+    longer relative geodesic, found by multiplying out every letter."""
+    out = []
+    base = group.relative_length(g)
+    for k in range(1, group.num_factors + 1):
+        votes = [
+            group.relative_length(group.multiply(g, GroupElement((fe,)))) == base + 1
+            for fe in group.factor_elements(k, B)
+        ]
+        assert all(votes) or not any(votes), (k, g)
+        if all(votes):
+            out.append(k)
+    return tuple(out)
+
+
+def test_fingerprints_refine_types(zz, z2z3, zzz):
     # elements with equal word-ball fingerprints have equal extension sets
     types = cone_types(zz, 3, 2, 2)
     domain = types[0].domain
-    from freewalk.automaton import _extension_factors, _fingerprint
+    from freewalk.automaton import _fingerprint
 
     seen = {}
     for g in zz.enumerate_ball(3, 2):
         fp = _fingerprint(zz, g, domain)
-        ext = _extension_factors(zz, g, 2)
+        ext = _probe_extension_factors(zz, g, 2)
         if fp in seen:
             assert seen[fp] == ext
         else:
             seen[fp] = ext
     # and the fingerprint partition is strictly finer than the type partition
     assert len(seen) > len(types)
+    # the structural types (by last factor) agree with the letter probe
+    for grp in (zz, z2z3, zzz):
+        by_last = {t.last_factor: t for t in cone_types(grp, 3, 2, 2)}
+        for g in grp.enumerate_ball(3, 2):
+            last = g.syllables[-1].factor if g.syllables else 0
+            assert _probe_extension_factors(grp, g, 2) == by_last[last].extension_factors
+
+
+def test_cone_type_representatives(zz, z2z3):
+    # the first element of the ball with each last factor
+    for grp in (zz, z2z3):
+        types = cone_types(grp, 4, 3, 2)
+        first = {}
+        for g in grp.enumerate_ball(4, 3):
+            first.setdefault(g.syllables[-1].factor if g.syllables else 0, g)
+        assert [t.representative for t in types] == [first[k] for k in sorted(first)]
+        assert [t.index for t in types] == [t.last_factor for t in types]
+
+
+def test_word_ball_matches_filtered_ball(zz, z2z3, z3z4):
+    for grp in (zz, z2z3, z3z4):
+        for C in (1, 2, 3):
+            ball = tuple(g for g in grp.enumerate_ball(C, C) if grp.word_length(g) <= C)
+            assert word_ball(grp, C) == ball
+
+
+def test_automaton_needs_positive_c(zz):
+    for build in (reduced_automaton, canonical_automaton):
+        with pytest.raises(ValueError, match="C >= 1"):
+            build(zz, C=0)
+
+
+def test_offsets_match_brute_force(zz, z2z3, z3z4):
+    for grp in (zz, z2z3, z3z4):
+        for C in (1, 2):
+            alpha = GroupAlphabet(grp, C)
+            ball = word_ball(grp, C)
+            for x in word_ball(grp, 2 * C + 1):
+                brute = [(g, k) for g in ball if g != grp.identity
+                         for k in alpha.letter_keys(grp.multiply(x, g))]
+                assert alpha.offsets(x) == brute, (grp.render(x), C)
 
 
 def test_g0_shape_two_factors(zz):
@@ -183,6 +251,10 @@ class AliasAlphabet:
     def inv(self, a):
         return -a
 
+    def offsets(self, x):
+        return [(g, k) for g in self.ball if g != self.identity
+                for k in self.letter_keys(self.mul(x, g))]
+
 
 def test_pset_alias_alphabet_prunes_larger_spelling():
     # u and w both spell 1; u is smaller, so a sequence starting with w dies
@@ -226,3 +298,21 @@ def test_dot_stable_across_builds(zz):
     a = export_dot(reduced_automaton(zz))
     b = export_dot(reduced_automaton(free_group(2)))
     assert a == b
+
+
+# sha256 of export_dot(canonical_automaton(group, C, m=4, B=3)), recorded from
+# the search-based construction that enumerated the (m, B)-ball for cone types
+# and the C-ball for every P-set offset
+DOT_SHA256 = {
+    ("zz", 2): "a978fdeb9edc52f286d5e7f05ff5fcbb7f1db7c0e9d83ae8aa24b883f942d304",
+    ("zz", 3): "5cde7b90c80092271b1c1c6d12a32dac0f8f8367d758d87c6fa05acf29644e90",
+    ("z2z3", 2): "05f7e1642d61b22ab7f45514bdc645ae4b25ab4a1ac1cca9b911cd634e702719",
+    ("z2z3", 3): "3367debb36fae9029e553cdd0361deae15ceb3272a7af02c2ac0e39d840b0540",
+}
+
+
+@pytest.mark.parametrize("name,C", sorted(DOT_SHA256))
+def test_canonical_dot_digest(name, C, request):
+    group = request.getfixturevalue(name)
+    text = export_dot(canonical_automaton(group, C, m=4, B=3))
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_SHA256[(name, C)]

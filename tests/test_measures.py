@@ -187,6 +187,22 @@ def test_budget_error(zz, walk):
         fresh.table(8, max_elements=50)
 
 
+def test_cached_table_respects_a_smaller_budget(zz):
+    mu = lazy_walk(zz)
+    table = mu.table(6)
+    assert table.size == 1457
+    # a budget below the cached table's size refuses it, as a fresh build does
+    with pytest.raises(BudgetExceededError):
+        mu.table(6, max_elements=10)
+    with pytest.raises(BudgetExceededError):
+        lazy_walk(zz).table(6, max_elements=10)
+    mu.max_table_elements = 1456
+    with pytest.raises(BudgetExceededError):
+        mu.table(6)
+    # a budget the cached table fits serves the same object
+    assert mu.table(6, max_elements=1457) is table
+
+
 def test_return_sequence_determinism(zz):
     a = return_sequence(simple_walk(zz), 12).values
     b = return_sequence(simple_walk(zz), 12).values
