@@ -127,7 +127,7 @@ def triangle_audit(measure: Measure, triples, r_values: Sequence[float],
     e = measure.group.identity
     for r in rs:
         gf = fld["G"][r]
-        tails = field_tails(fld, r, ratio_cap=min(0.999, r * rho))
+        tails = field_tails(fld, r, r * rho)
         cache: dict = {}
         r_worst = -math.inf
         r_viol = 0
@@ -178,7 +178,7 @@ def ratio_audit(measure: Measure, pairs, r_values: Sequence[float],
     e = grp.identity
     for r in rs:
         gf = fld["G"][r]
-        tails = field_tails(fld, r, ratio_cap=min(0.999, r * rho))
+        tails = field_tails(fld, r, r * rho)
         cache: dict = {}
         lo, hi = math.inf, -math.inf
         gee, tee = _pair_value(measure, fld, gf, tails, cache, e, e, r, rho, order, radius)

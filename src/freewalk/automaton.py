@@ -260,6 +260,8 @@ def pset_transition(alphabet, pset: Iterable[GroupElement], sigma: GroupElement,
 def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGraph:
     if C < 1:
         raise ValueError(f"need automaton ball radius C >= 1, got C = {C}")
+    if m < 1:  # the (0, B)-ball holds only e: no cone type per last factor
+        raise ValueError(f"need relative ball radius m >= 1, got m = {m}")
     types = cone_types(group, m, B, C)
     by_last = {t.last_factor: t for t in types}
     window = 2 * C + 1

@@ -9,6 +9,12 @@ then a sequence of level steps over flat weight arrays, each one gather
 and one in-order scatter-add (`np.add.at`) per support column, so every
 element sums its incoming weight in support order.
 
+`levels` is the one level driver: every DP over a table (return numbers,
+Green fields, absorbed profiles, distributions) is a loop over the levels
+mu^{*t}, t = 0..n, that it yields.  A caller may edit a yielded level in
+place; the next step starts from the edited level.  `return_bound` is the
+one pruning rule for return numbers.
+
 Exactness: integer-valued weights are carried in float64, which is exact
 while every value stays below 2^53; callers must check `exact_capacity`
 first.  Dot products that can exceed 2^53 (the pairing of two DP halves)
@@ -18,7 +24,7 @@ is exact, and combine the limb dots in Python ints.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,15 +35,7 @@ _FLOAT_EXACT_LIMIT = 2.0**_FLOAT_BITS
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a computation would exceed its element budget.
-
-    Carries whatever part of the result is already complete.
-    """
-
-    def __init__(self, message, partial=None, completed=None):
-        super().__init__(message)
-        self.partial = partial
-        self.completed = completed
+    """Raised when a computation would exceed its element budget."""
 
 
 _ZERO = -2  # merge row value: the two syllables cancel
@@ -172,11 +170,9 @@ class BallTable:
         keys = np.empty(0, dtype=np.int64)
         kid = np.empty(0, dtype=np.int32)
 
-        def check_budget(count, completed):
+        def check_budget(count):
             if max_elements is not None and count > max_elements:
-                raise BudgetExceededError(
-                    f"ball table exceeded {max_elements} elements", completed=completed
-                )
+                raise BudgetExceededError(f"ball table exceeded {max_elements} elements")
 
         def multiply(c, step):
             """Products of the ids c (-1: dead) with one syllable per column:
@@ -194,7 +190,7 @@ class BallTable:
             look = alive & (syl >= 0) & (w <= cap)
             return np.where(merge & (m == _ZERO), par, -1), look, par[look], syl[look], w[look]
 
-        check_budget(1, 0)
+        check_budget(1)
         n, lo = 1, 0
         while lo < n:
             hi, start = min(n, lo + _PASS), n
@@ -213,7 +209,7 @@ class BallTable:
                                    _lookup(pkeys[order], start + order, uq))
                 new = np.flatnonzero(got < 0)
                 new = new[np.argsort(first[new], kind="stable")]
-                check_budget(n + len(new), lo)
+                check_budget(n + len(new))
                 got[new] = np.arange(n, n + len(new))
                 cell = first[new]
                 p, s = lpar[cell], lsyl[cell]
@@ -477,6 +473,32 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     return nw
 
 
+def return_bound(t: int, n_max: int, d_mu: int) -> int | None:
+    """Word-length bound on level t of a DP that only feeds returns to e by
+    step n_max: a state beyond (n_max - t) * d_mu cannot get back in time.
+    None (no pruning) while t <= n_max - t, where no state after t steps is
+    longer than t * d_mu anyway."""
+    return None if t <= n_max - t else (n_max - t) * d_mu
+
+
+def levels(table: BallTable, weights: Iterable, n_steps: int,
+           bound: Callable[[int], int | None] | None = None) -> Iterator[np.ndarray]:
+    """The levels mu^{*t}, t = 0..n_steps, of the walk from e over the table.
+
+    `weights` are the support weights in support order, turned into floats
+    once.  Level t >= 1 is pruned to word length <= bound(t) when a bound is
+    given.  A caller may edit a yielded level in place; the next step starts
+    from the edited level.
+    """
+    w = np.zeros(table.size)
+    w[0] = 1.0
+    yield w
+    cols = [float(c) for c in weights]
+    for t in range(1, n_steps + 1):
+        w = _step(table, w, cols, None if bound is None else bound(t))
+        yield w
+
+
 def _exact_dots(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[int]:
     """The dot product of a with each b of bs, exactly, as Python ints.
 
@@ -513,52 +535,27 @@ def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: i
     """Integer numerators of q_n = mu^{*n}(e), n = 0..n_max, for integerized
     weights (q_n = result[n] / D^n).
 
-    Runs the forward half of the min(t, n_max - t) * d_mu pruned DP and pairs
-    the two halves through each split point; exact by the path-splitting
-    identity.  Level t holds integers summing to at most D^t < 2^53, so the
-    pairing is `_exact_dots` of the pulled-back level t with levels t - 1
-    and t.
+    Runs the forward half of the `return_bound`-pruned DP and pairs the two
+    halves through each split point; exact by the path-splitting identity.
+    Level t holds integers summing to at most D^t < 2^53, so the pairing is
+    `_exact_dots` of the pulled-back level t with levels t - 1 and t.
     """
     half = (n_max + 1) // 2
     if not exact_capacity(sum(int_weights), half):
         raise OverflowError("weights exceed float64-exact range; use dict fallback")
-    w = np.zeros(table.size)
-    w[0] = 1.0
     dots = [1] + [0] * n_max
-    cols = [float(c) for c in int_weights]
-    for t in range(1, half + 1):
-        # states reachable in t steps satisfy the bound automatically while
-        # t <= n_max - t; only the final odd-split step can actually prune
-        bound = None if t <= n_max - t else min(t, n_max - t) * d_mu
-        prev, w = w, _step(table, w, cols, bound=bound)
-        side = w if symmetric else table.pull_back(w)
-        ns = [n for n in (2 * t - 1, 2 * t) if n <= n_max]
-        for n, d in zip(ns, _exact_dots(side, [prev, w][:len(ns)])):
-            dots[n] = d
+    for t, w in enumerate(levels(table, int_weights, half,
+                                 lambda t: return_bound(t, n_max, d_mu))):
+        if t:
+            side = w if symmetric else table.pull_back(w)
+            ns = [n for n in (2 * t - 1, 2 * t) if n <= n_max]
+            for n, d in zip(ns, _exact_dots(side, [prev, w][:len(ns)])):
+                dots[n] = d
+        prev = w
     return dots
 
 
-def float_levels(table: BallTable, weights: Sequence[float], n_steps: int,
-                 bound_fn: Callable[[int], int | None] | None = None,
-                 on_level: Callable[[int, np.ndarray], None] | None = None) -> np.ndarray:
-    """Run n_steps of the float64 level DP; returns the final level.
-
-    `on_level(t, w_t)` observes every level including t = 0.
-    """
-    w = np.zeros(table.size)
-    w[0] = 1.0
-    if on_level is not None:
-        on_level(0, w)
-    cols = [float(c) for c in weights]
-    for t in range(1, n_steps + 1):
-        bound = bound_fn(t) if bound_fn is not None else None
-        w = _step(table, w, cols, bound)
-        if on_level is not None:
-            on_level(t, w)
-    return w
-
-
-def green_field(table: BallTable, weights: Sequence[float], order: int,
+def green_field(table: BallTable, weights: Iterable, order: int,
                 r_values: Sequence[float]) -> dict:
     """Accumulate G(e, g | r) = sum_n r^n mu^{*n}(g) over the whole table.
 
@@ -571,19 +568,16 @@ def green_field(table: BallTable, weights: Sequence[float], order: int,
     acc = {r: np.zeros(table.size) for r in rs}
     e_series: list[float] = []
     last_terms: dict[float, list] = {r: [] for r in rs}
-
-    def observe(t, w):
+    for t, w in enumerate(levels(table, weights, order)):
         e_series.append(float(w[0]))
         for r in rs:
             acc[r] += (r ** t) * w
             if t >= order - 2:
                 last_terms[r].append((r ** t) * w)
-
-    float_levels(table, weights, order, on_level=observe)
     return {"final": acc, "e_series": e_series, "last_terms": last_terms}
 
 
-def absorbed_profile(table: BallTable, weights: Sequence[float], absorb_ids: np.ndarray,
+def absorbed_profile(table: BallTable, weights: Iterable, absorb_ids: np.ndarray,
                      horizon: int) -> tuple[np.ndarray, list[float]]:
     """First-entrance profile into the absorbing id set.
 
@@ -595,12 +589,9 @@ def absorbed_profile(table: BallTable, weights: Sequence[float], absorb_ids: np.
     absorb_ids = np.asarray(absorb_ids, dtype=np.int64)
     prof = np.zeros((horizon, len(absorb_ids)))
     live_mass = []
-    w = np.zeros(table.size)
-    w[0] = 1.0
-    cols = [float(c) for c in weights]
-    for t in range(1, horizon + 1):
-        w = _step(table, w, cols, bound=None)
-        prof[t - 1] = w[absorb_ids]
-        w[absorb_ids] = 0.0
-        live_mass.append(float(w.sum()))
+    for t, w in enumerate(levels(table, weights, horizon)):
+        if t:
+            prof[t - 1] = w[absorb_ids]
+            w[absorb_ids] = 0.0  # in place: the next step starts without it
+            live_mass.append(float(w.sum()))
     return prof, live_mass

@@ -69,17 +69,13 @@ class IdentityReport:
 # -- shared field machinery ------------------------------------------------------
 
 
-def _weights(measure: Measure) -> list[float]:
-    return [float(w) for w in measure.entries.values()]
-
-
 def _field(measure: Measure, r_values: Sequence[float], order: int, radius: int) -> dict:
     """G(e, . | r) arrays over the ball table, one DP pass for all r."""
     rs = tuple(float(r) for r in r_values)
 
     def compute() -> dict:
         table = measure.table(radius)
-        out = engine.green_field(table, _weights(measure), order, list(rs))
+        out = engine.green_field(table, measure.entries.values(), order, list(rs))
         # the same unpruned DP as pruned_return_weights: serve it from here
         measure.memo(("qf", order, radius), lambda: out["e_series"])
         return {"table": table, "G": out["final"], "e_series": out["e_series"],
@@ -89,7 +85,7 @@ def _field(measure: Measure, r_values: Sequence[float], order: int, radius: int)
     return measure.memo(("field", rs, order, radius), compute, keep=2)
 
 
-def field_tails(field: dict, r: float, ratio_cap: float | None = None) -> np.ndarray:
+def field_tails(field: dict, r: float, ratio_cap: float) -> np.ndarray:
     """Per-element geometric tail estimates for G(e, . | r).
 
     The empirical two-step term ratio (robust to period-2 walks) is capped
@@ -100,12 +96,9 @@ def field_tails(field: dict, r: float, ratio_cap: float | None = None) -> np.nda
     if len(terms) < 3:
         return np.full_like(field["G"][r], np.inf)
     t0, t1, t2 = terms[-3], terms[-2], terms[-1]
-    fallback = 0.999 if ratio_cap is None else min(ratio_cap, 0.999)
+    cap = min(0.999, ratio_cap)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(t0 > 0, np.sqrt(t2 / np.where(t0 > 0, t0, 1.0)), fallback)
-    if ratio_cap is not None:
-        ratio = np.minimum(ratio, ratio_cap)
-    ratio = np.minimum(ratio, 0.999)
+        ratio = np.minimum(np.where(t0 > 0, np.sqrt(t2 / np.where(t0 > 0, t0, 1.0)), cap), cap)
     last = np.maximum(t2, t1)
     tail = last * ratio / (1.0 - ratio)
     # never-seen elements: no information at this truncation
@@ -147,7 +140,7 @@ def series_derivative(coeffs: Sequence[float], r: float, j: int = 0) -> float:
     return math.fsum(_derivative_terms(coeffs, r, j))
 
 
-def _series_stats(terms: list[float], r: float) -> SeriesValue:
+def _series_stats(terms: list[float]) -> SeriesValue:
     value = math.fsum(terms)
     nz = [t for t in terms if t > 0]
     last = nz[-1] if nz else 0.0
@@ -181,12 +174,9 @@ def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int
         i = table.id_of(w)
         tids.append(-1 if i is None else i)
     rows: dict[int, list[float]] = {i: [] for i in set(tids) if i >= 0}
-
-    def observe(t, wvec):
+    for wvec in engine.levels(table, measure.entries.values(), order):
         for i in rows:
             rows[i].append(float(wvec[i]))
-
-    engine.float_levels(table, _weights(measure), order, on_level=observe)
     out = {}
     for w, i in zip(targets, tids):
         out[w] = rows[i] if i >= 0 else [0.0] * (order + 1)
@@ -212,7 +202,7 @@ def green_value(measure: Measure, x: GroupElement, y: GroupElement, r: float,
     grp = measure.group
     w = grp.multiply(grp.inverse(x), y)
     coeffs = _target_series(measure, [w], order, radius)[w]
-    return _series_stats(_derivative_terms(coeffs, r), r)
+    return _series_stats(_derivative_terms(coeffs, r))
 
 
 def green_derivative(measure: Measure, x: GroupElement, y: GroupElement, r: float,
@@ -224,7 +214,7 @@ def green_derivative(measure: Measure, x: GroupElement, y: GroupElement, r: floa
     grp = measure.group
     w = grp.multiply(grp.inverse(x), y)
     coeffs = _target_series(measure, [w], order, radius)[w]
-    return _series_stats(_derivative_terms(coeffs, r, k), r)
+    return _series_stats(_derivative_terms(coeffs, r, k))
 
 
 def f_ratio(measure: Measure, x: GroupElement, y: GroupElement, r: float,
@@ -393,16 +383,11 @@ def derivative_identity_residual(measure: Measure, r: float, truncation: tuple[i
     order), right side as the truncated spatial sum; both converge to the
     same value, so the residual shrinks as the budgets grow.
     """
-    m, B = truncation
     radius = default_radius(measure, order) if radius is None else radius
-    fld = _field(measure, [r], order, radius)  # first: it also serves q
+    # the spatial sum first: its field also serves q
+    right = spatial_sum(measure, 1, r, truncation, order, radius)
     q = pruned_return_weights(measure, order, radius)
     left = series_derivative([0.0] + q, r, 1)  # r G(e,e|r) = sum q_n r^(n+1)
-    table = fld["table"]
-    gf = fld["G"][r]
-    gb = _g_backward(measure, fld, r)
-    mask = table.mask_ball(m, B)
-    right = float((gf[mask] * gb[mask]).sum())
     return IdentityReport(left=left, right=right, residual=abs(left - right),
                           r=r, truncation=truncation, order=order, radius=radius)
 

@@ -371,9 +371,6 @@ class FreeProduct:
                 for g in sorted(by_len.get(ell, []), key=lambda x: x.syllables):
                     yield g
 
-    def ball_count_truncated(self, m: int, B: int) -> int:
-        return sum(1 for _ in self.enumerate_ball(m, B))
-
     # -- text form ---------------------------------------------------------------
 
     def render(self, g: GroupElement) -> str:

@@ -271,8 +271,9 @@ def convolve(m: Measure, n: Measure, allow_cast: bool = False) -> Measure:
 
 
 def _fraction_levels(measure: Measure, n: int,
-                     bound: Callable[[int], int]) -> Iterator[dict]:
-    """mu^{*t} for t = 1..n as exact dicts, each pruned to word length <= bound(t)."""
+                     bound: Callable[[int], int | None]) -> Iterator[dict]:
+    """mu^{*t} for t = 1..n as exact dicts, each pruned to word length <= bound(t)
+    (not pruned where bound(t) is None)."""
     grp = measure.group
     cur = {grp.identity: Fraction(1)}
     for t in range(1, n + 1):
@@ -281,7 +282,7 @@ def _fraction_levels(measure: Measure, n: int,
         for x, wx in cur.items():
             for s, ws in measure.entries.items():
                 y = grp.multiply(x, s)
-                if grp.word_length(y) <= limit:
+                if limit is None or grp.word_length(y) <= limit:
                     nxt[y] = nxt.get(y, Fraction(0)) + wx * ws
         cur = nxt
         yield cur
@@ -291,16 +292,16 @@ def _dict_power_sequence(measure: Measure, n_max: int) -> list[Fraction]:
     """Pruned exact DP over dicts; fallback when integer weights overflow."""
     e = measure.group.identity
     d_mu = max(1, measure.d_mu)
-    levels = _fraction_levels(measure, n_max, lambda t: min(t, n_max - t) * d_mu)
+    levels = _fraction_levels(measure, n_max, lambda t: engine.return_bound(t, n_max, d_mu))
     return [Fraction(1)] + [level.get(e, Fraction(0)) for level in levels]
 
 
-def return_sequence(measure: Measure, n_max: int,
-                    max_elements: int | None = None) -> ReturnSequence:
+def return_sequence(measure: Measure, n_max: int) -> ReturnSequence:
     """Exact q_n = mu^{*n}(e) for n = 0..n_max.
 
-    States with word length beyond min(t, n_max - t) * d_mu at step t cannot
-    contribute to a length-n_max return and are pruned; the values are exact.
+    States that cannot get back to e by step n_max are pruned
+    (`engine.return_bound`); the values are exact.  Ball tables are bounded
+    by the measure's `max_table_elements`.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -309,18 +310,14 @@ def return_sequence(measure: Measure, n_max: int,
 
     def compute() -> ReturnSequence:
         if measure.mode == FLOAT:
-            table = measure.table(half_radius, max_elements)
-            weights = [float(w) for w in measure.entries.values()]
-            qs: list[float] = []
-            engine.float_levels(
-                table, weights, n_max,
-                bound_fn=lambda t: None if t <= n_max - t else (n_max - t) * d_mu,
-                on_level=lambda t, w: qs.append(float(w[0])),
-            )
+            table = measure.table(half_radius)
+            qs = [float(w[0]) for w in engine.levels(
+                table, measure.entries.values(), n_max,
+                lambda t: engine.return_bound(t, n_max, d_mu))]
             return ReturnSequence(tuple(qs), FLOAT, n_max, pruned_radius=half_radius)
         ints, denom = measure.integerized()
         if engine.exact_capacity(denom, (n_max + 1) // 2):
-            table = measure.table(half_radius, max_elements)
+            table = measure.table(half_radius)
             numerators = engine.pruned_power_sequence(
                 table, ints, n_max, d_mu, measure.is_symmetric()
             )
@@ -333,8 +330,7 @@ def return_sequence(measure: Measure, n_max: int,
     return measure.memo(("q", n_max), compute)
 
 
-def distribution(measure: Measure, n: int, prune_radius: int | None = None,
-                 max_elements: int | None = None) -> dict:
+def distribution(measure: Measure, n: int, prune_radius: int | None = None) -> dict:
     """mu^{*n} restricted to the word ball of prune_radius.
 
     The restriction is exact: intermediate states are pruned at the sharpest
@@ -342,6 +338,7 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None,
     inside the ball respects.  The total is a sub-probability when the
     radius bites and all of mu^{*n} when prune_radius >= n * d_mu.  Returns
     a dict GroupElement -> weight (a Measure proper requires total mass 1).
+    Float mode runs on a ball table bounded by `max_table_elements`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -354,16 +351,10 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None,
     if measure.mode == EXACT:
         cur: dict[GroupElement, Fraction] = {measure.group.identity: Fraction(1)}
         for cur in _fraction_levels(measure, n, bound):
-            if max_elements is not None and len(cur) > max_elements:
-                raise BudgetExceededError(
-                    f"distribution support exceeded {max_elements}", partial=cur
-                )
+            pass
         return cur
     cap = max(bound(t) for t in range(n + 1)) if n else 0
-    table = measure.table(cap, max_elements)
-    weights = [float(w) for w in measure.entries.values()]
-    w = engine.float_levels(table, weights, n, bound_fn=bound)
-    out = {}
-    for i in np.nonzero(w)[0]:
-        out[table.element_of(int(i))] = float(w[i])
-    return out
+    table = measure.table(cap)
+    for w in engine.levels(table, measure.entries.values(), n, bound):
+        pass  # only the last level is wanted
+    return {table.element_of(int(i)): float(w[i]) for i in np.nonzero(w)[0]}

@@ -130,9 +130,7 @@ def _absorption(measure: Measure, k: int, horizon: int, radius: int):
     def compute():
         table = measure.table(radius)
         h_ids = table.subgroup_ids(k)
-        prof, live = engine.absorbed_profile(
-            table, [float(w) for w in measure.entries.values()], h_ids, horizon
-        )
+        prof, live = engine.absorbed_profile(table, measure.entries.values(), h_ids, horizon)
         return prof, [table.element_of(int(i)) for i in h_ids], live
 
     return measure.memo(("absorb", k, horizon, radius), compute)

@@ -123,6 +123,13 @@ def test_automaton_needs_positive_c(zz):
             build(zz, C=0)
 
 
+def test_automaton_needs_positive_m(zz):
+    for build in (reduced_automaton, canonical_automaton):
+        with pytest.raises(ValueError, match="m >= 1, got m = 0"):
+            build(zz, C=1, m=0)
+    assert len(cone_types(zz, m=0)) == 1  # cone_types itself takes m = 0
+
+
 def test_offsets_match_brute_force(zz, z2z3, z3z4):
     for grp in (zz, z2z3, z3z4):
         for C in (1, 2):

@@ -173,6 +173,20 @@ def test_automaton_c_below_one_exits_one_with_manifest(tmp_path, capsys):
     assert manifest["budgets"]["automaton_c"] == 0
 
 
+def test_automaton_m_below_one_exits_one_with_manifest(tmp_path, capsys):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["budgets"]["automaton_mb"] = [0, 2]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["automaton", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "m >= 1, got m = 0" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["partial"] is False
+    assert manifest["budgets"]["automaton_mb"] == [0, 2]
+
+
 def test_coordinates_beyond_int16(tmp_path):
     cfg = json.loads(json.dumps(CONFIG))
     cfg["measure"] = [["1:(40000)", "1/2"], ["1:(-40000)", "1/2"]]

@@ -1,7 +1,9 @@
 """BallTable against an independent queue-BFS builder, the trie lookups and
-inversion, the DP step against the column-by-column bincount kernel, and
-the exact pairing against Python big ints."""
+inversion, the DP step against the column-by-column bincount kernel, the
+exact pairing against Python big ints, and the level driver against the
+callback loop it replaced."""
 
+import ast
 import operator
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +21,9 @@ from freewalk.engine import (
     _exact_dots,
     _lookup,
     _step,
+    absorbed_profile,
     exact_capacity,
+    green_field,
     pair_ids,
     pruned_power_sequence,
 )
@@ -33,6 +37,7 @@ from freewalk.groups import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src" / "freewalk"
 
 
 def reference_table(group, support, cap):
@@ -489,3 +494,139 @@ def test_pairing_matches_reference_on_multi_syllable_supports(make_group, texts,
     d_mu = max(group.word_length(g) for g in support)
     for n_max in range(13):
         assert_pairing_matches_reference(table, ints, n_max, d_mu, False)
+
+
+# -- the level driver ----------------------------------------------------------------
+
+
+def reference_float_levels(table, weights, n_steps, bound_fn=None, on_level=None):
+    """The callback level loop that `levels` replaced, verbatim: n_steps
+    steps from e, with `on_level(t, w_t)` observing every level."""
+    w = np.zeros(table.size)
+    w[0] = 1.0
+    if on_level is not None:
+        on_level(0, w)
+    cols = [float(c) for c in weights]
+    for t in range(1, n_steps + 1):
+        bound = bound_fn(t) if bound_fn is not None else None
+        w = _step(table, w, cols, bound)
+        if on_level is not None:
+            on_level(t, w)
+    return w
+
+
+def reference_green_field(table, weights, order, r_values):
+    rs = list(r_values)
+    acc = {r: np.zeros(table.size) for r in rs}
+    e_series = []
+    last_terms = {r: [] for r in rs}
+
+    def observe(t, w):
+        e_series.append(float(w[0]))
+        for r in rs:
+            acc[r] += (r ** t) * w
+            if t >= order - 2:
+                last_terms[r].append((r ** t) * w)
+
+    reference_float_levels(table, weights, order, on_level=observe)
+    return {"final": acc, "e_series": e_series, "last_terms": last_terms}
+
+
+def reference_absorbed_profile(table, weights, absorb_ids, horizon):
+    absorb_ids = np.asarray(absorb_ids, dtype=np.int64)
+    prof = np.zeros((horizon, len(absorb_ids)))
+    live_mass = []
+    w = np.zeros(table.size)
+    w[0] = 1.0
+    cols = [float(c) for c in weights]
+    for t in range(1, horizon + 1):
+        w = _step(table, w, cols, bound=None)
+        prof[t - 1] = w[absorb_ids]
+        w[absorb_ids] = 0.0
+        live_mass.append(float(w.sum()))
+    return prof, live_mass
+
+
+def reference_float_returns(measure, n_max):
+    d_mu = max(1, measure.d_mu)
+    table = measure.table(((n_max + 1) // 2) * d_mu)
+    qs = []
+    reference_float_levels(
+        table, [float(w) for w in measure.entries.values()], n_max,
+        bound_fn=lambda t: None if t <= n_max - t else (n_max - t) * d_mu,
+        on_level=lambda t, w: qs.append(float(w[0])),
+    )
+    return tuple(qs)
+
+
+def driver_measures():
+    """The three configs' measures and a non-symmetric F2 walk."""
+    out = []
+    for name in ("f2-lazy", "f2-simple", "z2-z3-lazy"):
+        cfg = load_config(str(CONFIGS / f"{name}.json"))
+        out.append(build_measure(cfg, build_group(cfg), "exact"))
+    weights = {"e": 49, "1:(1)": 13, "1:(-1)": 11, "2:(1)": 17, "2:(-1)": 7}
+    out.append(measure_from_pairs(free_group(2),
+                                  [(g, Fraction(c, 97)) for g, c in weights.items()]))
+    return out
+
+
+@pytest.mark.parametrize("measure", driver_measures(), ids=["f2-lazy", "f2-simple",
+                                                            "z2-z3-lazy", "f2-drift"])
+def test_level_driver_matches_the_callback_loop(measure):
+    """green_field, absorbed_profile and float return_sequence give the
+    callback loop's numbers bit for bit."""
+    table = measure.table(4 * max(1, measure.d_mu))
+    weights = [float(w) for w in measure.entries.values()]
+    for order in (1, 2, 9):
+        got = green_field(table, measure.entries.values(), order, [0.25, 0.5])
+        want = reference_green_field(table, weights, order, [0.25, 0.5])
+        assert got["e_series"] == want["e_series"]
+        for r in (0.25, 0.5):
+            assert np.array_equal(got["final"][r], want["final"][r])
+            assert len(got["last_terms"][r]) == len(want["last_terms"][r])
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got["last_terms"][r], want["last_terms"][r]))
+    for k in range(1, measure.group.num_factors + 1):
+        ids = table.subgroup_ids(k)
+        prof, live = absorbed_profile(table, measure.entries.values(), ids, 9)
+        want_prof, want_live = reference_absorbed_profile(table, weights, ids, 9)
+        assert np.array_equal(prof, want_prof) and live == want_live
+    fmu = measure.as_float()
+    for n_max in (0, 1, 7, 8):
+        assert return_sequence(fmu, n_max).values == reference_float_returns(fmu, n_max)
+
+
+def step_references():
+    """(file, enclosing function) of every use of the name `_step` in the
+    package source, the definition aside."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, path):
+            self.path, self.scope = path, []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id == "_step":
+                found.append((self.path.name, ".".join(self.scope)))
+
+        def visit_Attribute(self, node):
+            if node.attr == "_step":
+                found.append((self.path.name, ".".join(self.scope)))
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        Visitor(path).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_step_is_called_only_by_the_level_driver():
+    """Every DP is a loop over `engine.levels`; no module steps by itself."""
+    assert step_references() == [("engine.py", "levels")]

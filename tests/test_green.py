@@ -297,5 +297,5 @@ def test_field_serves_pruned_return_weights(zz, monkeypatch):
         raise AssertionError("pruned_return_weights ran a DP after the field")
 
     want = pruned_return_weights(lazy_walk(zz).as_float(), order, radius)
-    monkeypatch.setattr(engine, "float_levels", no_dp)
+    monkeypatch.setattr(engine, "_step", no_dp)
     assert pruned_return_weights(mu, order, radius) == want

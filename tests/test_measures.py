@@ -129,6 +129,24 @@ def test_return_sequence_lazy_matches_brute_force(lazy):
     assert list(q[:6]) == oracle
 
 
+def test_return_sequence_falls_back_to_dicts_beyond_float_capacity(zz, monkeypatch):
+    # D = 2^20: D^4 > 2^53, so the exact table DP is out of reach at n = 6
+    from freewalk import engine
+
+    D = 2**20
+    m = measure_from_pairs(zz, [("1:(1)", Fraction(1, D)), ("1:(-1)", Fraction(2**18 - 1, D)),
+                                ("2:(1)", "1/4"), ("2:(-1)", "1/2")])
+    assert m.integerized()[1] == D and not engine.exact_capacity(D, (6 + 1) // 2)
+
+    def no_table_dp(*args, **kwargs):
+        raise AssertionError("the table DP ran beyond its float capacity")
+
+    monkeypatch.setattr(engine, "pruned_power_sequence", no_table_dp)
+    q = return_sequence(m, 6)
+    assert list(q.values) == brute_force_returns(m, 6)
+    assert q.denominator == D
+
+
 def test_return_sequence_matches_dict_fallback(lazy):
     q = return_sequence(lazy, 8).values
     fallback = _dict_power_sequence(lazy, 8)
@@ -172,6 +190,16 @@ def test_distribution_float_close(zz, walk):
     assert set(exact) == set(approx)
     for g, w in exact.items():
         assert abs(float(w) - approx[g]) < 1e-14
+
+
+def test_pruned_distribution_float_close(lazy):
+    # the float levels are pruned to the ball like the exact ones
+    for radius in (1, 2):
+        exact = distribution(lazy, 4, prune_radius=radius)
+        approx = distribution(lazy.as_float(), 4, prune_radius=radius)
+        assert set(exact) == set(approx)
+        for g, w in exact.items():
+            assert abs(float(w) - approx[g]) < 1e-14
 
 
 def test_float_return_sequence_close(lazy):
