@@ -11,9 +11,12 @@ element sums its incoming weight in support order.
 
 `levels` is the one level driver: every DP over a table (return numbers,
 Green fields, absorbed profiles, distributions) is a loop over the levels
-mu^{*t}, t = 0..n, that it yields.  A caller may edit a yielded level in
-place; the next step starts from the edited level.  `return_bound` is the
-one pruning rule for return numbers.
+mu^{*t}, t = 0..n, that it yields.  Each level comes with an exclusive id
+bound hi, zero from hi on: level t lives within t support steps of e, and
+the breadth-first ids number those elements first, so a step, a pairing dot
+or a field update touches only the prefix [0, hi).  A caller may only zero
+entries of a yielded level in place; the next step starts from the edited
+level.  `return_bound` is the one pruning rule for return numbers.
 
 Exactness: integer-valued weights are carried in float64, which is exact
 while every value stays below 2^53; callers must check `exact_capacity`
@@ -131,6 +134,8 @@ class BallTable:
             [group.factor_word_length(*s) for s in self.syllables] + [0], dtype=np.int32
         )
         self._cols = None
+        self._reach: dict[int, int] = {}  # prefix bound -> bound on its one-step image
+        self._wl_end: dict[int, int] = {}  # word-length bound -> id bound
         self._inv_perm: np.ndarray | None = None
         self._inv_out: np.ndarray | None = None  # ids whose inverse leaves the table
         self._build(max_elements)
@@ -277,6 +282,27 @@ class BallTable:
                 cols.append((src, tgt[ok].astype(np.int64)))
             self._cols = cols
         return self._cols
+
+    def reach(self, h: int) -> int:
+        """Exclusive id bound on the ids [0, h) and their one-step images:
+        max(h, 1 + max(nbr[:h])).  Holds for any id order; tight for the
+        breadth-first one."""
+        if h >= self.size:
+            return self.size
+        r = self._reach.get(h)
+        if r is None:
+            r = self._reach[h] = max(h, 1 + int(self.nbr[:h].max(initial=-1)))
+        return r
+
+    def wl_end(self, b: int) -> int:
+        """One past the last id of word length <= b (0 if there is none)."""
+        if b >= self.cap:
+            return self.size
+        r = self._wl_end.get(b)
+        if r is None:
+            inside = self.wl[::-1] <= b
+            r = self._wl_end[b] = self.size - int(inside.argmax()) if inside.any() else 0
+        return r
 
     # -- element <-> id -------------------------------------------------------
 
@@ -444,32 +470,41 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
 
 def exact_capacity(denominator: int, steps: int) -> bool:
     """True when integerized weights stay float64-exact for this many steps."""
-    return float(denominator) ** (steps + 1) < _FLOAT_EXACT_LIMIT
+    return denominator ** (steps + 1) < 2**_FLOAT_BITS
 
 
 def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np.ndarray:
     """One level of the DP: nw[g s_j] += w[g] * col_weights[j] over the table.
 
-    Every target sums its contributions in support-column order, starting
-    from 0: right multiplication by s_j is injective, so a column hits each
-    target at most once, and `np.add.at` adds into nw in edge order.  The
-    identity column (support element e, first when present) is the identity
-    map, so it starts the sum as w * c_0.  Zero-weight sources add exact
-    zeros, so a bound only zeroes the targets beyond it, after the full
-    step.  No temporary is larger than one column.
+    w is the prefix [0, hi) of a level that is zero from hi = len(w) on (the
+    whole level when hi = table.size); the new level is table-sized and zero
+    from table.reach(hi) on.  Every target sums its contributions in
+    support-column order, starting from 0: right multiplication by s_j is
+    injective, so a column hits each target at most once, and `np.add.at`
+    adds into nw in edge order.  The identity column (support element e,
+    first when present) is the identity map, so it starts the sum as
+    w * c_0.  A column's sources ascend, so its edges from the prefix are a
+    prefix of it; the edges left out would add exact zeros.  A bound only
+    zeroes the targets beyond it, after the step.  No temporary is larger
+    than one column.
     """
+    hi = len(w)
     cols = table.columns()
     first = 1 if table.support and not table.support[0].syllables else 0
-    nw = w * col_weights[0] if first else np.zeros(table.size)
+    nw = np.zeros(table.size)
+    if first:
+        np.multiply(w, col_weights[0], out=nw[:hi])
     for (src, tgt), cj in zip(cols[first:], col_weights[first:]):
         if cj == 0:
             continue
-        v = w[src]
+        n = int(src.searchsorted(hi))
+        v = w[src[:n]]
         v *= cj
-        np.add.at(nw, tgt, v)
+        np.add.at(nw, tgt[:n], v)
     # the table cap already enforces any bound at least as large
     if bound is not None and bound < table.cap:
-        nw[table.wl > bound] = 0.0
+        top = table.reach(hi)
+        nw[:top][table.wl[:top] > bound] = 0.0
     return nw
 
 
@@ -482,21 +517,30 @@ def return_bound(t: int, n_max: int, d_mu: int) -> int | None:
 
 
 def levels(table: BallTable, weights: Iterable, n_steps: int,
-           bound: Callable[[int], int | None] | None = None) -> Iterator[np.ndarray]:
-    """The levels mu^{*t}, t = 0..n_steps, of the walk from e over the table.
+           bound: Callable[[int], int | None] | None = None
+           ) -> Iterator[tuple[np.ndarray, int]]:
+    """The levels (mu^{*t}, hi_t), t = 0..n_steps, of the walk from e over
+    the table.
 
+    Each level is a table-sized array that is zero from the id hi_t on:
+    hi_0 = 1, and hi_t = min(reach(hi_{t-1}), wl_end(bound(t))), since a
+    step only moves mass from [0, hi) into [0, reach(hi)) and a bound zeroes
+    every id longer than it.  Each step reads only the prefix [0, hi).
     `weights` are the support weights in support order, turned into floats
     once.  Level t >= 1 is pruned to word length <= bound(t) when a bound is
-    given.  A caller may edit a yielded level in place; the next step starts
-    from the edited level.
+    given.  A caller may zero entries of a yielded level in place, and the
+    next step starts from the edited level; any other edit breaks the bound.
     """
     w = np.zeros(table.size)
     w[0] = 1.0
-    yield w
+    hi = 1
+    yield w, hi
     cols = [float(c) for c in weights]
     for t in range(1, n_steps + 1):
-        w = _step(table, w, cols, None if bound is None else bound(t))
-        yield w
+        b = None if bound is None else bound(t)
+        w = _step(table, w[:hi], cols, b)
+        hi = table.reach(hi) if b is None else min(table.reach(hi), table.wl_end(b))
+        yield w, hi
 
 
 def _exact_dots(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[int]:
@@ -538,20 +582,22 @@ def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: i
     Runs the forward half of the `return_bound`-pruned DP and pairs the two
     halves through each split point; exact by the path-splitting identity.
     Level t holds integers summing to at most D^t < 2^53, so the pairing is
-    `_exact_dots` of the pulled-back level t with levels t - 1 and t.
+    `_exact_dots` of the pulled-back level t with levels t - 1 and t, each
+    over the prefix of the level it pairs with: the pulled-back level is
+    not zero beyond its own level's bound.
     """
     half = (n_max + 1) // 2
     if not exact_capacity(sum(int_weights), half):
         raise OverflowError("weights exceed float64-exact range; use dict fallback")
     dots = [1] + [0] * n_max
-    for t, w in enumerate(levels(table, int_weights, half,
-                                 lambda t: return_bound(t, n_max, d_mu))):
+    for t, (w, hi) in enumerate(levels(table, int_weights, half,
+                                       lambda t: return_bound(t, n_max, d_mu))):
         if t:
             side = w if symmetric else table.pull_back(w)
-            ns = [n for n in (2 * t - 1, 2 * t) if n <= n_max]
-            for n, d in zip(ns, _exact_dots(side, [prev, w][:len(ns)])):
-                dots[n] = d
-        prev = w
+            for n, (b, h) in zip((2 * t - 1, 2 * t), ((prev, prev_hi), (w, hi))):
+                if n <= n_max:
+                    dots[n] = _exact_dots(side[:h], [b[:h]])[0]
+        prev, prev_hi = w, hi
     return dots
 
 
@@ -568,10 +614,13 @@ def green_field(table: BallTable, weights: Iterable, order: int,
     acc = {r: np.zeros(table.size) for r in rs}
     e_series: list[float] = []
     last_terms: dict[float, list] = {r: [] for r in rs}
-    for t, w in enumerate(levels(table, weights, order)):
+    scratch = np.empty(table.size)  # r^t mu^{*t} on the prefix, for every r and t
+    for t, (w, hi) in enumerate(levels(table, weights, order)):
         e_series.append(float(w[0]))
+        term = scratch[:hi]
         for r in rs:
-            acc[r] += (r ** t) * w
+            np.multiply(w[:hi], r ** t, out=term)
+            acc[r][:hi] += term
             if t >= order - 2:
                 last_terms[r].append((r ** t) * w)
     return {"final": acc, "e_series": e_series, "last_terms": last_terms}
@@ -589,9 +638,10 @@ def absorbed_profile(table: BallTable, weights: Iterable, absorb_ids: np.ndarray
     absorb_ids = np.asarray(absorb_ids, dtype=np.int64)
     prof = np.zeros((horizon, len(absorb_ids)))
     live_mass = []
-    for t, w in enumerate(levels(table, weights, horizon)):
+    for t, (w, _) in enumerate(levels(table, weights, horizon)):
         if t:
             prof[t - 1] = w[absorb_ids]
             w[absorb_ids] = 0.0  # in place: the next step starts without it
+            # the whole level: a shorter pairwise sum rounds differently
             live_mass.append(float(w.sum()))
     return prof, live_mass

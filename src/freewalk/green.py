@@ -174,7 +174,7 @@ def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int
         i = table.id_of(w)
         tids.append(-1 if i is None else i)
     rows: dict[int, list[float]] = {i: [] for i in set(tids) if i >= 0}
-    for wvec in engine.levels(table, measure.entries.values(), order):
+    for wvec, _ in engine.levels(table, measure.entries.values(), order):
         for i in rows:
             rows[i].append(float(wvec[i]))
     out = {}

@@ -311,7 +311,7 @@ def return_sequence(measure: Measure, n_max: int) -> ReturnSequence:
     def compute() -> ReturnSequence:
         if measure.mode == FLOAT:
             table = measure.table(half_radius)
-            qs = [float(w[0]) for w in engine.levels(
+            qs = [float(w[0]) for w, _ in engine.levels(
                 table, measure.entries.values(), n_max,
                 lambda t: engine.return_bound(t, n_max, d_mu))]
             return ReturnSequence(tuple(qs), FLOAT, n_max, pruned_radius=half_radius)
@@ -355,6 +355,6 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None) -> d
         return cur
     cap = max(bound(t) for t in range(n + 1)) if n else 0
     table = measure.table(cap)
-    for w in engine.levels(table, measure.entries.values(), n, bound):
+    for w, hi in engine.levels(table, measure.entries.values(), n, bound):
         pass  # only the last level is wanted
-    return {table.element_of(int(i)): float(w[i]) for i in np.nonzero(w)[0]}
+    return {table.element_of(int(i)): float(w[i]) for i in np.nonzero(w[:hi])[0]}

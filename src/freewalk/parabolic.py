@@ -178,12 +178,13 @@ def _kernel_power_series(measure: Measure, kernel: ReturnKernel, order: int,
         for sigma, w in kernel.nu.items():
             shift = sigma.syllables[0].coords[0] if sigma.syllables else 0
             mover[shift % m] += w
+        # np.roll(vec, s) is vec[(i - s) % m]: one gather index per shift
+        shifts = [(mover[s], (np.arange(m) - s) % m) for s in range(m) if mover[s]]
         series = [1.0]
         for _ in range(order):
             new = np.zeros(m)
-            for s in range(m):
-                if mover[s]:
-                    new += mover[s] * np.roll(vec, s)
+            for c, idx in shifts:
+                new += c * vec[idx]
             vec = new
             series.append(float(vec[0]))
         return series
@@ -194,27 +195,18 @@ def _kernel_power_series(measure: Measure, kernel: ReturnKernel, order: int,
     vec = np.zeros(shape)
     center = (h_ball,) * d
     vec[center] = 1.0
-    moves = []
+    moves = []  # (src, dst, w): the window a move shifts and where it lands
     for sigma, w in kernel.nu.items():
         off = sigma.syllables[0].coords if sigma.syllables else (0,) * d
-        if all(abs(c) <= 2 * h_ball for c in off):
-            moves.append((off, w))
+        if all(abs(c) <= 2 * h_ball for c in off):  # a nonempty window on every axis
+            spans = [(max(0, -c), min(width, width - c), c) for c in off]
+            moves.append((tuple(slice(lo, hi) for lo, hi, _ in spans),
+                          tuple(slice(lo + c, hi + c) for lo, hi, c in spans), w))
     series = [1.0]
     for _ in range(order):
         new = np.zeros(shape)
-        for off, w in moves:
-            src = []
-            dst = []
-            ok = True
-            for c in off:
-                lo_s, hi_s = max(0, -c), min(width, width - c)
-                if lo_s >= hi_s:
-                    ok = False
-                    break
-                src.append(slice(lo_s, hi_s))
-                dst.append(slice(lo_s + c, hi_s + c))
-            if ok:
-                new[tuple(dst)] += w * vec[tuple(src)]
+        for src, dst, w in moves:
+            new[dst] += w * vec[src]
         vec = new
         series.append(float(vec[center]))
     return series

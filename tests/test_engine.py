@@ -24,8 +24,10 @@ from freewalk.engine import (
     absorbed_profile,
     exact_capacity,
     green_field,
+    levels,
     pair_ids,
     pruned_power_sequence,
+    return_bound,
 )
 from freewalk.groups import (
     FINITE_CYCLIC,
@@ -267,7 +269,9 @@ def reference_step(table, w, col_weights, bound):
 def assert_step_matches_reference(table, weight_sets=()):
     """_step equals the reference bit for bit, for every bound 0..cap and
     None, with the given column weights and four random sets, on DP levels
-    from e and on random weights with zeros."""
+    from e and on random weights with zeros; given only the prefix [0, hi)
+    of a level that is zero from hi on, it returns the same table-sized
+    level."""
     rng = np.random.default_rng(0)
     K = len(table.support)
     weight_sets = list(weight_sets) + [
@@ -284,11 +288,16 @@ def assert_step_matches_reference(table, weight_sets=()):
             levels.append(w)
             w = reference_step(table, w, cols, None)
         levels.append(rng.random(table.size) * (rng.random(table.size) < 0.5))
+        cut = levels[-1].copy()
+        cut[table.size // 3:] = 0.0
+        levels.append(cut)
         for w in levels:
+            hi = int(np.flatnonzero(w).max(initial=-1)) + 1
             for bound in [None, *range(table.cap + 1)]:
                 want = reference_step(table, w, cols, bound)
                 got = _step(table, w, cols, bound)
                 assert np.array_equal(got, want), (cols, bound)
+                assert np.array_equal(_step(table, w[:hi], cols, bound), got), (cols, bound, hi)
 
 
 def measure_weights(measure):
@@ -597,6 +606,54 @@ def test_level_driver_matches_the_callback_loop(measure):
         assert return_sequence(fmu, n_max).values == reference_float_returns(fmu, n_max)
 
 
+def reference_levels(table, weights, n_steps, bound=None):
+    """Full-width levels from e: every step reads the whole table."""
+    w = np.zeros(table.size)
+    w[0] = 1.0
+    out = [w]
+    cols = [float(c) for c in weights]
+    for t in range(1, n_steps + 1):
+        w = _step(table, w, cols, None if bound is None else bound(t))
+        out.append(w)
+    return out
+
+
+def prefix_tables():
+    """Tables with their weights and d_mu: the three configs, the
+    non-symmetric F2 walk, and the Z^3*Z/5*Z and {ab, BA} supports, whose
+    ids are not sorted by word length."""
+    out = [(measure.table(4 * max(1, measure.d_mu)), list(measure.entries.values()),
+            max(1, measure.d_mu)) for measure in driver_measures()]
+    for make_group, texts, cap in [(z3_z5_z, Z3_Z5_Z, 4), (free_group, AB_BA, 8)]:
+        group = make_group()
+        support = _parse(group, texts)
+        out.append((BallTable(group, support, cap), [k + 1 for k in range(len(support))],
+                    max(group.word_length(g) for g in support)))
+    return out
+
+
+@pytest.mark.parametrize("table,weights,d_mu", prefix_tables(),
+                         ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "f2-drift", "z3-z5-z",
+                              "ab-BA"])
+def test_levels_vanish_beyond_their_bound_and_match_full_width_steps(table, weights, d_mu):
+    """Every level is zero from its hi on and equals the full-width loop bit
+    for bit, unbounded and under the return bound, at odd n_max too (a
+    bounded last step)."""
+    n_top = 2 * (table.cap // d_mu)
+    runs = [(n_top, None)] + [
+        (n_max, lambda t, n_max=n_max: return_bound(t, n_max, d_mu))
+        for n_max in range(1, n_top + 1)
+    ]
+    for n_max, bound in runs:
+        n_steps = n_max if bound is None else (n_max + 1) // 2
+        want = reference_levels(table, weights, n_steps, bound)
+        got = list(levels(table, weights, n_steps, bound))
+        assert len(got) == len(want)
+        for t, ((w, hi), ref) in enumerate(zip(got, want)):
+            assert 0 < hi <= table.size and not w[hi:].any(), (n_max, t, hi)
+            assert np.array_equal(w, ref), (n_max, t)
+
+
 def step_references():
     """(file, enclosing function) of every use of the name `_step` in the
     package source, the definition aside."""
@@ -627,6 +684,22 @@ def step_references():
     return found
 
 
+def step_calls_in_levels():
+    """The calls of `_step` inside `engine.levels`."""
+    tree = ast.parse((SRC / "engine.py").read_text())
+    driver = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "levels")
+    return [node for node in ast.walk(driver) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "_step"]
+
+
 def test_step_is_called_only_by_the_level_driver():
-    """Every DP is a loop over `engine.levels`; no module steps by itself."""
+    """Every DP is a loop over `engine.levels`; no module steps by itself,
+    and the driver steps the prefix of each level, w[:hi], not the whole
+    table."""
     assert step_references() == [("engine.py", "levels")]
+    calls = step_calls_in_levels()
+    assert len(calls) == 1
+    level = calls[0].args[1]
+    assert isinstance(level, ast.Subscript) and isinstance(level.slice, ast.Slice)
+    assert level.slice.lower is None and level.slice.upper is not None

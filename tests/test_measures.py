@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
@@ -145,6 +146,30 @@ def test_return_sequence_falls_back_to_dicts_beyond_float_capacity(zz, monkeypat
     q = return_sequence(m, 6)
     assert list(q.values) == brute_force_returns(m, 6)
     assert q.denominator == D
+
+
+def test_exact_capacity_answers_false_where_the_power_passes_the_float_range():
+    from freewalk import engine
+
+    assert engine.exact_capacity(1000, 103) is False  # 1000^104 > 1.8e308
+    assert engine.exact_capacity(2, 51) is True and engine.exact_capacity(2, 52) is False
+
+
+def test_return_sequence_falls_back_to_dicts_at_a_huge_denominator_power(zz):
+    """D = 2^20, n = 102: D^52 is beyond float range, so the capacity check
+    must say no rather than overflow; q_n is the lazy walk on Z's
+    sum over k of C(n, 2k) C(2k, k) D^-2k ((D - 2)/D)^(n - 2k)."""
+    D = 2**20
+    m = measure_from_pairs(zz, [("e", Fraction(D - 2, D)), ("1:(1)", Fraction(1, D)),
+                                ("1:(-1)", Fraction(1, D))])
+    q = return_sequence(m, 102)
+    assert list(q.values) == _dict_power_sequence(m, 102)
+    stay, move = Fraction(D - 2, D), Fraction(1, D)
+    assert [q.values[n] for n in (0, 1, 2, 7, 102)] == [
+        sum(math.comb(n, 2 * k) * math.comb(2 * k, k) * move ** (2 * k) * stay ** (n - 2 * k)
+            for k in range(n // 2 + 1))
+        for n in (0, 1, 2, 7, 102)
+    ]
 
 
 def test_return_sequence_matches_dict_fallback(lazy):
