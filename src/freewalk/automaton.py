@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .groups import FINITE_CYCLIC, FactorElement, FreeProduct, GroupElement
+from .groups import FINITE_CYCLIC, FactorElement, FreeProduct, GroupElement, word_ball
 
 
 @dataclass(frozen=True)
@@ -137,21 +137,6 @@ def _fingerprint(group: FreeProduct, g: GroupElement,
 def _canonical(g: GroupElement) -> tuple:
     """Sort key of the canonical order: relative length, then syllables."""
     return len(g.syllables), g.syllables
-
-
-def word_ball(group: FreeProduct, C: int) -> tuple[GroupElement, ...]:
-    """Elements of word length <= C, canonical order."""
-    out, frontier = [group.identity], [((), C)]
-    while frontier:
-        prefix, room = frontier.pop()
-        for k in range(1, group.num_factors + 1):
-            if prefix and prefix[-1].factor == k:
-                continue
-            for fe in group.factor_elements(k, room):
-                g = prefix + (fe,)
-                out.append(GroupElement(g))
-                frontier.append((g, room - group.factor_word_length(k, fe.coords)))
-    return tuple(sorted(out, key=_canonical))
 
 
 def cone_types(group: FreeProduct, m: int = 4, B: int = 3, C: int = 3) -> list[ConeType]:

@@ -18,11 +18,12 @@ or a field update touches only the prefix [0, hi).  A caller may only zero
 entries of a yielded level in place; the next step starts from the edited
 level.  `return_bound` is the one pruning rule for return numbers.
 
-Exactness: integer-valued weights are carried in float64, which is exact
-while every value stays below 2^53; callers must check `exact_capacity`
-first.  Dot products that can exceed 2^53 (the pairing of two DP halves)
-cut one side into integer limbs small enough that every limb's float64 dot
-is exact, and combine the limb dots in Python ints.
+Exactness: the weights choose the number type of the levels.  An object
+array of Python ints gives Python-int levels, exact at any size; other
+weights give float64 levels, exact for integers below 2^53
+(`exact_capacity`).  Within that capacity the exact pairing cuts one side
+of each dot into integer limbs small enough that every limb's float64 dot
+is exact, and combines the limb dots in Python ints.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ class BallTable:
         if self._inv_out is None:
             self._inv_out = np.flatnonzero(self.inverse_perm() < 0)
         y = x[self._inv_perm]  # -1 picks the last entry, zeroed next
-        y[self._inv_out] = 0.0
+        y[self._inv_out] = 0  # an int: 0.0 would make a Python-int level float
         return y
 
     def mask_ball(self, m: int, B: int) -> np.ndarray:
@@ -491,7 +492,7 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     hi = len(w)
     cols = table.columns()
     first = 1 if table.support and not table.support[0].syllables else 0
-    nw = np.zeros(table.size)
+    nw = np.zeros(table.size, dtype=w.dtype)
     if first:
         np.multiply(w, col_weights[0], out=nw[:hi])
     for (src, tgt), cj in zip(cols[first:], col_weights[first:]):
@@ -504,7 +505,7 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     # the table cap already enforces any bound at least as large
     if bound is not None and bound < table.cap:
         top = table.reach(hi)
-        nw[:top][table.wl[:top] > bound] = 0.0
+        nw[:top][table.wl[:top] > bound] = 0  # an int, as in pull_back
     return nw
 
 
@@ -526,16 +527,19 @@ def levels(table: BallTable, weights: Iterable, n_steps: int,
     hi_0 = 1, and hi_t = min(reach(hi_{t-1}), wl_end(bound(t))), since a
     step only moves mass from [0, hi) into [0, reach(hi)) and a bound zeroes
     every id longer than it.  Each step reads only the prefix [0, hi).
-    `weights` are the support weights in support order, turned into floats
-    once.  Level t >= 1 is pruned to word length <= bound(t) when a bound is
-    given.  A caller may zero entries of a yielded level in place, and the
-    next step starts from the edited level; any other edit breaks the bound.
+    `weights` are the support weights in support order: an object array of
+    Python ints gives Python-int levels, and any other weights are turned
+    into floats once.  Level t >= 1 is pruned to word length <= bound(t)
+    when a bound is given.  A caller may zero entries of a yielded level in
+    place, and the next step starts from the edited level; any other edit
+    breaks the bound.
     """
-    w = np.zeros(table.size)
-    w[0] = 1.0
+    exact = isinstance(weights, np.ndarray) and weights.dtype == object
+    w = np.zeros(table.size, dtype=object if exact else float)  # object zeros are int 0
+    w[0] = 1
     hi = 1
     yield w, hi
-    cols = [float(c) for c in weights]
+    cols = list(weights) if exact else [float(c) for c in weights]
     for t in range(1, n_steps + 1):
         b = None if bound is None else bound(t)
         w = _step(table, w[:hi], cols, b)
@@ -581,22 +585,23 @@ def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: i
 
     Runs the forward half of the `return_bound`-pruned DP and pairs the two
     halves through each split point; exact by the path-splitting identity.
-    Level t holds integers summing to at most D^t < 2^53, so the pairing is
-    `_exact_dots` of the pulled-back level t with levels t - 1 and t, each
+    Each pairing dot takes the pulled-back level t with level t - 1 or t,
     over the prefix of the level it pairs with: the pulled-back level is
-    not zero beyond its own level's bound.
+    not zero beyond its own level's bound.  Level t sums to at most D^t:
+    within `exact_capacity` the levels are float64 and the dots
+    `_exact_dots`, beyond it both are Python ints.
     """
     half = (n_max + 1) // 2
-    if not exact_capacity(sum(int_weights), half):
-        raise OverflowError("weights exceed float64-exact range; use dict fallback")
+    fits = exact_capacity(sum(int_weights), half)
+    weights = int_weights if fits else np.array(int_weights, dtype=object)
     dots = [1] + [0] * n_max
-    for t, (w, hi) in enumerate(levels(table, int_weights, half,
+    for t, (w, hi) in enumerate(levels(table, weights, half,
                                        lambda t: return_bound(t, n_max, d_mu))):
         if t:
             side = w if symmetric else table.pull_back(w)
             for n, (b, h) in zip((2 * t - 1, 2 * t), ((prev, prev_hi), (w, hi))):
                 if n <= n_max:
-                    dots[n] = _exact_dots(side[:h], [b[:h]])[0]
+                    dots[n] = _exact_dots(side[:h], [b[:h]])[0] if fits else int(side[:h] @ b[:h])
         prev, prev_hi = w, hi
     return dots
 

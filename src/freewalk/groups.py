@@ -414,3 +414,18 @@ def free_product(*factors: FactorSpec) -> FreeProduct:
 def free_group(rank: int = 2) -> FreeProduct:
     """F_n presented as Z * Z * ... * Z (one letter per factor)."""
     return FreeProduct([FactorSpec(FREE_ABELIAN, rank=1) for _ in range(rank)])
+
+
+def word_ball(group: FreeProduct, C: int) -> tuple[GroupElement, ...]:
+    """Elements of word length <= C, by relative length, then syllables."""
+    out, frontier = [group.identity], [((), C)]
+    while frontier:
+        prefix, room = frontier.pop()
+        for k in range(1, group.num_factors + 1):
+            if prefix and prefix[-1].factor == k:
+                continue
+            for fe in group.factor_elements(k, room):
+                g = prefix + (fe,)
+                out.append(GroupElement(g))
+                frontier.append((g, room - group.factor_word_length(k, fe.coords)))
+    return tuple(sorted(out, key=lambda g: (len(g.syllables), g.syllables)))

@@ -1,9 +1,11 @@
 """BallTable against an independent queue-BFS builder, the trie lookups and
 inversion, the DP step against the column-by-column bincount kernel, the
-exact pairing against Python big ints, and the level driver against the
-callback loop it replaced."""
+exact pairing against Python big ints, the level driver against the
+callback loop it replaced, and every exact DP against the Fraction dict
+DP it replaced."""
 
 import ast
+import math
 import operator
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewalk import BudgetExceededError, free_group, measure_from_pairs, return_sequence
+from freewalk import (
+    BudgetExceededError,
+    Measure,
+    distribution,
+    free_group,
+    measure_from_pairs,
+    return_sequence,
+)
 from freewalk.cli import build_group, build_measure, load_config
 from freewalk.engine import (
     _BLOCK,
@@ -37,6 +46,7 @@ from freewalk.groups import (
     GroupElement,
     free_product,
 )
+from freewalk.measures import _dict_power_sequence
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src" / "freewalk"
@@ -703,3 +713,134 @@ def test_step_is_called_only_by_the_level_driver():
     level = calls[0].args[1]
     assert isinstance(level, ast.Subscript) and isinstance(level.slice, ast.Slice)
     assert level.slice.lower is None and level.slice.upper is not None
+
+
+# -- the exact oracle ----------------------------------------------------------------
+
+
+def fraction_levels(measure, n, bound):
+    """mu^{*t} for t = 1..n as exact dicts, each pruned to word length <= bound(t)
+    (not pruned where bound(t) is None)."""
+    grp = measure.group
+    cur = {grp.identity: Fraction(1)}
+    for t in range(1, n + 1):
+        limit = bound(t)
+        nxt: dict[GroupElement, Fraction] = {}
+        for x, wx in cur.items():
+            for s, ws in measure.entries.items():
+                y = grp.multiply(x, s)
+                if limit is None or grp.word_length(y) <= limit:
+                    nxt[y] = nxt.get(y, Fraction(0)) + wx * ws
+        cur = nxt
+        yield cur
+
+
+def oracle_returns(measure, n_max):
+    """q_0..q_n_max from the return-pruned Fraction dict DP."""
+    e = measure.group.identity
+    d_mu = max(1, measure.d_mu)
+    dicts = fraction_levels(measure, n_max, lambda t: return_bound(t, n_max, d_mu))
+    return [Fraction(1)] + [level.get(e, Fraction(0)) for level in dicts]
+
+
+def oracle_distribution(measure, n, prune_radius):
+    """mu^{*n} on the word ball of prune_radius from the Fraction dict DP."""
+    d_mu = max(1, measure.d_mu)
+    radius = n * d_mu if prune_radius is None else prune_radius
+    cur = {measure.group.identity: Fraction(1)}
+    for cur in fraction_levels(measure, n, lambda t: min(t * d_mu, radius + (n - t) * d_mu)):
+        pass
+    return cur
+
+
+def assert_exact_oracle(measure, n_max_values, dist_n_values):
+    """`_dict_power_sequence` and exact `return_sequence` at each n_max, and
+    exact `distribution` at each n and prune radius None, 0, 1 and 2, `==`
+    the Fraction dict DP.  One oracle run at the largest n_max serves every
+    smaller one: return pruning at n_max keeps every q_n with n <= n_max."""
+    if n_max_values:
+        want = oracle_returns(measure, max(n_max_values))
+        for n_max in n_max_values:
+            assert _dict_power_sequence(measure, n_max) == want[:n_max + 1], n_max
+            assert list(return_sequence(measure, n_max).values) == want[:n_max + 1], n_max
+    for n in dist_n_values:
+        for radius in (None, 0, 1, 2):
+            got = distribution(measure, n, radius)
+            assert got == oracle_distribution(measure, n, radius), (n, radius)
+            assert all(type(v) is Fraction for v in got.values())
+
+
+def f2_walk(weights, denom):
+    return measure_from_pairs(free_group(2), [(g, Fraction(c, denom)) for g, c in weights.items()])
+
+
+NS97 = {"e": 49, "1:(1)": 13, "1:(-1)": 11, "2:(1)": 17, "2:(-1)": 7}
+# ab and BA are each other's inverses, a's inverse is never reached: most
+# inverses leave the table, and the walk is not symmetric
+D40 = 2**40
+TAIL_OUT = {"1:(1)|2:(1)": 2**37 + 12345, "2:(-1)|1:(-1)": 2**38 - 1, "1:(1)": 2**36 + 1}
+TAIL_OUT["e"] = D40 - sum(TAIL_OUT.values())
+
+
+@pytest.mark.parametrize("name,n_max,dist_n", [
+    ("f2-lazy", 10, 6), ("f2-simple", 11, 6), ("z2-z3-lazy", 7, 4)])
+def test_exact_paths_match_the_fraction_dict_dp_on_configs(name, n_max, dist_n):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    measure = build_measure(cfg, build_group(cfg), "exact")
+    assert_exact_oracle(measure, range(n_max + 1), range(dist_n + 1))
+
+
+def test_exact_paths_match_the_fraction_dict_dp_beyond_float_capacity():
+    """The non-symmetric walk with D = 97 at n_max = 15..18; its distribution
+    is in Python ints at every n, checked to n = 6 and at n = 15 on the
+    ball of radius 0."""
+    measure = f2_walk(NS97, 97)
+    assert not exact_capacity(97, (15 + 1) // 2) and not measure.is_symmetric()
+    assert_exact_oracle(measure, range(15, 19), range(7))
+    assert distribution(measure, 15, 0) == oracle_distribution(measure, 15, 0)
+
+
+def test_exact_paths_match_the_fraction_dict_dp_where_inverses_leave_the_table():
+    measure = f2_walk(TAIL_OUT, D40)
+    assert measure.integerized()[1] == D40 and not measure.is_symmetric()
+    table = measure.table(6)  # the table of n_max = 5 and 6
+    assert (table.inverse_perm() < 0).sum() > table.size // 2
+    assert_exact_oracle(measure, range(9), range(5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_products(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_exact_paths_match_the_fraction_dict_dp_on_random_products(case, wide, seed):
+    """Counts below 8 keep D <= 28, within float64 capacity at every n_max
+    here; counts up to 2^40 on two or more support elements leave it from
+    n_max = 1."""
+    group, support, _ = case
+    rng = np.random.default_rng(seed)
+    counts = [int(c) for c in rng.integers(1, 2**40 if wide else 8, len(support))]
+    measure = Measure(group, {g: Fraction(c, sum(counts)) for g, c in zip(support, counts)})
+    d_mu = max(1, measure.d_mu)
+    assert_exact_oracle(measure, [n for n in range(11) if (n + 1) // 2 * d_mu <= 6],
+                        [n for n in range(7) if n * d_mu <= 6])
+
+
+def test_object_levels_hold_python_ints():
+    """Python-int weights give levels of Python ints, unbounded and under
+    every return bound, and so does their pull-back; within float64
+    capacity they equal the float levels."""
+    for table, weights, d_mu in prefix_tables():
+        denom = math.lcm(*(Fraction(c).denominator for c in weights))
+        ints = [int(Fraction(c) * denom) for c in weights]
+        n_top = 2 * (table.cap // d_mu)
+        runs = [(n_top, None)] + [
+            ((n_max + 1) // 2, lambda t, n_max=n_max: return_bound(t, n_max, d_mu))
+            for n_max in range(1, n_top + 1)
+        ]
+        for n_steps, bound in runs:
+            got = levels(table, np.array(ints, dtype=object), n_steps, bound)
+            want = levels(table, ints, n_steps, bound)
+            for t, ((w, hi), (ref, ref_hi)) in enumerate(zip(got, want)):
+                assert w.dtype == object and hi == ref_hi
+                assert all(type(x) is int for x in w), (t, bound)
+                assert all(type(x) is int for x in table.pull_back(w)), (t, bound)
+                if exact_capacity(sum(ints), t):
+                    assert np.array_equal(w.astype(float), ref), t

@@ -5,6 +5,7 @@ import itertools
 import math
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,11 @@ from freewalk import (
     simple_walk,
     validate,
 )
+from freewalk.cli import build_group, build_measure, load_config
 from freewalk.green import _field, spatial_sum, sphere_sums
-from freewalk.measures import _dict_power_sequence, default_radius
+from freewalk.measures import WalkReport, _dict_power_sequence, default_radius
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +90,19 @@ def test_validate_lazy_aperiodic(lazy):
     assert rep.symmetric and rep.aperiodic and rep.period == 1
 
 
+@pytest.mark.parametrize("name,aperiodic,period", [
+    ("f2-lazy", True, 1), ("f2-simple", False, 2), ("z2-z3-lazy", True, 1)])
+def test_validate_reports_on_configs(name, aperiodic, period):
+    """The reports of the search over the (ell, ell)-balls filtered to word
+    length <= ell, which validate ran before it took `word_ball`."""
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    group = build_group(cfg)
+    for depth in range(1, 5):
+        assert validate(build_measure(cfg, group, "exact"), depth) == WalkReport(
+            symmetric=True, aperiodic=aperiodic, period=period, checked_to=2 * depth,
+            admissible_to_depth=depth, support_radius=1)
+
+
 def test_validate_subgroup_support(zz):
     m = measure_from_pairs(zz, [("1:(1)", "1/2"), ("1:(-1)", "1/2")])
     rep = validate(m, depth=3)
@@ -130,22 +147,48 @@ def test_return_sequence_lazy_matches_brute_force(lazy):
     assert list(q[:6]) == oracle
 
 
+def drift_beyond_capacity(zz):
+    """D = 2^20: D^4 > 2^53, so float64 levels are not exact at n = 6."""
+    D = 2**20
+    return measure_from_pairs(zz, [("1:(1)", Fraction(1, D)), ("1:(-1)", Fraction(2**18 - 1, D)),
+                                   ("2:(1)", "1/4"), ("2:(-1)", "1/2")])
+
+
 def test_return_sequence_falls_back_to_dicts_beyond_float_capacity(zz, monkeypatch):
-    # D = 2^20: D^4 > 2^53, so the exact table DP is out of reach at n = 6
+    # beyond capacity the table DP runs in Python ints: the float64 limb dots must not run
     from freewalk import engine
 
-    D = 2**20
-    m = measure_from_pairs(zz, [("1:(1)", Fraction(1, D)), ("1:(-1)", Fraction(2**18 - 1, D)),
-                                ("2:(1)", "1/4"), ("2:(-1)", "1/2")])
-    assert m.integerized()[1] == D and not engine.exact_capacity(D, (6 + 1) // 2)
+    m = drift_beyond_capacity(zz)
+    D = m.integerized()[1]
+    assert D == 2**20 and not engine.exact_capacity(D, (6 + 1) // 2)
 
-    def no_table_dp(*args, **kwargs):
-        raise AssertionError("the table DP ran beyond its float capacity")
+    def no_float_dots(*args, **kwargs):
+        raise AssertionError("the float64 limb dots ran beyond their capacity")
 
-    monkeypatch.setattr(engine, "pruned_power_sequence", no_table_dp)
+    monkeypatch.setattr(engine, "_exact_dots", no_float_dots)
     q = return_sequence(m, 6)
     assert list(q.values) == brute_force_returns(m, 6)
     assert q.denominator == D
+
+
+def test_return_sequence_calls_the_fallback_only_beyond_float_capacity(zz, monkeypatch):
+    """The benchmark tracer counts `_dict_power_sequence` calls as the exact
+    fallback: one per return sequence beyond capacity, none within it."""
+    from freewalk import measures
+
+    calls = []
+    fallback = measures._dict_power_sequence
+
+    def counted(measure, n_max):
+        calls.append(n_max)
+        return fallback(measure, n_max)
+
+    monkeypatch.setattr(measures, "_dict_power_sequence", counted)
+    return_sequence(lazy_walk(zz), 12)
+    return_sequence(drift_beyond_capacity(zz), 2)  # D^2 < 2^53: still within
+    assert calls == []
+    q = return_sequence(drift_beyond_capacity(zz), 6)
+    assert calls == [6] and q.values[2] == brute_force_returns(drift_beyond_capacity(zz), 2)[2]
 
 
 def test_exact_capacity_answers_false_where_the_power_passes_the_float_range():
@@ -232,6 +275,15 @@ def test_float_return_sequence_close(lazy):
     qf = return_sequence(lazy.as_float(), 10).values
     for a, b in zip(qx, qf):
         assert abs(float(a) - b) < 1e-13
+
+
+def test_exact_distribution_obeys_the_table_budget(zz):
+    mu = lazy_walk(zz)
+    mu.max_table_elements = 1456  # the cap-6 table holds 1457
+    with pytest.raises(BudgetExceededError):
+        distribution(mu, 6)
+    mu.max_table_elements = 1457
+    assert sum(distribution(mu, 6).values()) == 1
 
 
 def test_budget_error(zz, walk):
