@@ -77,8 +77,21 @@ def geodesic_pairs(group: FreeProduct, m: int, B: int) -> list[tuple[GroupElemen
     return out
 
 
-def _pair_value(measure, fld, gf, tails, cache, x, y, r, rho, order, radius):
-    """(value, tail) for G(x, y | r) from the field.
+def _locate(measure, fld, pairs) -> dict:
+    """For each pair (x, y): the table id of x^-1 y (None outside the
+    table) and its word length, resolved once for every r."""
+    grp, table = measure.group, fld["table"]
+    out: dict = {}
+    for x, y in pairs:
+        if (x, y) not in out:
+            w = grp.multiply(grp.inverse(x), y)
+            i = table.id_of(w)
+            out[(x, y)] = (i, grp.word_length(w) if i is None else int(table.wl[i]))
+    return out
+
+
+def _pair_values(loc, gf, tails, r, rho, order, radius) -> dict:
+    """(value, tail) for G(x, y | r) from the field, for every located pair.
 
     The tail combines the per-element empirical estimate with systematic
     geometric bounds for what the truncation cannot see: series terms past
@@ -87,28 +100,16 @@ def _pair_value(measure, fld, gf, tails, cache, x, y, r, rho, order, radius):
     proxy (r * rho)^n with a 1% safety margin on the spectral-radius point
     estimate.
     """
-    grp = measure.group
-    w = grp.multiply(grp.inverse(x), y)
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
     q = min(r * rho * 1.01, 0.9999)
 
     def geo(first_exponent: int) -> float:
-        if first_exponent < 0:
-            first_exponent = 0
-        return q**first_exponent / (1.0 - q)
+        return q ** max(first_exponent, 0) / (1.0 - q)
 
-    i = fld["table"].id_of(w)
-    if i is None:
-        wl = grp.word_length(w)
-        hit = (0.0, geo(wl))
-    else:
-        wl = int(fld["table"].wl[i])
-        tail = float(tails[i]) + geo(order + 1) + geo(2 * (radius + 1) - wl)
-        hit = (float(gf[i]), tail)
-    cache[w] = hit
-    return hit
+    return {
+        xy: (0.0, geo(wl)) if i is None else
+        (float(gf[i]), float(tails[i]) + geo(order + 1) + geo(2 * (radius + 1) - wl))
+        for xy, (i, wl) in loc.items()
+    }
 
 
 def triangle_audit(measure: Measure, triples, r_values: Sequence[float],
@@ -125,17 +126,17 @@ def triangle_audit(measure: Measure, triples, r_values: Sequence[float],
     uninformative = 0
     per_r = {}
     e = measure.group.identity
+    loc = _locate(measure, fld, [(e, e)] + [
+        p for x, y, z in triples for p in ((x, y), (y, z), (x, z))])
     for r in rs:
-        gf = fld["G"][r]
-        tails = field_tails(fld, r, r * rho)
-        cache: dict = {}
+        val = _pair_values(loc, fld["G"][r], field_tails(fld, r, r * rho), r, rho, order,
+                           radius)
+        gee, tee = val[(e, e)]
         r_worst = -math.inf
         r_viol = 0
         for (x, y, z) in triples:
-            gxy, _ = _pair_value(measure, fld, gf, tails, cache, x, y, r, rho, order, radius)
-            gyz, _ = _pair_value(measure, fld, gf, tails, cache, y, z, r, rho, order, radius)
-            gee, tee = _pair_value(measure, fld, gf, tails, cache, e, e, r, rho, order, radius)
-            gxz, txz = _pair_value(measure, fld, gf, tails, cache, x, z, r, rho, order, radius)
+            gxy, gyz = val[(x, y)][0], val[(y, z)][0]
+            gxz, txz = val[(x, z)]
             eps = gee * txz + tee * gxz + tee * txz
             if math.isinf(eps):
                 uninformative += 1
@@ -176,27 +177,26 @@ def ratio_audit(measure: Measure, pairs, r_values: Sequence[float],
     per_r_min: dict = {}
     per_r_max: dict = {}
     e = grp.identity
+    xyz = [(x, y, z) for (x, z) in pairs for y in grp.relative_geodesic(x, z).vertices[1:-1]]
+    loc = _locate(measure, fld, [(e, e)] + [
+        p for x, y, z in xyz for p in ((x, z), (x, y), (y, z))])
     for r in rs:
-        gf = fld["G"][r]
-        tails = field_tails(fld, r, r * rho)
-        cache: dict = {}
+        val = _pair_values(loc, fld["G"][r], field_tails(fld, r, r * rho), r, rho, order,
+                           radius)
         lo, hi = math.inf, -math.inf
-        gee, tee = _pair_value(measure, fld, gf, tails, cache, e, e, r, rho, order, radius)
-        for (x, z) in pairs:
-            path = grp.relative_geodesic(x, z)
-            for y in path.vertices[1:-1]:
-                gxz, txz = _pair_value(measure, fld, gf, tails, cache, x, z, r, rho, order, radius)
-                gxy, _ = _pair_value(measure, fld, gf, tails, cache, x, y, r, rho, order, radius)
-                gyz, _ = _pair_value(measure, fld, gf, tails, cache, y, z, r, rho, order, radius)
-                if gxy <= 0 or gyz <= 0 or gxz <= 0:
-                    continue
-                ratio = gxz / (gxy * gyz)
-                rows.append(RatioRow(x=x, y=y, z=z, r=r, ratio=ratio))
-                lo, hi = min(lo, ratio), max(hi, ratio)
-                # lower bound: ratio >= 1/G(e,e) up to truncation slack
-                eps = (gee * txz + tee * gxz + tee * txz) / (gxy * gyz)
-                if ratio < 1.0 / gee - eps - 1e-12:
-                    lower_viol += 1
+        gee, tee = val[(e, e)]
+        for (x, y, z) in xyz:
+            gxz, txz = val[(x, z)]
+            gxy, gyz = val[(x, y)][0], val[(y, z)][0]
+            if gxy <= 0 or gyz <= 0 or gxz <= 0:
+                continue
+            ratio = gxz / (gxy * gyz)
+            rows.append(RatioRow(x=x, y=y, z=z, r=r, ratio=ratio))
+            lo, hi = min(lo, ratio), max(hi, ratio)
+            # lower bound: ratio >= 1/G(e,e) up to truncation slack
+            eps = (gee * txz + tee * gxz + tee * txz) / (gxy * gyz)
+            if ratio < 1.0 / gee - eps - 1e-12:
+                lower_viol += 1
         per_r_min[r] = lo
         per_r_max[r] = hi
     return AnconaReport(

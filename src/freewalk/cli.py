@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .engine import BudgetExceededError
+from .engine import TABLE_BYTES_PER_ELEMENT, BudgetExceededError
 from .groups import FINITE_CYCLIC, FREE_ABELIAN, FactorSpec, FreeProduct
 from .measures import Measure, default_radius, measure_from_pairs, return_sequence, validate
 from . import green as green_mod
@@ -487,7 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--truncation", default=None, metavar="m,B")
     parser.add_argument("--series-order", type=int, default=None)
     parser.add_argument("--r-grid", default=None, metavar="f1,f2,...")
-    parser.add_argument("--memory-cap", type=int, default=None, metavar="MB")
+    parser.add_argument("--memory-cap", type=int, default=None, metavar="MB",
+                        help="ball-table budget: MB * 10^6 / TABLE_BYTES_PER_ELEMENT "
+                             f"elements, {TABLE_BYTES_PER_ELEMENT} B being the measured peak "
+                             "per element of a table build, its step adjacency and one float "
+                             "step; Green fields, pair matrices and Python-int levels are "
+                             "not counted")
     parser.add_argument("--exact", action="store_true")
     parser.add_argument("--float", dest="float_mode", action="store_true")
     parser.add_argument("--out", default=None)
@@ -526,7 +531,7 @@ def main(argv=None) -> int:
         budgets.setdefault("radius", default_radius(measure, budgets["series_order"]))
         cap_mb = budgets.get("memory_cap_mb")
         if cap_mb is not None:
-            measure.max_table_elements = int(cap_mb) * 1_000_000 // 200
+            measure.max_table_elements = int(cap_mb) * 1_000_000 // TABLE_BYTES_PER_ELEMENT
         ctx = {
             "args": args,
             "group": group,

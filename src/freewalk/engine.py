@@ -3,11 +3,13 @@
 This is the workhorse behind exact convolution powers, Green evaluations
 and first-return kernels.  Elements reachable from e inside a word-radius
 cap are interned once into a trie of (parent id, syllable code) rows,
-grown one breadth-first layer at a time with numpy sort and search,
-together with the support adjacency; every random-walk computation is
-then a sequence of level steps over flat weight arrays, each one gather
-and one in-order scatter-add (`np.add.at`) per support column, so every
-element sums its incoming weight in support order.
+grown breadth first in passes bounded in cells with numpy sort and
+search, together with the support adjacency; every random-walk
+computation is then a sequence of level steps over flat weight arrays.
+A step scales the level once per support column: each column's dense
+prefix (the ids whose products all stay in the table) is scaled with no
+gather, the rest of its sources are gathered, and both are added in order
+by `np.add.at`, so every element sums its incoming weight in support order.
 
 `levels` is the one level driver: every DP over a table (return numbers,
 Green fields, absorbed profiles, distributions) is a loop over the levels
@@ -44,8 +46,15 @@ class BudgetExceededError(RuntimeError):
 
 _ZERO = -2  # merge row value: the two syllables cancel
 _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
-_PASS = 1 << 18  # sources expanded per builder pass; bounds the temporaries
+# cells (source x syllable step) per builder pass; bounds the pass temporaries
+_PASS = 1 << 18
 _BLOCK = 1 << 16  # entries per block of an exact dot; bounds its temporaries
+# Peak bytes per table element of a BallTable build, its step adjacency and
+# one unbounded float64 step, under tracemalloc: 95.7 B on the lazy F2 walk
+# at cap 12 (1,062,881 elements, five support columns), rounded up.  It does
+# not cover Green fields, pair matrices, Python-int levels or more support
+# columns; the CLI turns --memory-cap into an element budget with it.
+TABLE_BYTES_PER_ELEMENT = 100
 
 
 def _syllable_alphabet(group: FreeProduct, support, cap: int) -> list[FactorElement]:
@@ -119,6 +128,9 @@ class BallTable:
         length, max factor word length over syllables, first syllable factor)
     nbr : (M, K) int32 array; nbr[i, j] = id of element_i * support_j, or -1
         if the product leaves the cap.
+
+    The step adjacency (`adjacency`) is built by the first DP step, and the
+    (src, tgt) `columns` only when asked for.
     """
 
     def __init__(self, group: FreeProduct, support: Sequence[GroupElement], cap: int,
@@ -134,6 +146,7 @@ class BallTable:
         self._len = np.array(
             [group.factor_word_length(*s) for s in self.syllables] + [0], dtype=np.int32
         )
+        self._adj = None  # compact step adjacency, built by the first step
         self._cols = None
         self._reach: dict[int, int] = {}  # prefix bound -> bound on its one-step image
         self._wl_end: dict[int, int] = {}  # word-length bound -> id bound
@@ -144,13 +157,16 @@ class BallTable:
     # -- construction -------------------------------------------------------
 
     def _build(self, max_elements):
-        """Grow the trie breadth first, expanding up to _PASS sources per pass.
+        """Grow the trie breadth first, expanding sources in passes of about
+        _PASS cells (one cell is one source times one syllable step).
 
         A pass runs the support steps syllable by syllable over all its
         sources at once: each product is a pop to the parent, or a
         (parent, code) key that is looked up among the known elements or
         interned.  New elements are numbered by their first discovery, and
-        the pass's keys join the sorted key array at its end.
+        the pass's keys join the sorted key array at its end; a pass that
+        interns nothing leaves the key array alone.  The ids do not depend
+        on the pass size.
         """
         cap, stride, fac, slen = self.cap, self._stride, self._fac, self._len
         slots = list(self.syllables) + [None]
@@ -166,6 +182,7 @@ class BallTable:
         # discovery position of (support j, syllable k) within one source
         offset = np.cumsum([0] + [len(st) for st in steps])
         span = int(offset[-1])
+        per_pass = max(1, _PASS // max(1, span))  # sources per pass
 
         parent = np.full(1, -1, dtype=np.int32)
         code = np.full(1, stride - 1, dtype=np.int32)
@@ -199,7 +216,7 @@ class BallTable:
         check_budget(1)
         n, lo = 1, 0
         while lo < n:
-            hi, start = min(n, lo + _PASS), n
+            hi, start = min(n, lo + per_pass), n
             cur = np.repeat(np.arange(lo, hi, dtype=np.int32)[:, None], K, axis=1)
             pos_min = np.empty(0, dtype=np.int64)  # first discovery of each new element
             for k in range(depth):
@@ -219,8 +236,9 @@ class BallTable:
                 got[new] = np.arange(n, n + len(new))
                 cell = first[new]
                 p, s = lpar[cell], lsyl[cell]
-                for a in per_id:
-                    a.resize(n + len(new), refcheck=False)
+                if len(new):
+                    for a in per_id:
+                        a.resize(n + len(new), refcheck=False)
                 parent[n:] = p
                 code[n:] = s
                 wl[n:] = lw[cell]
@@ -243,14 +261,18 @@ class BallTable:
                 order = np.argsort(pos_min, kind="stable")
                 if (order != np.arange(len(order))).any():
                     self._renumber(per_id, cur, start, order)
-            nbr.resize((hi, K), refcheck=False)
-            nbr[lo:] = cur
-            lk = parent[start:].astype(np.int64) * stride + code[start:]
-            order = np.argsort(lk)
-            lk = lk[order]
-            at = np.searchsorted(keys, lk)
-            keys = np.insert(keys, at, lk)
-            kid = np.insert(kid, at, (start + order).astype(np.int32))
+            if len(nbr) < hi:
+                # while passes intern, rows only for this pass's sources keep
+                # the key merge's peak low; after, rows for every known element
+                nbr.resize((hi if n > start else n, K), refcheck=False)
+            nbr[lo:hi] = cur
+            if n > start:
+                lk = parent[start:].astype(np.int64) * stride + code[start:]
+                order = np.argsort(lk)
+                lk = lk[order]
+                at = np.searchsorted(keys, lk)
+                keys = np.insert(keys, at, lk)
+                kid = np.insert(kid, at, (start + order).astype(np.int32))
             lo = hi
         self.size = n
         self.parent, self.code, self.wl, self.rel, self.maxfac, self.first_f = per_id
@@ -271,16 +293,49 @@ class BallTable:
         moved = cur >= start
         cur[moved] = new_id[cur[moved] - start]
 
+    def _first(self) -> int:
+        """1 when support element 0 is the identity (its column is the
+        identity map and is not stored), else 0."""
+        return 1 if self.support and not self.support[0].syllables else 0
+
+    def adjacency(self):
+        """The compact step adjacency, one (d, tail, tgt) per support column
+        from _first() on.
+
+        Column j's sources are the ids whose product with support_j stays in
+        the table, ascending.  They start with the dense prefix [0, d), where
+        d is the first id whose product leaves the table; `tail` holds the
+        sources from d on, and `tgt` (int64) the targets of all sources in
+        order.  On a breadth-first table d covers the inner ball, so only the
+        outer shell stores its source ids.
+        """
+        if self._adj is None:
+            adj = []
+            for j in range(self._first(), len(self.support)):
+                col = self.nbr[:, j]
+                out = col < 0
+                d = int(out.argmax()) if out.any() else self.size
+                tail = d + np.flatnonzero(col[d:] >= 0)
+                tgt = np.empty(d + len(tail), dtype=np.int64)
+                tgt[:d] = col[:d]
+                tgt[d:] = col[tail]
+                adj.append((d, tail, tgt))
+            self._adj = adj
+        return self._adj
+
     def columns(self):
-        """Per-support compacted adjacency: (source ids, target ids) with the
-        out-of-cap edges dropped, contiguous for the DP inner loop."""
+        """Per-support (source ids, target ids) of the edges that stay in
+        the table, int64, sources ascending; the identity column included.
+
+        Derived from `adjacency` on the first call and kept; no DP reads it.
+        """
         if self._cols is None:
             cols = []
-            for j in range(len(self.support)):
-                tgt = self.nbr[:, j]
-                ok = tgt >= 0
-                src = np.nonzero(ok)[0].astype(np.int64)
-                cols.append((src, tgt[ok].astype(np.int64)))
+            if self._first():
+                ids = np.arange(self.size, dtype=np.int64)
+                cols.append((ids, ids))
+            for d, tail, tgt in self.adjacency():
+                cols.append((np.concatenate([np.arange(d, dtype=np.int64), tail]), tgt))
             self._cols = cols
         return self._cols
 
@@ -484,24 +539,27 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     injective, so a column hits each target at most once, and `np.add.at`
     adds into nw in edge order.  The identity column (support element e,
     first when present) is the identity map, so it starts the sum as
-    w * c_0.  A column's sources ascend, so its edges from the prefix are a
-    prefix of it; the edges left out would add exact zeros.  A bound only
-    zeroes the targets beyond it, after the step.  No temporary is larger
-    than one column.
+    w * c_0.  Every other column reads `table.adjacency()`: its dense
+    prefix scales w[:min(d, hi)] with no gather, then its tail's sources
+    below hi are gathered; the edges left out would add exact zeros.  A
+    bound only zeroes the targets beyond it, after the step.  No temporary
+    is larger than one column.
     """
     hi = len(w)
-    cols = table.columns()
-    first = 1 if table.support and not table.support[0].syllables else 0
+    first = table._first()
     nw = np.zeros(table.size, dtype=w.dtype)
     if first:
         np.multiply(w, col_weights[0], out=nw[:hi])
-    for (src, tgt), cj in zip(cols[first:], col_weights[first:]):
+    for (d, tail, tgt), cj in zip(table.adjacency(), col_weights[first:]):
         if cj == 0:
             continue
-        n = int(src.searchsorted(hi))
-        v = w[src[:n]]
-        v *= cj
-        np.add.at(nw, tgt[:n], v)
+        n = min(d, hi)
+        np.add.at(nw, tgt[:n], w[:n] * cj)
+        if hi > d:
+            m = int(tail.searchsorted(hi))
+            v = w[tail[:m]]
+            v *= cj
+            np.add.at(nw, tgt[d:d + m], v)
     # the table cap already enforces any bound at least as large
     if bound is not None and bound < table.cap:
         top = table.reach(hi)

@@ -1,12 +1,14 @@
-"""BallTable against an independent queue-BFS builder, the trie lookups and
-inversion, the DP step against the column-by-column bincount kernel, the
-exact pairing against Python big ints, the level driver against the
-callback loop it replaced, and every exact DP against the Fraction dict
-DP it replaced."""
+"""BallTable against an independent queue-BFS builder and against itself
+built in passes of other sizes, the trie lookups and inversion, the step
+adjacency against the (src, tgt) columns, the DP step against the
+column-by-column bincount kernel, the exact pairing against Python big
+ints, the level driver against the callback loop it replaced, every exact
+DP against the Fraction dict DP it replaced, and the build's memory."""
 
 import ast
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,12 +22,15 @@ from freewalk import (
     Measure,
     distribution,
     free_group,
+    lazy_walk,
     measure_from_pairs,
     return_sequence,
 )
+from freewalk import engine
 from freewalk.cli import build_group, build_measure, load_config
 from freewalk.engine import (
     _BLOCK,
+    TABLE_BYTES_PER_ELEMENT,
     BallTable,
     _exact_dots,
     _lookup,
@@ -249,6 +254,102 @@ def test_coordinates_beyond_int16():
     assert len(table.syllables) == 8  # multiples of 40000, not the word ball
 
 
+# -- builder passes ----------------------------------------------------------------
+
+TABLE_ARRAYS = ("parent", "code", "wl", "rel", "maxfac", "first_f", "nbr", "_keys", "_kid")
+
+
+def build_in_passes(group, support, cap, cells, max_elements=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_PASS", cells)
+        return BallTable(group, support, cap, max_elements)
+
+
+def refuses(group, support, cap, cells, budget):
+    try:
+        build_in_passes(group, support, cap, cells, budget)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+def assert_pass_size_free(group, support, cap):
+    """Passes of 1, 3 and 64 cells build the default table array for array
+    and, like it, refuse exactly the budgets below its size."""
+    base = BallTable(group, support, cap)
+    budgets = (base.size, base.size - 1, base.size // 2, 1, 0)
+    want = [b < base.size for b in budgets]
+    for cells in (1, 3, 64):
+        table = build_in_passes(group, support, cap, cells)
+        assert table.size == base.size
+        for name in TABLE_ARRAYS:
+            got, ref = getattr(table, name), getattr(base, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (cells, name)
+        assert [refuses(group, support, cap, cells, b) for b in budgets] == want, cells
+
+
+@pytest.mark.parametrize("name,cap", [("f2-lazy", 5), ("f2-simple", 5), ("z2-z3-lazy", 4)])
+def test_pass_size_leaves_the_table_unchanged_on_configs(name, cap):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    group = build_group(cfg)
+    assert_pass_size_free(group, list(build_measure(cfg, group, "exact").entries), cap)
+
+
+@pytest.mark.parametrize("make_group,texts,cap", [
+    (free_group, MULTI_F2, 5),
+    (free_group, ODD_F2, 9),
+    (z3_z5_z, Z3_Z5_Z, 3),
+    (free_group, AB_BA, 6),
+])
+def test_pass_size_leaves_the_table_unchanged_on_multi_syllable_supports(make_group, texts,
+                                                                        cap):
+    group = make_group()
+    assert_pass_size_free(group, _parse(group, texts), cap)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_products())
+def test_pass_size_leaves_the_table_unchanged_on_random_products(case):
+    assert_pass_size_free(*case)
+
+
+def traced_lazy_f2(cap):
+    """tracemalloc over a lazy-F2 build at the cap, then its step adjacency
+    and one unbounded float step from a table-sized level: (elements, build
+    peak, retained after the build, peak over everything)."""
+    measure = lazy_walk(free_group(2))
+    cols = [float(c) for c in measure.entries.values()]
+    tracemalloc.start()
+    try:
+        table = BallTable(measure.group, list(measure.entries), cap)
+        retained, build_peak = tracemalloc.get_traced_memory()
+        _step(table, np.ones(table.size), cols, None)
+        peak = max(build_peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return table.size, build_peak, retained, peak
+
+
+@pytest.fixture(scope="module")
+def lazy_f2_cap12_memory():
+    return traced_lazy_f2(12)
+
+
+def test_build_transient_stays_small(lazy_f2_cap12_memory):
+    """The cap-12 build's pass temporaries: peak minus what the table keeps
+    (about 16 MB; 100 MB when passes were 2^18 sources)."""
+    size, build_peak, retained, _ = lazy_f2_cap12_memory
+    assert size > 10**6
+    assert build_peak - retained < 32e6
+
+
+def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
+    """TABLE_BYTES_PER_ELEMENT is the measured peak per element of build,
+    adjacency and one float step, rounded up."""
+    size, _, _, peak = lazy_f2_cap12_memory
+    assert TABLE_BYTES_PER_ELEMENT - 10 < peak / size <= TABLE_BYTES_PER_ELEMENT
+
+
 # -- the DP step -------------------------------------------------------------------
 
 
@@ -276,12 +377,33 @@ def reference_step(table, w, col_weights, bound):
     return nw
 
 
+def reference_columns(table):
+    """The (src, tgt) columns as they were built from nbr before the
+    compact adjacency."""
+    out = []
+    for j in range(len(table.support)):
+        tgt = table.nbr[:, j]
+        ok = tgt >= 0
+        out.append((np.nonzero(ok)[0].astype(np.int64), tgt[ok].astype(np.int64)))
+    return out
+
+
+def assert_columns_match_reference(table):
+    cols = table.columns()
+    want = reference_columns(table)
+    assert len(cols) == len(want)
+    for (src, tgt), (ref_src, ref_tgt) in zip(cols, want):
+        assert src.dtype == tgt.dtype == np.int64
+        assert np.array_equal(src, ref_src) and np.array_equal(tgt, ref_tgt)
+
+
 def assert_step_matches_reference(table, weight_sets=()):
     """_step equals the reference bit for bit, for every bound 0..cap and
     None, with the given column weights and four random sets, on DP levels
     from e and on random weights with zeros; given only the prefix [0, hi)
     of a level that is zero from hi on, it returns the same table-sized
-    level."""
+    level.  Its (src, tgt) columns are the ones built from nbr."""
+    assert_columns_match_reference(table)
     rng = np.random.default_rng(0)
     K = len(table.support)
     weight_sets = list(weight_sets) + [
@@ -662,6 +784,31 @@ def test_levels_vanish_beyond_their_bound_and_match_full_width_steps(table, weig
         for t, ((w, hi), ref) in enumerate(zip(got, want)):
             assert 0 < hi <= table.size and not w[hi:].any(), (n_max, t, hi)
             assert np.array_equal(w, ref), (n_max, t)
+
+
+@pytest.mark.parametrize("table,weights,d_mu", prefix_tables(),
+                         ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "f2-drift", "z3-z5-z",
+                              "ab-BA"])
+def test_columns_match_the_nbr_construction(table, weights, d_mu):
+    assert_columns_match_reference(table)
+
+
+def test_no_dp_builds_the_columns(monkeypatch):
+    """The DPs step through the compact adjacency alone; `columns()` is
+    never built by them."""
+    def refuse(table):
+        raise AssertionError("a DP built the (src, tgt) columns")
+
+    monkeypatch.setattr(BallTable, "columns", refuse)
+    for measure in driver_measures():
+        d_mu = max(1, measure.d_mu)
+        return_sequence(measure, 18)  # beyond float64 capacity for the /97 walk
+        return_sequence(measure, 8)
+        return_sequence(measure.as_float(), 8)
+        distribution(measure, 4)
+        table = measure.table(4 * d_mu)
+        green_field(table, measure.entries.values(), 9, [0.25, 0.5])
+        absorbed_profile(table, measure.entries.values(), table.subgroup_ids(1), 9)
 
 
 def step_references():
