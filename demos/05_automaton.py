@@ -15,7 +15,7 @@ from freewalk.automaton import (
 
 F2 = free_group(2)
 
-types = cone_types(F2, m=4, B=3, C=3)
+types = cone_types(F2, m=4, B=3)
 print(f"{len(types)} cone types on Z * Z:")
 for t in types:
     print(f"  last factor {t.last_factor or 'none'}: representative "

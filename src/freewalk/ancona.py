@@ -112,25 +112,33 @@ def _pair_values(loc, gf, tails, r, rho, order, radius) -> dict:
     }
 
 
+def _audit_values(measure: Measure, pairs, rs: list[float], order: int,
+                  radius: int | None, n_max_spectral: int):
+    """Per r in rs, (r, values): `_pair_values` of (e, e) and of every pair,
+    all from one field and one location pass."""
+    radius = default_radius(measure, order) if radius is None else radius
+    rho = 1.0 / spectral_radius(measure, n_max_spectral).point
+    fld = _field(measure, rs, order, radius)
+    e = measure.group.identity
+    loc = _locate(measure, fld, [(e, e)] + pairs)
+    for r in rs:
+        yield r, _pair_values(loc, fld["G"][r], field_tails(fld, r, r * rho), r, rho, order,
+                              radius)
+
+
 def triangle_audit(measure: Measure, triples, r_values: Sequence[float],
                    order: int = 48, radius: int | None = None,
                    n_max_spectral: int = 28) -> TriangleAuditReport:
     """Worst signed slack of G(x,y)G(y,z) <= G(e,e)G(x,z) + eps over the
     sampled triples, eps from tail estimates."""
-    radius = default_radius(measure, order) if radius is None else radius
-    rho = 1.0 / spectral_radius(measure, n_max_spectral).point
     rs = [float(r) for r in r_values]
-    fld = _field(measure, rs, order, radius)
     worst = -math.inf
     violations = 0
     uninformative = 0
     per_r = {}
     e = measure.group.identity
-    loc = _locate(measure, fld, [(e, e)] + [
-        p for x, y, z in triples for p in ((x, y), (y, z), (x, z))])
-    for r in rs:
-        val = _pair_values(loc, fld["G"][r], field_tails(fld, r, r * rho), r, rho, order,
-                           radius)
+    pairs = [p for x, y, z in triples for p in ((x, y), (y, z), (x, z))]
+    for r, val in _audit_values(measure, pairs, rs, order, radius, n_max_spectral):
         gee, tee = val[(e, e)]
         r_worst = -math.inf
         r_viol = 0
@@ -168,21 +176,15 @@ def ratio_audit(measure: Measure, pairs, r_values: Sequence[float],
     admissible for the multiplicativity heuristics to apply.
     """
     grp = measure.group
-    radius = default_radius(measure, order) if radius is None else radius
-    rho = 1.0 / spectral_radius(measure, n_max_spectral).point
     rs = [float(r) for r in r_values]
-    fld = _field(measure, rs, order, radius)
     rows = []
     lower_viol = 0
     per_r_min: dict = {}
     per_r_max: dict = {}
     e = grp.identity
     xyz = [(x, y, z) for (x, z) in pairs for y in grp.relative_geodesic(x, z).vertices[1:-1]]
-    loc = _locate(measure, fld, [(e, e)] + [
-        p for x, y, z in xyz for p in ((x, z), (x, y), (y, z))])
-    for r in rs:
-        val = _pair_values(loc, fld["G"][r], field_tails(fld, r, r * rho), r, rho, order,
-                           radius)
+    located = [p for x, y, z in xyz for p in ((x, z), (x, y), (y, z))]
+    for r, val in _audit_values(measure, located, rs, order, radius, n_max_spectral):
         lo, hi = math.inf, -math.inf
         gee, tee = val[(e, e)]
         for (x, y, z) in xyz:

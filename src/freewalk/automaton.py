@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .groups import FINITE_CYCLIC, FactorElement, FreeProduct, GroupElement, word_ball
+from .groups import FINITE_CYCLIC, FactorElement, FreeProduct, GroupElement
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ class ConeType:
     representative: GroupElement
     last_factor: int  # 0 for the identity type
     extension_factors: tuple[int, ...]
-    domain: tuple[GroupElement, ...]
-    fingerprint: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -126,32 +124,21 @@ class AutomatonGraph:
 # -- cone types ------------------------------------------------------------------
 
 
-def _fingerprint(group: FreeProduct, g: GroupElement,
-                 domain: Sequence[GroupElement]) -> tuple[int, ...]:
-    base = group.relative_length(g)
-    return tuple(
-        group.relative_length(group.multiply(g, h)) - base for h in domain
-    )
-
-
 def _canonical(g: GroupElement) -> tuple:
     """Sort key of the canonical order: relative length, then syllables."""
     return len(g.syllables), g.syllables
 
 
-def cone_types(group: FreeProduct, m: int = 4, B: int = 3, C: int = 3) -> list[ConeType]:
+def cone_types(group: FreeProduct, m: int = 4, B: int = 3) -> list[ConeType]:
     """Distinct cone types over the (m, B)-ball.
 
     In a free product a nonidentity element extends to a longer relative
     geodesic by exactly the factors other than its last one, so the types
     are the identity and, when m >= 1, one per last factor k, represented
-    by the least letter of H_k.  Each type carries the word-ball fingerprint
-    g -> d^(e, rep g) - d^(e, rep) of its representative.  Equal
-    fingerprints imply equal types, never the converse.
+    by the least letter of H_k.
     """
     if m < 0 or B < 1:
         raise ValueError("need m >= 0 and B >= 1")
-    domain = word_ball(group, C)
     factors = tuple(range(1, group.num_factors + 1))
     reps = [(0, group.identity)]
     if m >= 1:
@@ -162,8 +149,6 @@ def cone_types(group: FreeProduct, m: int = 4, B: int = 3, C: int = 3) -> list[C
             representative=g,
             last_factor=last,
             extension_factors=tuple(k for k in factors if k != last),
-            domain=domain,
-            fingerprint=_fingerprint(group, g, domain),
         )
         for i, (last, g) in enumerate(reps)
     ]
@@ -247,7 +232,7 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
         raise ValueError(f"need automaton ball radius C >= 1, got C = {C}")
     if m < 1:  # the (0, B)-ball holds only e: no cone type per last factor
         raise ValueError(f"need relative ball radius m >= 1, got m = {m}")
-    types = cone_types(group, m, B, C)
+    types = cone_types(group, m, B)
     by_last = {t.last_factor: t for t in types}
     window = 2 * C + 1
     alphabet = GroupAlphabet(group, C) if kind == "canonical" else None

@@ -122,18 +122,20 @@ def _budgets(cfg: dict, args) -> dict:
 
 
 def _r_fractions(cfg: dict, args) -> list[float]:
-    if args.r_grid is not None:
-        return [float(x) for x in args.r_grid.split(",")]
     grid = cfg.get("r_grid", {})
-    if "fractions" in grid:
-        return [float(x) for x in grid["fractions"]]
-    if {"start", "stop", "count"} <= set(grid):
+    if args.r_grid is not None:
+        fractions = [float(x) for x in args.r_grid.split(",")]
+    elif "fractions" in grid:
+        fractions = [float(x) for x in grid["fractions"]]
+    elif {"start", "stop", "count"} <= set(grid):
         n = int(grid["count"])
-        if n == 1:
-            return [float(grid["start"])]
-        step = (float(grid["stop"]) - float(grid["start"])) / (n - 1)
-        return [float(grid["start"]) + i * step for i in range(n)]
-    return [0.3, 0.6, 0.9]
+        step = (float(grid["stop"]) - float(grid["start"])) / max(n - 1, 1)
+        fractions = [float(grid["start"]) + i * step for i in range(n)]
+    else:
+        fractions = [0.3, 0.6, 0.9]
+    if not fractions:
+        raise ConfigError("r_grid: needs at least one fraction of R")
+    return fractions
 
 
 def _write_json(path: Path, obj) -> None:
@@ -416,6 +418,10 @@ def cmd_tauber(ctx) -> dict:
             rows = [row for row in list(csv.reader(fh))[1:] if row]
         # n in the first column, the value (a float or an exact "p/q") in the second
         vals = sorted((int(row[0]), float(Fraction(row[1]))) for row in rows)
+        bad = next((n for i, (n, _) in enumerate(vals) if n != i), None)
+        if bad is not None:
+            raise ValueError(f"{args.input}: the n column must run 0..N in steps of 1; "
+                             f"first bad n = {bad}")
         seq = tauberian_mod.SequenceSpec(tuple(v for _, v in vals), args.input)
         beta = args.beta if args.beta is not None else 1.0
         n_top = len(seq) - 1
@@ -493,8 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "per element of a table build, its step adjacency and one float "
                              "step; Green fields, pair matrices and Python-int levels are "
                              "not counted")
-    parser.add_argument("--exact", action="store_true")
-    parser.add_argument("--float", dest="float_mode", action="store_true")
+    arithmetic = parser.add_mutually_exclusive_group()
+    arithmetic.add_argument("--exact", dest="arithmetic", action="store_const", const="exact",
+                            help="exact rational arithmetic, whatever the config says")
+    arithmetic.add_argument("--float", dest="arithmetic", action="store_const", const="float",
+                            help="float arithmetic, whatever the config says")
     parser.add_argument("--out", default=None)
     parser.add_argument("--export-dot", action="store_true")
     parser.add_argument("--input", default=None,
@@ -523,8 +532,7 @@ def main(argv=None) -> int:
         target.mkdir(parents=True, exist_ok=True)
         out_dir = target
         cfg_text = json.dumps(cfg, sort_keys=True)
-        mode = "float" if args.float_mode and not args.exact else \
-            cfg.get("arithmetic", "exact")
+        mode = args.arithmetic or cfg.get("arithmetic", "exact")
         group = build_group(cfg)
         measure = build_measure(cfg, group, mode)
         budgets = _budgets(cfg, args)

@@ -116,6 +116,12 @@ def _g_backward(measure: Measure, field: dict, r: float) -> np.ndarray:
     return field["table"].pull_back(gf)
 
 
+def _field_arrays(measure: Measure, r: float, order: int, radius: int):
+    """(table, G(e, . | r), G(., e | r)) from the one-r field."""
+    fld = _field(measure, [r], order, radius)
+    return fld["table"], fld["G"][r], _g_backward(measure, fld, r)
+
+
 def pruned_return_weights(measure: Measure, order: int, radius: int) -> list[float]:
     """Radius-pruned float return weights mu^{*n}(e), n = 0..order.
 
@@ -183,6 +189,21 @@ def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int
     return out
 
 
+def _pair_series(measure: Measure, pairs: Sequence[tuple[GroupElement, GroupElement]],
+                 r: float, order: int, radius: int | None) -> list[list[float]]:
+    """Coefficients mu^{*n}(x^-1 y), n = 0..order, of G(x, y | .) for every
+    pair (x, y), all from one DP."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    radius = default_radius(measure, order) if radius is None else radius
+    grp = measure.group
+    targets = [grp.multiply(grp.inverse(x), y) for x, y in pairs]
+    series = _target_series(measure, targets, order, radius)
+    return [series[w] for w in targets]
+
+
 # -- Green values ------------------------------------------------------------------
 
 
@@ -194,14 +215,7 @@ def green_value(measure: Measure, x: GroupElement, y: GroupElement, r: float,
     bound converging to G as both grow.  G(x, y | r) = G(e, x^-1 y | r) by
     left invariance.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    radius = default_radius(measure, order) if radius is None else radius
-    grp = measure.group
-    w = grp.multiply(grp.inverse(x), y)
-    coeffs = _target_series(measure, [w], order, radius)[w]
+    (coeffs,) = _pair_series(measure, [(x, y)], r, order, radius)
     return _series_stats(_derivative_terms(coeffs, r))
 
 
@@ -210,28 +224,26 @@ def green_derivative(measure: Measure, x: GroupElement, y: GroupElement, r: floa
     """Term-wise k-th derivative: sum_{n>=k} n(n-1)...(n-k+1) mu^{*n} r^{n-k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    radius = default_radius(measure, order) if radius is None else radius
-    grp = measure.group
-    w = grp.multiply(grp.inverse(x), y)
-    coeffs = _target_series(measure, [w], order, radius)[w]
+    (coeffs,) = _pair_series(measure, [(x, y)], r, order, radius)
     return _series_stats(_derivative_terms(coeffs, r, k))
 
 
 def f_ratio(measure: Measure, x: GroupElement, y: GroupElement, r: float,
             order: int = 48, radius: int | None = None) -> float:
     """F(x, y | r) = G(x, y | r) / G(e, e | r)."""
-    radius = default_radius(measure, order) if radius is None else radius
-    grp = measure.group
-    w = grp.multiply(grp.inverse(x), y)
-    series = _target_series(measure, [w, grp.identity], order, radius)
-    return series_derivative(series[w], r) / series_derivative(series[grp.identity], r)
+    e = measure.group.identity
+    gxy, gee = (series_derivative(c, r)
+                for c in _pair_series(measure, [(x, y), (e, e)], r, order, radius))
+    return gxy / gee
 
 
 def green_metrics(measure: Measure, x: GroupElement, y: GroupElement, r: float,
                   order: int = 48, radius: int | None = None) -> tuple[float, float]:
     """(d_G, symmetrized d_G): -log F one way, minus log F both ways."""
-    fxy = f_ratio(measure, x, y, r, order, radius)
-    fyx = f_ratio(measure, y, x, r, order, radius)
+    e = measure.group.identity
+    gxy, gyx, gee = (series_derivative(c, r) for c in
+                     _pair_series(measure, [(x, y), (y, x), (e, e)], r, order, radius))
+    fxy, fyx = gxy / gee, gyx / gee
     if fxy == 0 or fyx == 0:
         return math.inf, math.inf
     return -math.log(fxy), -math.log(fxy) - math.log(fyx)
@@ -260,6 +272,19 @@ def _ratio_extrapolate(logs: list[tuple[int, float]]) -> float:
     return col[-1][1]
 
 
+def _root_growth(evens: list[tuple[int, float]],
+                 extrapolate: bool) -> tuple[tuple[float, ...], float]:
+    """The roots v^(1/2n) of positive even terms (n, v = a_{2n}) and the
+    growth rate lim a_{2n}^(1/2n) they estimate: by ratio extrapolation when
+    `extrapolate` and there are at least four terms, else the last root
+    (0.0 without terms)."""
+    diagnostics = tuple(v ** (1.0 / (2 * n)) for n, v in evens)
+    if extrapolate and len(evens) >= 4:
+        logs = [(n, math.log(v)) for n, v in evens]
+        return diagnostics, math.exp(_ratio_extrapolate(logs) / 2.0)
+    return diagnostics, diagnostics[-1] if diagnostics else 0.0
+
+
 def spectral_radius(measure: Measure, n_max: int = 28) -> SpectralRadiusEstimate:
     """Fekete-certified upper bound on R_mu and a ratio-extrapolation point
     estimate of 1/R_mu (the latter requires a symmetric measure).
@@ -274,17 +299,12 @@ def spectral_radius(measure: Measure, n_max: int = 28) -> SpectralRadiusEstimate
         positive = [(n, v) for n, v in evens if v > 0]
         if not positive:
             raise ValueError("no positive even return probabilities up to n_max")
-        diagnostics = tuple(v ** (1.0 / (2 * n)) for n, v in positive)
         certified = min(v ** (-1.0 / (2 * n)) for n, v in positive)
         ratios = tuple(
             float(q[2 * n + 2] / q[2 * n]) for n, _ in positive[:-1] if q[2 * n] > 0
         )
         symmetric = measure.is_symmetric()
-        if symmetric and len(positive) >= 4:
-            logs = [(n, math.log(v)) for n, v in positive]
-            rho = math.exp(_ratio_extrapolate(logs) / 2.0)
-        else:
-            rho = diagnostics[-1]
+        diagnostics, rho = _root_growth(positive, symmetric)
         return SpectralRadiusEstimate(
             certified_upper=certified,
             point=1.0 / rho,
@@ -340,11 +360,9 @@ def spatial_sum(measure: Measure, k: int, r: float, truncation: tuple[int, int],
         raise ValueError("k must be >= 1")
     m, B = truncation
     radius = default_radius(measure, order) if radius is None else radius
-    fld = _field(measure, [r], order, radius)
-    gf = fld["G"][r]
-    gb = _g_backward(measure, fld, r)
+    table, gf, gb = _field_arrays(measure, r, order, radius)
     if k == 1:
-        mask = fld["table"].mask_ball(m, B)
+        mask = table.mask_ball(m, B)
         return float((gf[mask] * gb[mask]).sum())
     _, _, ids, pair = _pair_matrix_ids(measure, m, B, radius)
     M = np.where(pair >= 0, gf[np.maximum(pair, 0)], 0.0)
@@ -359,10 +377,7 @@ def sphere_sums(measure: Measure, r: float, M: int, B: int,
     """u_m = sum over the truncated relative sphere of H(e, g | r)
     = G(e, g | r) G(g, e | r), m = 0..M."""
     radius = default_radius(measure, order) if radius is None else radius
-    fld = _field(measure, [r], order, radius)
-    table = fld["table"]
-    gf = fld["G"][r]
-    gb = _g_backward(measure, fld, r)
+    table, gf, gb = _field_arrays(measure, r, order, radius)
     prod = gf * gb
     vals = []
     for m in range(M + 1):

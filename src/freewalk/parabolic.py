@@ -21,8 +21,9 @@ import numpy as np
 from . import engine
 from .groups import FINITE_CYCLIC, GroupElement
 from .measures import Measure, default_radius
-from .green import (_field, _g_backward, _ratio_extrapolate, pruned_return_weights,
-                    series_derivative, spectral_radius)
+from .green import (_field_arrays, _root_growth, pruned_return_weights, series_derivative,
+                    spectral_radius)
+from .tauberian import _slope
 
 
 @dataclass(frozen=True)
@@ -167,41 +168,34 @@ def first_return_kernel(measure: Measure, k: int, r: float, horizon: int = 64,
 def _kernel_power_series(measure: Measure, kernel: ReturnKernel, order: int,
                          h_ball: int) -> list[float]:
     """p^{(n)}(e, e) for n = 0..order, states truncated to the factor ball."""
-    group = measure.group
-    k = kernel.factor
-    spec = group.factor(k)
+    spec = measure.group.factor(kernel.factor)
+    moves = []  # (src, dst, w): the window a move shifts and where it lands
     if spec.kind == FINITE_CYCLIC:
         m = spec.order
-        vec = np.zeros(m)
-        vec[0] = 1.0
+        shape, center = (m,), (0,)
         mover = np.zeros(m)
         for sigma, w in kernel.nu.items():
             shift = sigma.syllables[0].coords[0] if sigma.syllables else 0
             mover[shift % m] += w
-        # np.roll(vec, s) is vec[(i - s) % m]: one gather index per shift
-        shifts = [(mover[s], (np.arange(m) - s) % m) for s in range(m) if mover[s]]
-        series = [1.0]
-        for _ in range(order):
-            new = np.zeros(m)
-            for c, idx in shifts:
-                new += c * vec[idx]
-            vec = new
-            series.append(float(vec[0]))
-        return series
-
-    d = spec.rank
-    width = 2 * h_ball + 1
-    shape = (width,) * d
+        # the shift by s adds w vec[(i - s) % m] to new[i]: vec[:m - s] lands
+        # on new[s:], and the wrapped vec[m - s:] on new[:s]
+        for s in range(m):
+            if mover[s]:
+                moves.append(((slice(0, m - s),), (slice(s, m),), mover[s]))
+                if s:
+                    moves.append(((slice(m - s, m),), (slice(0, s),), mover[s]))
+    else:
+        d = spec.rank
+        width = 2 * h_ball + 1
+        shape, center = (width,) * d, (h_ball,) * d
+        for sigma, w in kernel.nu.items():
+            off = sigma.syllables[0].coords if sigma.syllables else (0,) * d
+            if all(abs(c) <= 2 * h_ball for c in off):  # a nonempty window on every axis
+                spans = [(max(0, -c), min(width, width - c), c) for c in off]
+                moves.append((tuple(slice(lo, hi) for lo, hi, _ in spans),
+                              tuple(slice(lo + c, hi + c) for lo, hi, c in spans), w))
     vec = np.zeros(shape)
-    center = (h_ball,) * d
     vec[center] = 1.0
-    moves = []  # (src, dst, w): the window a move shifts and where it lands
-    for sigma, w in kernel.nu.items():
-        off = sigma.syllables[0].coords if sigma.syllables else (0,) * d
-        if all(abs(c) <= 2 * h_ball for c in off):  # a nonempty window on every axis
-            spans = [(max(0, -c), min(width, width - c), c) for c in off]
-            moves.append((tuple(slice(lo, hi) for lo, hi, _ in spans),
-                          tuple(slice(lo + c, hi + c) for lo, hi, c in spans), w))
     series = [1.0]
     for _ in range(order):
         new = np.zeros(shape)
@@ -268,15 +262,10 @@ def kernel_radius(measure: Measure, k: int, r: float, order: int = 192,
                                     mass_reciprocal=math.inf, diagnostics=())
     series = _kernel_power_series(measure, kern, order, h_ball)
     evens = [(n, series[2 * n]) for n in range(1, order // 2 + 1) if series[2 * n] > 0]
-    diagnostics = tuple(v ** (1.0 / (2 * n)) for n, v in evens)
-    if len(evens) >= 4:
-        logs = [(n, math.log(v)) for n, v in evens]
-        growth = math.exp(_ratio_extrapolate(logs) / 2.0)
-        estimate = 1.0 / growth
-    else:
-        estimate = 1.0 / diagnostics[-1] if diagnostics else math.inf
+    diagnostics, growth = _root_growth(evens, extrapolate=True)
     return KernelRadiusEstimate(
-        factor=k, r=r, estimate=estimate, mass_reciprocal=1.0 / kern.mass,
+        factor=k, r=r, estimate=1.0 / growth if growth else math.inf,
+        mass_reciprocal=1.0 / kern.mass,
         diagnostics=diagnostics,
     )
 
@@ -295,10 +284,7 @@ def green_moments(measure: Measure, k: int, r: float,
     """
     group = measure.group
     radius = default_radius(measure, order) if radius is None else radius
-    fld = _field(measure, [r], order, radius)
-    table = fld["table"]
-    gf = fld["G"][r]
-    gb = _g_backward(measure, fld, r)
+    table, gf, gb = _field_arrays(measure, r, order, radius)
 
     partials = []
     for B in ladder:
@@ -389,14 +375,7 @@ def classify(measure: Measure, n_max: int = 24, order: int = 128,
     for i in range(6):
         rr = r_top * (1.0 - 0.2 * 0.5**i)
         grid.append((rr, series_derivative(qf, rr, 1)))
-    xs = [math.log(r_top - rr) for rr, _ in grid]
-    ys = [math.log(g) for _, g in grid]
-    n_pts = len(xs)
-    sx, sy = math.fsum(xs), math.fsum(ys)
-    sxx = math.fsum(x * x for x in xs)
-    sxy = math.fsum(x * y for x, y in zip(xs, ys))
-    slope = (n_pts * sxy - sx * sy) / (n_pts * sxx - sx * sx)
-    blowup = -slope
+    blowup = -_slope([math.log(r_top - rr) for rr, _ in grid], [math.log(g) for _, g in grid])
     escaped = grid[-1][1] / grid[0][1]
     if blowup > 0.1 and escaped > ESCAPE_RATIO:
         divergent = "yes"

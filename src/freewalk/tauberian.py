@@ -68,6 +68,15 @@ def _spread(vals: Sequence[float]) -> tuple[float, float]:
     return (min(pos), max(pos))
 
 
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against xs, its sums exactly rounded."""
+    n = len(xs)
+    sx, sy = math.fsum(xs), math.fsum(ys)
+    sxx = math.fsum(x * x for x in xs)
+    sxy = math.fsum(x * y for x, y in zip(xs, ys))
+    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
 def check_partial_sums_vs_laplace(seq: SequenceSpec, beta: float,
                                   s_grid: Sequence[float],
                                   n_grid: Sequence[int]) -> RatioFamilyReport:
@@ -157,14 +166,7 @@ def check_monotone_lemma(seq: SequenceSpec, beta: float,
     # fit the log-log slope and ask it to be near zero
     xs = [math.log(n) for n, _ in hypothesis]
     ys = [math.log(v) for _, v in hypothesis if v > 0]
-    hypothesis_ok = False
-    if len(ys) == len(xs) and len(xs) >= 3:
-        n_pts = len(xs)
-        sx, sy = math.fsum(xs), math.fsum(ys)
-        sxx = math.fsum(x * x for x in xs)
-        sxy = math.fsum(x * y for x, y in zip(xs, ys))
-        slope = (n_pts * sxy - sx * sy) / (n_pts * sxx - sx * sx)
-        hypothesis_ok = abs(slope) < 0.15
+    hypothesis_ok = len(ys) == len(xs) >= 3 and abs(_slope(xs, ys)) < 0.15
     conclusion_bounded = (
         math.isfinite(c_spread[1]) and c_spread[0] > 0
         and c_spread[1] / c_spread[0] < 50.0

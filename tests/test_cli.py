@@ -213,3 +213,58 @@ def test_r_grid_flag(config_path, tmp_path):
     assert run("green", config_path, out, "--r-grid", "0.2,0.5") == 0
     lines = (out / "green.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 rows
+
+
+def write_config(tmp_path, **changes):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg.update(changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def q_values(out):
+    return [line.split(",")[1] for line in (out / "q.csv").read_text().splitlines()[1:]]
+
+
+def test_exact_flag_overrides_a_float_config(tmp_path):
+    path = write_config(tmp_path, arithmetic="float")
+    assert main(["llt", path, "--out", str(tmp_path / "f")]) == 0
+    assert main(["llt", path, "--out", str(tmp_path / "x"), "--exact"]) == 0
+    assert q_values(tmp_path / "f")[2] == "0.3125"
+    assert q_values(tmp_path / "x")[2] == "5/16"
+
+
+def test_float_flag_overrides_an_exact_config(config_path, tmp_path):
+    assert run("llt", config_path, tmp_path / "x") == 0
+    assert run("llt", config_path, tmp_path / "f", "--float") == 0
+    assert q_values(tmp_path / "x")[2] == "5/16"
+    assert q_values(tmp_path / "f")[2] == "0.3125"
+
+
+def test_exact_and_float_together_exit_one(config_path, tmp_path, capsys):
+    assert run("llt", config_path, tmp_path / "o", "--exact", "--float") == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ns, bad", [(range(5, 205), 5), (range(0, 400, 2), 2)])
+def test_tauber_rejects_an_n_column_other_than_0_to_N(config_path, tmp_path, capsys,
+                                                      ns, bad):
+    csv_path = tmp_path / "q.csv"
+    csv_path.write_text("n,q_n\n" + "".join(f"{n},{1.0 / (n + 1)}\n" for n in ns))
+    out = tmp_path / "o"
+    assert run("tauber", config_path, out, "--input", str(csv_path)) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and f"first bad n = {bad}" in err
+    assert not (out / "tauber.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
+@pytest.mark.parametrize("grid", [{"fractions": []}, {"start": 0.2, "stop": 0.8, "count": 0}])
+def test_empty_r_grid_exits_one_with_manifest(tmp_path, capsys, grid):
+    path = write_config(tmp_path, r_grid=grid)
+    for cmd in ("green", "ancona", "identities", "validate"):
+        out = tmp_path / cmd
+        assert main([cmd, path, "--out", str(out)]) == 1
+        assert "config error: r_grid:" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1

@@ -1,7 +1,9 @@
 """Green values, spectral radius against the tree oracle, identity checks."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,68 @@ def test_f_ratio_and_metrics(zz, walk):
     fyx = f_ratio(drift, a, e, r, order=12, radius=6)
     assert fxy != fyx
     assert (d, dsym) == (-math.log(fxy), -math.log(fxy) - math.log(fyx))
+
+
+def test_green_metrics_is_one_dp_of_the_f_ratios(zz, monkeypatch):
+    # G(x,y), G(y,x) and G(e,e) come from one level DP, and the metrics
+    # equal the two f_ratio calls bit for bit
+    from freewalk import engine
+
+    e, a, b = zz.identity, zz.gen("a"), zz.gen("b")
+    drift = Measure(zz, {a: Fraction(1, 2), zz.inverse(a): Fraction(1, 4),
+                         b: Fraction(1, 8), zz.inverse(b): Fraction(1, 8)})
+    levels, calls = engine.levels, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "levels", counted)
+    for mu in (simple_walk(zz), drift, drift.as_float()):
+        for x, y in ((e, a), (a, zz.multiply(b, b)), (zz.inverse(b), e)):
+            fxy = f_ratio(mu, x, y, 0.6, order=10, radius=6)
+            fyx = f_ratio(mu, y, x, 0.6, order=10, radius=6)
+            del calls[:]
+            got = green_metrics(mu, x, y, 0.6, order=10, radius=6)
+            assert len(calls) == 1
+            assert got == (-math.log(fxy), -math.log(fxy) - math.log(fyx))
+
+
+def test_pair_functions_reject_negative_r_and_order_below_one(zz, walk):
+    e, a = zz.identity, zz.gen("a")
+    calls = (
+        lambda r, order: green_value(walk, e, a, r, order=order),
+        lambda r, order: green_derivative(walk, e, a, r, 1, order=order),
+        lambda r, order: f_ratio(walk, e, a, r, order=order),
+        lambda r, order: green_metrics(walk, e, a, r, order=order),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            call(-0.1, 4)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            call(0.3, 0)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "freewalk"
+
+
+def source_files_naming(name: str) -> set[str]:
+    """Package source files that name `name`: a use, an attribute or an import."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and node.name == name):
+                found.add(path.name)
+    return found
+
+
+def test_green_series_helpers_are_used_only_in_green():
+    # one copy of the pair-series DP, the root-growth extrapolation and the
+    # backward Green array: every other module goes through green.py
+    for name in ("_ratio_extrapolate", "_g_backward", "_target_series"):
+        assert source_files_naming(name) == {"green.py"}, name
 
 
 def test_triangle_inequality_instance(zz, walk):

@@ -4,12 +4,15 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from freewalk import free_group, free_product, lazy_walk, simple_walk, FactorSpec
+from freewalk import (free_group, free_product, lazy_walk, measure_from_pairs, simple_walk,
+                      FactorSpec)
 from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN
 from freewalk.green import resolve_r, spectral_radius
 from freewalk.parabolic import (
+    _kernel_power_series,
     classify,
     equadiff_table,
     first_return_kernel,
@@ -161,6 +164,39 @@ def test_kernel_power_series_on_cyclic_factor():
     assert series[0] == 1.0
     assert all(v >= 0 for v in series)
     assert any(v > 0 for v in series[1:])
+
+
+def gathered_cyclic_powers(kernel, m, order):
+    """Reference: p^(n)(e, e) on Z/m, each shift s adding c_s vec[(i - s) % m]
+    through a gather index."""
+    mover = np.zeros(m)
+    for sigma, w in kernel.nu.items():
+        mover[(sigma.syllables[0].coords[0] if sigma.syllables else 0) % m] += w
+    vec = np.zeros(m)
+    vec[0] = 1.0
+    series = [1.0]
+    for _ in range(order):
+        new = np.zeros(m)
+        for s in range(m):
+            if mover[s]:
+                new += mover[s] * vec[(np.arange(m) - s) % m]
+        vec = new
+        series.append(float(vec[0]))
+    return series
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_cyclic_kernel_powers_equal_the_gathered_shifts(m):
+    # the slice moves add the same products in the same shift order
+    grp = free_product(FactorSpec(FREE_ABELIAN), FactorSpec(FINITE_CYCLIC, order=m))
+    skewed = measure_from_pairs(grp, [(grp.parse(x), Fraction(w)) for x, w in (
+        ("e", "1/2"), ("1:(1)", "1/8"), ("1:(-1)", "1/8"), ("2:(1)", "3/16"),
+        ("2:(2)", "1/16"))])
+    for mu in (lazy_walk(grp), skewed):
+        for r in (0.3, 0.9, 1.2):
+            kern = first_return_kernel(mu, 2, r, horizon=16, exploration_radius=8)
+            want = gathered_cyclic_powers(kern, m, 96)
+            assert _kernel_power_series(mu, kern, 96, 8) == want
 
 
 def test_green_moments_base_cases(zz, lazy):
