@@ -68,8 +68,8 @@ def sample_triples(group: FreeProduct, m: int, B: int, count: int,
 
 
 def geodesic_pairs(group: FreeProduct, m: int, B: int) -> list[tuple[GroupElement, GroupElement]]:
-    """All pairs (e, z) plus translated pairs with at least one interior
-    relative-geodesic vertex."""
+    """The pairs (e, z), z in the relative (m, B)-ball, whose relative
+    geodesic has at least one interior vertex: z of relative length >= 2."""
     out = []
     for z in group.enumerate_ball(m, B):
         if group.relative_length(z) >= 2:

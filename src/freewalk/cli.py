@@ -107,8 +107,12 @@ def build_measure(cfg: dict, group: FreeProduct, mode: str) -> Measure:
 
 
 def _budgets(cfg: dict, args) -> dict:
+    given = cfg.get("budgets", {})
+    unknown = sorted(set(given) - set(DEFAULT_BUDGETS) - {"radius"})
+    if unknown:
+        raise ConfigError(f"budgets: unknown key {', '.join(map(repr, unknown))}")
     budgets = dict(DEFAULT_BUDGETS)
-    budgets.update(cfg.get("budgets", {}))
+    budgets.update(given)
     if args.n_max is not None:
         budgets["n_max"] = args.n_max
     if args.series_order is not None:
@@ -245,15 +249,12 @@ def cmd_parabolic(ctx) -> dict:
     order, radius = budgets["series_order"], budgets["radius"]
     horizon = budgets["horizon"]
     est = green_mod.spectral_radius(measure, budgets["n_max"])
-    resolved = []
+    resolved = [frac * est.point for frac in ctx["fractions"]]
     report: dict = {"factors": []}
     group = measure.group
     for k in range(1, group.num_factors + 1):
         entry: dict = {"factor": k, "rows": []}
-        for frac in ctx["fractions"]:
-            r = frac * est.point
-            if frac == ctx["fractions"][0]:
-                resolved.append(r)
+        for frac, r in zip(ctx["fractions"], resolved):
             kern = parabolic_mod.first_return_kernel(measure, k, r, horizon, radius)
             kr = parabolic_mod.kernel_radius(
                 measure, k, r, budgets["kernel_order"], horizon, radius,
@@ -413,6 +414,9 @@ def cmd_ancona(ctx) -> dict:
 def cmd_tauber(ctx) -> dict:
     args = ctx["args"]
     doc: dict = {}
+    if args.beta is not None and not args.input:
+        raise ValueError("--beta is the exponent of the --input sequence; "
+                         "without --input it has nothing to apply to")
     if args.input:
         with open(args.input, newline="") as fh:
             rows = [row for row in list(csv.reader(fh))[1:] if row]
@@ -496,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--memory-cap", type=int, default=None, metavar="MB",
                         help="ball-table budget: MB * 10^6 / TABLE_BYTES_PER_ELEMENT "
                              f"elements, {TABLE_BYTES_PER_ELEMENT} B being the measured peak "
-                             "per element of a table build, its step adjacency and one float "
-                             "step; Green fields, pair matrices and Python-int levels are "
-                             "not counted")
+                             "per element of a table build, which ends with its step "
+                             "adjacency, and one float step; Green fields, pair matrices and "
+                             "Python-int levels are not counted")
     arithmetic = parser.add_mutually_exclusive_group()
     arithmetic.add_argument("--exact", dest="arithmetic", action="store_const", const="exact",
                             help="exact rational arithmetic, whatever the config says")
@@ -509,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", default=None,
                         help="tauber: CSV with n in the first column and the value in "
                              "the second after a header row, such as llt's q.csv")
-    parser.add_argument("--beta", type=float, default=None)
+    parser.add_argument("--beta", type=float, default=None,
+                        help="tauber: the exponent of the --input sequence (default 1); "
+                             "only with --input")
     return parser
 
 

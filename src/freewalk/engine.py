@@ -4,7 +4,7 @@ This is the workhorse behind exact convolution powers, Green evaluations
 and first-return kernels.  Elements reachable from e inside a word-radius
 cap are interned once into a trie of (parent id, syllable code) rows,
 grown breadth first in passes bounded in cells with numpy sort and
-search, together with the support adjacency; every random-walk
+search, ending with the compact step adjacency; every random-walk
 computation is then a sequence of level steps over flat weight arrays.
 A step scales the level once per support column: each column's dense
 prefix (the ids whose products all stay in the table) is scaled with no
@@ -49,12 +49,12 @@ _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
 # cells (source x syllable step) per builder pass; bounds the pass temporaries
 _PASS = 1 << 18
 _BLOCK = 1 << 16  # entries per block of an exact dot; bounds its temporaries
-# Peak bytes per table element of a BallTable build, its step adjacency and
-# one unbounded float64 step, under tracemalloc: 95.7 B on the lazy F2 walk
-# at cap 12 (1,062,881 elements, five support columns), rounded up.  It does
-# not cover Green fields, pair matrices, Python-int levels or more support
-# columns; the CLI turns --memory-cap into an element budget with it.
-TABLE_BYTES_PER_ELEMENT = 100
+# Peak bytes per table element of a BallTable build, which ends with its step
+# adjacency, and one unbounded float64 step, under tracemalloc: 80.7 B on
+# lazy F2 at cap 12 (1,062,881 elements, five support columns), rounded up.
+# It does not cover Green fields, pair matrices, Python-int levels or more
+# support columns; the CLI turns --memory-cap into an element budget with it.
+TABLE_BYTES_PER_ELEMENT = 85
 
 
 def _syllable_alphabet(group: FreeProduct, support, cap: int) -> list[FactorElement]:
@@ -124,13 +124,12 @@ class BallTable:
     parent, code : per-id int32 arrays; element i is element parent[i] times
         syllables[code[i]] (the identity has parent -1 and the empty code
         len(syllables))
-    wl, rel, maxfac, first_f : per-id int arrays (word length, relative
-        length, max factor word length over syllables, first syllable factor)
-    nbr : (M, K) int32 array; nbr[i, j] = id of element_i * support_j, or -1
-        if the product leaves the cap.
+    wl, rel, maxfac : per-id int32 arrays (word length, relative length,
+        max factor word length over syllables)
 
-    The step adjacency (`adjacency`) is built by the first DP step, and the
-    (src, tgt) `columns` only when asked for.
+    The step relation g -> g * support_j is held once, as the compact
+    `adjacency` that the build ends with; the (src, tgt) `columns` are
+    derived from it only when asked for.
     """
 
     def __init__(self, group: FreeProduct, support: Sequence[GroupElement], cap: int,
@@ -146,7 +145,6 @@ class BallTable:
         self._len = np.array(
             [group.factor_word_length(*s) for s in self.syllables] + [0], dtype=np.int32
         )
-        self._adj = None  # compact step adjacency, built by the first step
         self._cols = None
         self._reach: dict[int, int] = {}  # prefix bound -> bound on its one-step image
         self._wl_end: dict[int, int] = {}  # word-length bound -> id bound
@@ -166,7 +164,9 @@ class BallTable:
         interned.  New elements are numbered by their first discovery, and
         the pass's keys join the sorted key array at its end; a pass that
         interns nothing leaves the key array alone.  The ids do not depend
-        on the pass size.
+        on the pass size.  Row i of the neighbour matrix `nbr` holds the ids
+        of element_i * support_j (-1 beyond the cap) until the build ends by
+        turning it into the step adjacency.
         """
         cap, stride, fac, slen = self.cap, self._stride, self._fac, self._len
         slots = list(self.syllables) + [None]
@@ -187,8 +187,7 @@ class BallTable:
         parent = np.full(1, -1, dtype=np.int32)
         code = np.full(1, stride - 1, dtype=np.int32)
         wl, rel, maxfac = (np.zeros(1, dtype=np.int32) for _ in range(3))
-        first_f = np.zeros(1, dtype=np.int8)
-        per_id = (parent, code, wl, rel, maxfac, first_f)
+        per_id = (parent, code, wl, rel, maxfac)
         nbr = np.empty((0, K), dtype=np.int32)
         keys = np.empty(0, dtype=np.int64)
         kid = np.empty(0, dtype=np.int32)
@@ -244,7 +243,6 @@ class BallTable:
                 wl[n:] = lw[cell]
                 rel[n:] = rel[p] + 1
                 maxfac[n:] = np.maximum(maxfac[p], slen[s])
-                first_f[n:] = np.where(p == 0, fac[s], first_f[p])
                 n += len(new)
                 res[look] = got[inv]
                 cur[:, js] = res
@@ -275,9 +273,18 @@ class BallTable:
                 kid = np.insert(kid, at, (start + order).astype(np.int32))
             lo = hi
         self.size = n
-        self.parent, self.code, self.wl, self.rel, self.maxfac, self.first_f = per_id
-        self.nbr = nbr
+        self.parent, self.code, self.wl, self.rel, self.maxfac = per_id
         self._keys, self._kid = keys, kid
+        self._adj = []
+        for j in range(self._first(), K):
+            col = nbr[:, j]
+            out = col < 0
+            d = int(out.argmax()) if out.any() else n
+            tail = d + np.flatnonzero(col[d:] >= 0)
+            tgt = np.empty(d + len(tail), dtype=np.int64)
+            tgt[:d] = col[:d]
+            tgt[d:] = col[tail]
+            self._adj.append((d, tail, tgt))
 
     @staticmethod
     def _renumber(per_id, cur, start, order):
@@ -307,20 +314,9 @@ class BallTable:
         d is the first id whose product leaves the table; `tail` holds the
         sources from d on, and `tgt` (int64) the targets of all sources in
         order.  On a breadth-first table d covers the inner ball, so only the
-        outer shell stores its source ids.
+        outer shell stores its source ids.  The build leaves it, the table's
+        only copy of the step relation.
         """
-        if self._adj is None:
-            adj = []
-            for j in range(self._first(), len(self.support)):
-                col = self.nbr[:, j]
-                out = col < 0
-                d = int(out.argmax()) if out.any() else self.size
-                tail = d + np.flatnonzero(col[d:] >= 0)
-                tgt = np.empty(d + len(tail), dtype=np.int64)
-                tgt[:d] = col[:d]
-                tgt[d:] = col[tail]
-                adj.append((d, tail, tgt))
-            self._adj = adj
         return self._adj
 
     def columns(self):
@@ -341,13 +337,19 @@ class BallTable:
 
     def reach(self, h: int) -> int:
         """Exclusive id bound on the ids [0, h) and their one-step images:
-        max(h, 1 + max(nbr[:h])).  Holds for any id order; tight for the
+        max(h, 1 + the largest target of a source below h).  A column's
+        sources below h are a prefix of its sources, so their targets are a
+        prefix of its tgt.  Holds for any id order; tight for the
         breadth-first one."""
         if h >= self.size:
             return self.size
         r = self._reach.get(h)
         if r is None:
-            r = self._reach[h] = max(h, 1 + int(self.nbr[:h].max(initial=-1)))
+            r = h
+            for d, tail, tgt in self._adj:
+                m = h if h <= d else d + int(tail.searchsorted(h))
+                r = max(r, 1 + int(tgt[:m].max(initial=-1)))
+            self._reach[h] = r
         return r
 
     def wl_end(self, b: int) -> int:
@@ -457,7 +459,7 @@ class BallTable:
 
     def subgroup_ids(self, k: int) -> np.ndarray:
         """Ids of table elements lying in the factor subgroup H_k."""
-        mask = (self.rel == 0) | ((self.rel == 1) & (self.first_f == k))
+        mask = (self.rel == 0) | ((self.rel == 1) & (self._fac[self.code] == k))
         return np.nonzero(mask)[0].astype(np.int32)
 
 
@@ -539,7 +541,7 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     injective, so a column hits each target at most once, and `np.add.at`
     adds into nw in edge order.  The identity column (support element e,
     first when present) is the identity map, so it starts the sum as
-    w * c_0.  Every other column reads `table.adjacency()`: its dense
+    w * c_0.  Every other column reads the adjacency its build left: its dense
     prefix scales w[:min(d, hi)] with no gather, then its tail's sources
     below hi are gathered; the edges left out would add exact zeros.  A
     bound only zeroes the targets beyond it, after the step.  No temporary
@@ -690,21 +692,17 @@ def green_field(table: BallTable, weights: Iterable, order: int,
 
 
 def absorbed_profile(table: BallTable, weights: Iterable, absorb_ids: np.ndarray,
-                     horizon: int) -> tuple[np.ndarray, list[float]]:
+                     horizon: int) -> np.ndarray:
     """First-entrance profile into the absorbing id set.
 
     Runs the walk from e, removing mass that lands on `absorb_ids` at each
-    step n >= 1 and recording it.  Returns (profile, escaped) where
-    profile[n - 1, i] is the mass absorbed at absorb_ids[i] at time n and
-    escaped[t] is the live (non-absorbed) mass after t steps.
+    step n >= 1 and recording it: profile[n - 1, i] is the mass absorbed at
+    absorb_ids[i] at time n.
     """
     absorb_ids = np.asarray(absorb_ids, dtype=np.int64)
     prof = np.zeros((horizon, len(absorb_ids)))
-    live_mass = []
     for t, (w, _) in enumerate(levels(table, weights, horizon)):
         if t:
             prof[t - 1] = w[absorb_ids]
             w[absorb_ids] = 0.0  # in place: the next step starts without it
-            # the whole level: a shorter pairwise sum rounds differently
-            live_mass.append(float(w.sum()))
-    return prof, live_mass
+    return prof

@@ -131,8 +131,8 @@ def _absorption(measure: Measure, k: int, horizon: int, radius: int):
     def compute():
         table = measure.table(radius)
         h_ids = table.subgroup_ids(k)
-        prof, live = engine.absorbed_profile(table, measure.entries.values(), h_ids, horizon)
-        return prof, [table.element_of(int(i)) for i in h_ids], live
+        prof = engine.absorbed_profile(table, measure.entries.values(), h_ids, horizon)
+        return prof, [table.element_of(int(i)) for i in h_ids]
 
     return measure.memo(("absorb", k, horizon, radius), compute)
 
@@ -152,7 +152,7 @@ def first_return_kernel(measure: Measure, k: int, r: float, horizon: int = 64,
     radius = (
         default_radius(measure, horizon) if exploration_radius is None else exploration_radius
     )
-    prof, offsets, _ = _absorption(measure, k, horizon, radius)
+    prof, offsets = _absorption(measure, k, horizon, radius)
     nu: dict[GroupElement, float] = {}
     for idx, sigma in enumerate(offsets):
         val = math.fsum(prof[n, idx] * r ** (n + 1) for n in range(horizon))

@@ -268,3 +268,31 @@ def test_empty_r_grid_exits_one_with_manifest(tmp_path, capsys, grid):
         assert main([cmd, path, "--out", str(out)]) == 1
         assert "config error: r_grid:" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
+def test_parabolic_records_each_fraction_once(config_path, tmp_path):
+    out = tmp_path / "o"
+    assert run("parabolic", config_path, out, "--r-grid", "0.3,0.6") == 0
+    resolved = json.loads((out / "manifest.json").read_text())["resolved_r"]
+    assert resolved == [0.3 * resolved[-1], 0.6 * resolved[-1], resolved[-1]]
+    report = json.loads((out / "parabolic.json").read_text())
+    for factor in report["factors"]:
+        assert [row["r"] for row in factor["rows"]] == resolved[:-1]
+
+
+def test_tauber_beta_without_input_exits_one_with_manifest(config_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("tauber", config_path, out, "--beta", "0.5") == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "--beta" in err
+    assert not (out / "tauber.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
+def test_unknown_budget_key_exits_one_with_manifest(tmp_path, capsys):
+    budgets = dict(CONFIG["budgets"], seris_order=8)
+    path = write_config(tmp_path, budgets=budgets)
+    out = tmp_path / "o"
+    assert main(["validate", path, "--out", str(out)]) == 1
+    assert "config error: budgets: unknown key 'seris_order'" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1

@@ -1,9 +1,10 @@
 """BallTable against an independent queue-BFS builder and against itself
 built in passes of other sizes, the trie lookups and inversion, the step
-adjacency against the (src, tgt) columns, the DP step against the
-column-by-column bincount kernel, the exact pairing against Python big
-ints, the level driver against the callback loop it replaced, every exact
-DP against the Fraction dict DP it replaced, and the build's memory."""
+adjacency, `reach` and `subgroup_ids` against the queue-BFS step matrix,
+the DP step against the column-by-column bincount kernel, the exact pairing
+against Python big ints, the level driver against the callback loop it
+replaced, every exact DP against the Fraction dict DP it replaced, and the
+build's memory."""
 
 import ast
 import math
@@ -85,17 +86,54 @@ def reference_table(group, support, cap):
         "rel": [len(g.syllables) for g in elems],
         "maxfac": [max((group.factor_word_length(*s) for s in g.syllables), default=0)
                    for g in elems],
-        "first_f": [g.syllables[0].factor if g.syllables else 0 for g in elems],
     }
     return elems, arrays
+
+
+def reference_nbr(table):
+    """The queue-BFS step matrix of the table's support and cap: nbr[i, j]
+    is the id of element_i * support_j, or -1 beyond the cap.  Its ids are
+    the table's, as `assert_matches_reference` checks."""
+    return reference_table(table.group, table.support, table.cap)[1]["nbr"]
+
+
+def assert_step_relation_matches(table, elems, nbr):
+    """The table's one step relation against the reference step matrix.
+    Each adjacency column (d, tail, tgt) holds the dense prefix up to the
+    first product that leaves the table, the remaining sources and all
+    targets in order; the identity column, first when e is support element
+    0, is not stored.  reach(h) is max(h, 1 + the largest target of a
+    source below h) at every h, and subgroup_ids(k) are the ids of e and of
+    the one-syllable elements of H_k."""
+    first = table._first()
+    assert first == (len(table.support) > 0 and not table.support[0].syllables)
+    if first:
+        assert np.array_equal(nbr[:, 0], np.arange(table.size))
+    adj = table.adjacency()
+    assert len(adj) == nbr.shape[1] - first
+    for (d, tail, tgt), col in zip(adj, nbr.T[first:]):
+        out = np.flatnonzero(col < 0)
+        assert d == (out[0] if len(out) else table.size)
+        src = np.flatnonzero(col >= 0)
+        assert tail.dtype == tgt.dtype == np.int64
+        assert np.array_equal(tail, src[src >= d]) and np.array_equal(tgt, col[src])
+    top = np.maximum.accumulate(np.concatenate([[-1], nbr.max(axis=1, initial=-1)]))
+    want = np.maximum(np.arange(table.size + 1), 1 + top)
+    assert [table.reach(h) for h in range(table.size + 1)] == want.tolist()
+    for k in range(1, table.group.num_factors + 1):
+        got = table.subgroup_ids(k)
+        assert got.dtype == np.int32
+        assert got.tolist() == [i for i, g in enumerate(elems) if len(g.syllables) <= 1
+                                and all(s.factor == k for s in g.syllables)], k
 
 
 def assert_matches_reference(group, support, cap):
     table = BallTable(group, support, cap)
     elems, ref = reference_table(group, support, cap)
     assert table.size == len(elems)
-    for name, want in ref.items():
-        np.testing.assert_array_equal(getattr(table, name), want, err_msg=name)
+    for name in ("wl", "rel", "maxfac"):
+        np.testing.assert_array_equal(getattr(table, name), ref[name], err_msg=name)
+    assert_step_relation_matches(table, elems, ref["nbr"])
     for i, g in enumerate(elems):
         assert table.element_of(i) == g
         assert table.id_of(g) == i
@@ -256,7 +294,7 @@ def test_coordinates_beyond_int16():
 
 # -- builder passes ----------------------------------------------------------------
 
-TABLE_ARRAYS = ("parent", "code", "wl", "rel", "maxfac", "first_f", "nbr", "_keys", "_kid")
+TABLE_ARRAYS = ("parent", "code", "wl", "rel", "maxfac", "_keys", "_kid")
 
 
 def build_in_passes(group, support, cap, cells, max_elements=None):
@@ -285,6 +323,12 @@ def assert_pass_size_free(group, support, cap):
         for name in TABLE_ARRAYS:
             got, ref = getattr(table, name), getattr(base, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), (cells, name)
+        assert len(table.adjacency()) == len(base.adjacency())
+        for j, ((d, *arrays), (ref_d, *ref_arrays)) in enumerate(
+                zip(table.adjacency(), base.adjacency())):
+            assert d == ref_d, (cells, j)
+            for name, got, ref in zip(("tail", "tgt"), arrays, ref_arrays):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (cells, j, name)
         assert [refuses(group, support, cap, cells, b) for b in budgets] == want, cells
 
 
@@ -314,9 +358,9 @@ def test_pass_size_leaves_the_table_unchanged_on_random_products(case):
 
 
 def traced_lazy_f2(cap):
-    """tracemalloc over a lazy-F2 build at the cap, then its step adjacency
-    and one unbounded float step from a table-sized level: (elements, build
-    peak, retained after the build, peak over everything)."""
+    """tracemalloc over a lazy-F2 build at the cap, then one unbounded float
+    step from a table-sized level: (elements, build peak, retained after the
+    build, peak over everything, retained after the step)."""
     measure = lazy_walk(free_group(2))
     cols = [float(c) for c in measure.entries.values()]
     tracemalloc.start()
@@ -324,10 +368,10 @@ def traced_lazy_f2(cap):
         table = BallTable(measure.group, list(measure.entries), cap)
         retained, build_peak = tracemalloc.get_traced_memory()
         _step(table, np.ones(table.size), cols, None)
-        peak = max(build_peak, tracemalloc.get_traced_memory()[1])
+        kept, step_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return table.size, build_peak, retained, peak
+    return table.size, build_peak, retained, max(build_peak, step_peak), kept
 
 
 @pytest.fixture(scope="module")
@@ -336,9 +380,10 @@ def lazy_f2_cap12_memory():
 
 
 def test_build_transient_stays_small(lazy_f2_cap12_memory):
-    """The cap-12 build's pass temporaries: peak minus what the table keeps
-    (about 16 MB; 100 MB when passes were 2^18 sources)."""
-    size, build_peak, retained, _ = lazy_f2_cap12_memory
+    """The cap-12 build's temporaries: peak minus what the table keeps
+    (about 29 MB, mostly the neighbour matrix that the build ends by turning
+    into the step adjacency; 100 MB when passes were 2^18 sources)."""
+    size, build_peak, retained, _, _ = lazy_f2_cap12_memory
     assert size > 10**6
     assert build_peak - retained < 32e6
 
@@ -346,22 +391,31 @@ def test_build_transient_stays_small(lazy_f2_cap12_memory):
 def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
     """TABLE_BYTES_PER_ELEMENT is the measured peak per element of build,
     adjacency and one float step, rounded up."""
-    size, _, _, peak = lazy_f2_cap12_memory
+    size, _, _, peak, _ = lazy_f2_cap12_memory
     assert TABLE_BYTES_PER_ELEMENT - 10 < peak / size <= TABLE_BYTES_PER_ELEMENT
+
+
+def test_table_keeps_one_step_relation(lazy_f2_cap12_memory):
+    """After its build and a step, the cap-12 table keeps its per-id arrays
+    (20 B per element), trie keys (12 B) and step adjacency (21 B): 53.4 B
+    per element measured.  The build's (M x K) neighbour matrix kept beside
+    the adjacency would add 20 B."""
+    size, _, _, _, kept = lazy_f2_cap12_memory
+    assert kept / size < 60
 
 
 # -- the DP step -------------------------------------------------------------------
 
 
-def reference_step(table, w, col_weights, bound):
-    """The column-by-column bincount kernel: full steps add one bincount per
-    support column; bounded steps scatter only the live sources' edges to
-    targets within the bound."""
+def reference_step(table, nbr, w, col_weights, bound):
+    """The column-by-column bincount kernel over the reference step matrix:
+    full steps add one bincount per support column; bounded steps scatter
+    only the live sources' edges to targets within the bound."""
     if bound is not None and bound >= table.cap:
         bound = None
     nw = np.zeros(table.size)
     if bound is None:
-        for (src, tgt), cj in zip(table.columns(), col_weights):
+        for (src, tgt), cj in zip(reference_columns(nbr), col_weights):
             if cj == 0:
                 continue
             nw += np.bincount(tgt, weights=w[src] * cj, minlength=table.size)
@@ -370,27 +424,26 @@ def reference_step(table, w, col_weights, bound):
     for j, cj in enumerate(col_weights):
         if cj == 0:
             continue
-        tgt = table.nbr[live, j]
+        tgt = nbr[live, j]
         ok = tgt >= 0
         ok &= table.wl[np.where(ok, tgt, 0)] <= bound
         nw += np.bincount(tgt[ok], weights=w[live[ok]] * cj, minlength=table.size)
     return nw
 
 
-def reference_columns(table):
-    """The (src, tgt) columns as they were built from nbr before the
-    compact adjacency."""
+def reference_columns(nbr):
+    """Per-support (src, tgt) of the reference step matrix's edges that stay
+    in the table, int64, sources ascending."""
     out = []
-    for j in range(len(table.support)):
-        tgt = table.nbr[:, j]
+    for tgt in nbr.T:
         ok = tgt >= 0
         out.append((np.nonzero(ok)[0].astype(np.int64), tgt[ok].astype(np.int64)))
     return out
 
 
-def assert_columns_match_reference(table):
+def assert_columns_match_reference(table, nbr):
     cols = table.columns()
-    want = reference_columns(table)
+    want = reference_columns(nbr)
     assert len(cols) == len(want)
     for (src, tgt), (ref_src, ref_tgt) in zip(cols, want):
         assert src.dtype == tgt.dtype == np.int64
@@ -402,8 +455,9 @@ def assert_step_matches_reference(table, weight_sets=()):
     None, with the given column weights and four random sets, on DP levels
     from e and on random weights with zeros; given only the prefix [0, hi)
     of a level that is zero from hi on, it returns the same table-sized
-    level.  Its (src, tgt) columns are the ones built from nbr."""
-    assert_columns_match_reference(table)
+    level.  Its (src, tgt) columns are the reference step matrix's."""
+    nbr = reference_nbr(table)
+    assert_columns_match_reference(table, nbr)
     rng = np.random.default_rng(0)
     K = len(table.support)
     weight_sets = list(weight_sets) + [
@@ -418,7 +472,7 @@ def assert_step_matches_reference(table, weight_sets=()):
         levels = []
         for _ in range(3):
             levels.append(w)
-            w = reference_step(table, w, cols, None)
+            w = reference_step(table, nbr, w, cols, None)
         levels.append(rng.random(table.size) * (rng.random(table.size) < 0.5))
         cut = levels[-1].copy()
         cut[table.size // 3:] = 0.0
@@ -426,7 +480,7 @@ def assert_step_matches_reference(table, weight_sets=()):
         for w in levels:
             hi = int(np.flatnonzero(w).max(initial=-1)) + 1
             for bound in [None, *range(table.cap + 1)]:
-                want = reference_step(table, w, cols, bound)
+                want = reference_step(table, nbr, w, cols, bound)
                 got = _step(table, w, cols, bound)
                 assert np.array_equal(got, want), (cols, bound)
                 assert np.array_equal(_step(table, w[:hi], cols, bound), got), (cols, bound, hi)
@@ -676,7 +730,6 @@ def reference_green_field(table, weights, order, r_values):
 def reference_absorbed_profile(table, weights, absorb_ids, horizon):
     absorb_ids = np.asarray(absorb_ids, dtype=np.int64)
     prof = np.zeros((horizon, len(absorb_ids)))
-    live_mass = []
     w = np.zeros(table.size)
     w[0] = 1.0
     cols = [float(c) for c in weights]
@@ -684,8 +737,7 @@ def reference_absorbed_profile(table, weights, absorb_ids, horizon):
         w = _step(table, w, cols, bound=None)
         prof[t - 1] = w[absorb_ids]
         w[absorb_ids] = 0.0
-        live_mass.append(float(w.sum()))
-    return prof, live_mass
+    return prof
 
 
 def reference_float_returns(measure, n_max):
@@ -730,9 +782,8 @@ def test_level_driver_matches_the_callback_loop(measure):
                        for a, b in zip(got["last_terms"][r], want["last_terms"][r]))
     for k in range(1, measure.group.num_factors + 1):
         ids = table.subgroup_ids(k)
-        prof, live = absorbed_profile(table, measure.entries.values(), ids, 9)
-        want_prof, want_live = reference_absorbed_profile(table, weights, ids, 9)
-        assert np.array_equal(prof, want_prof) and live == want_live
+        prof = absorbed_profile(table, measure.entries.values(), ids, 9)
+        assert np.array_equal(prof, reference_absorbed_profile(table, weights, ids, 9))
     fmu = measure.as_float()
     for n_max in (0, 1, 7, 8):
         assert return_sequence(fmu, n_max).values == reference_float_returns(fmu, n_max)
@@ -790,7 +841,7 @@ def test_levels_vanish_beyond_their_bound_and_match_full_width_steps(table, weig
                          ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "f2-drift", "z3-z5-z",
                               "ab-BA"])
 def test_columns_match_the_nbr_construction(table, weights, d_mu):
-    assert_columns_match_reference(table)
+    assert_columns_match_reference(table, reference_nbr(table))
 
 
 def test_no_dp_builds_the_columns(monkeypatch):
