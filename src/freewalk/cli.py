@@ -1,10 +1,11 @@
 """Experiment driver: config ingestion, orchestration, artifact emission.
 
-One command per process.  Every run writes a manifest (config hash,
-version, budgets, resolved r values, wall time) next to its artifacts;
-exit status 0 on success, 1 on a configuration, validation or any other
-error, 2 when a memory budget was exhausted (partial results are still
-written).
+One command per process, ``freewalk COMMAND CONFIG [--out DIR] [flags]``; a
+command accepts only the flags that ``COMMANDS`` lists for it.  Every run
+past the usage check writes a manifest (config hash, version, budgets,
+resolved r values, wall time) next to its artifacts.  Exit status 0 on
+success and after ``--help``, 1 on a usage, configuration, validation or
+any other error, 2 when a memory budget was exhausted (partial results kept).
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ from . import parabolic as parabolic_mod
 from . import ancona as ancona_mod
 from . import automaton as automaton_mod
 from . import tauberian as tauberian_mod
-
-COMMANDS = (
-    "validate", "radius", "green", "identities", "parabolic",
-    "classify", "llt", "automaton", "ancona", "tauber",
-)
 
 DEFAULT_BUDGETS = {
     "n_max": 20,
@@ -58,12 +54,17 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str) -> dict:
+    def finite(text: str) -> float:  # JSON's NaN and Infinity, and floats such as 1e999
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"{path}: non-finite number {text} is not allowed")
+        return float(text)
+
     try:
         raw = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
     for field in ("group", "measure"):
@@ -113,21 +114,18 @@ def _budgets(cfg: dict, args) -> dict:
         raise ConfigError(f"budgets: unknown key {', '.join(map(repr, unknown))}")
     budgets = dict(DEFAULT_BUDGETS)
     budgets.update(given)
-    if args.n_max is not None:
-        budgets["n_max"] = args.n_max
-    if args.series_order is not None:
-        budgets["series_order"] = args.series_order
-    if args.truncation is not None:
-        m, b = args.truncation.split(",")
-        budgets["truncation"] = [int(m), int(b)]
-    if args.memory_cap is not None:
-        budgets["memory_cap_mb"] = args.memory_cap
+    # the override flags' dests are budget keys; a flag not given parses to None
+    budgets.update((k, v) for k, v in vars(args).items()
+                   if k in DEFAULT_BUDGETS and v is not None)
+    cap_mb = budgets["memory_cap_mb"]
+    if cap_mb is not None and cap_mb < 0:
+        raise ConfigError(f"memory_cap_mb: must be >= 0, got {cap_mb}")
     return budgets
 
 
 def _r_fractions(cfg: dict, args) -> list[float]:
     grid = cfg.get("r_grid", {})
-    if args.r_grid is not None:
+    if getattr(args, "r_grid", None) is not None:
         fractions = [float(x) for x in args.r_grid.split(",")]
     elif "fractions" in grid:
         fractions = [float(x) for x in grid["fractions"]]
@@ -137,9 +135,15 @@ def _r_fractions(cfg: dict, args) -> list[float]:
         fractions = [float(grid["start"]) + i * step for i in range(n)]
     else:
         fractions = [0.3, 0.6, 0.9]
-    if not fractions:
-        raise ConfigError("r_grid: needs at least one fraction of R")
+    if not fractions or not all(0 <= f < math.inf for f in fractions):
+        raise ConfigError("r_grid: needs at least one fraction of R, each finite and "
+                          f">= 0, got {fractions}")
     return fractions
+
+
+def _resolve_r(ctx):
+    est = green_mod.spectral_radius(ctx["measure"], ctx["budgets"]["n_max"])
+    return est, [frac * est.point for frac in ctx["fractions"]]
 
 
 def _write_json(path: Path, obj) -> None:
@@ -196,23 +200,18 @@ def cmd_radius(ctx) -> dict:
 
 def cmd_green(ctx) -> dict:
     measure, budgets = ctx["measure"], ctx["budgets"]
-    fractions = ctx["fractions"]
     order, radius = budgets["series_order"], budgets["radius"]
-    est = green_mod.spectral_radius(measure, budgets["n_max"])
+    _, resolved = _resolve_r(ctx)
     qf = green_mod.pruned_return_weights(measure, order, radius)
     rows = []
-    resolved = []
-    for frac in fractions:
-        r = frac * est.point
-        resolved.append(r)
+    for frac, r in zip(ctx["fractions"], resolved):
         g, g1, g2 = (green_mod.series_derivative(qf, r, j) for j in range(3))
         tail = qf[-1] * r ** order
         rows.append((_fmt(frac), _fmt(r), _fmt(g), _fmt(g1), _fmt(g2), _fmt(tail)))
     _write_csv(ctx["out"] / "green.csv",
                ["fraction", "r", "G", "G1", "G2", "last_term"], rows)
     # sphere-sum table at the largest grid point
-    r_top = resolved[-1]
-    tab = green_mod.sphere_sums(measure, r_top, budgets["sphere_m"],
+    tab = green_mod.sphere_sums(measure, max(resolved), budgets["sphere_m"],
                                 budgets["sphere_b"], order, radius)
     _write_csv(ctx["out"] / "spheres.csv", ["m", "u_m"],
                [(m_, _fmt(v)) for m_, v in enumerate(tab.values)])
@@ -223,12 +222,9 @@ def cmd_identities(ctx) -> dict:
     measure, budgets = ctx["measure"], ctx["budgets"]
     m, B = budgets["truncation"]
     order, radius = budgets["series_order"], budgets["radius"]
-    est = green_mod.spectral_radius(measure, budgets["n_max"])
-    resolved = []
+    _, resolved = _resolve_r(ctx)
     out: dict = {"first_derivative": [], "iterated": []}
-    for frac in ctx["fractions"]:
-        r = frac * est.point
-        resolved.append(r)
+    for frac, r in zip(ctx["fractions"], resolved):
         rep = green_mod.derivative_identity_residual(measure, r, (m, B), order, radius)
         out["first_derivative"].append({
             "fraction": frac, "r": r, "left": rep.left, "right": rep.right,
@@ -248,8 +244,7 @@ def cmd_parabolic(ctx) -> dict:
     measure, budgets = ctx["measure"], ctx["budgets"]
     order, radius = budgets["series_order"], budgets["radius"]
     horizon = budgets["horizon"]
-    est = green_mod.spectral_radius(measure, budgets["n_max"])
-    resolved = [frac * est.point for frac in ctx["fractions"]]
+    est, resolved = _resolve_r(ctx)
     report: dict = {"factors": []}
     group = measure.group
     for k in range(1, group.num_factors + 1):
@@ -380,8 +375,7 @@ def cmd_ancona(ctx) -> dict:
     group = measure.group
     m, B = budgets["sample_ball"]
     order, radius = budgets["series_order"], budgets["radius"]
-    est = green_mod.spectral_radius(measure, budgets["n_max"])
-    rs = [frac * est.point for frac in ctx["fractions"]]
+    _, rs = _resolve_r(ctx)
     triples = ancona_mod.sample_triples(group, m, B, budgets["triples"])
     tri = ancona_mod.triangle_audit(measure, triples, rs, order, radius,
                                     budgets["n_max"])
@@ -411,6 +405,16 @@ def cmd_ancona(ctx) -> dict:
     return {"resolved_r": rs}
 
 
+def _laplace_report(seq, beta: float, s_grid, n_grid) -> dict:
+    rep = tauberian_mod.check_partial_sums_vs_laplace(seq, beta, s_grid, n_grid)
+    return {
+        "beta": beta,
+        "consistent": rep.consistent,
+        "partial_spread": list(rep.partial_spread),
+        "laplace_spread": list(rep.laplace_spread),
+    }
+
+
 def cmd_tauber(ctx) -> dict:
     args = ctx["args"]
     doc: dict = {}
@@ -427,19 +431,12 @@ def cmd_tauber(ctx) -> dict:
             raise ValueError(f"{args.input}: the n column must run 0..N in steps of 1; "
                              f"first bad n = {bad}")
         seq = tauberian_mod.SequenceSpec(tuple(v for _, v in vals), args.input)
-        beta = args.beta if args.beta is not None else 1.0
         n_top = len(seq) - 1
-        rep = tauberian_mod.check_partial_sums_vs_laplace(
-            seq, beta,
+        doc["input"] = _laplace_report(
+            seq, args.beta if args.beta is not None else 1.0,
             [1 - 2.0 ** (-j) for j in range(2, 8)],
             [max(2, n_top // 2**j) for j in range(5, -1, -1)],
         )
-        doc["input"] = {
-            "beta": beta,
-            "consistent": rep.consistent,
-            "partial_spread": list(rep.partial_spread),
-            "laplace_spread": list(rep.laplace_spread),
-        }
     else:
         N = 3000
         s_grid = [1 - 2.0 ** (-j) for j in range(3, 9)]
@@ -451,13 +448,7 @@ def cmd_tauber(ctx) -> dict:
         }
         for name, (fn, beta) in families.items():
             seq = tauberian_mod.SequenceSpec(tuple(fn(k) for k in range(N + 1)), name)
-            rep = tauberian_mod.check_partial_sums_vs_laplace(seq, beta, s_grid, n_grid)
-            doc[name] = {
-                "beta": beta,
-                "consistent": rep.consistent,
-                "partial_spread": list(rep.partial_spread),
-                "laplace_spread": list(rep.laplace_spread),
-            }
+            doc[name] = _laplace_report(seq, beta, s_grid, n_grid)
         mono = {}
         for beta in (0.25, 0.5, 0.75):
             seq = tauberian_mod.SequenceSpec(
@@ -472,17 +463,44 @@ def cmd_tauber(ctx) -> dict:
     return {}
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "radius": cmd_radius,
-    "green": cmd_green,
-    "identities": cmd_identities,
-    "parabolic": cmd_parabolic,
-    "classify": cmd_classify,
-    "llt": cmd_llt,
-    "automaton": cmd_automaton,
-    "ancona": cmd_ancona,
-    "tauber": cmd_tauber,
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+FLAGS = {  # add_argument keywords; each budget override's dest is its budget key
+    "--exact": {"dest": "arithmetic", "action": "store_const", "const": "exact",
+                "help": "exact rational arithmetic, whatever the config says"},
+    "--float": {"dest": "arithmetic", "action": "store_const", "const": "float",
+                "help": "float arithmetic, whatever the config says"},
+    "--n-max": {"type": int},
+    "--series-order": {"type": int},
+    "--truncation": {"type": _int_list, "metavar": "m,B"},
+    "--memory-cap": {"dest": "memory_cap_mb", "type": int, "metavar": "MB",
+                     "help": "ball-table budget of MB * 10^6 / TABLE_BYTES_PER_ELEMENT "
+                             f"({TABLE_BYTES_PER_ELEMENT}) elements, the measured peak bytes "
+                             "per element of a table build and one float step"},
+    "--r-grid": {"metavar": "f1,f2,..."},
+    "--export-dot": {"action": "store_true"},
+    "--input": {"help": "CSV with n in the first column and the value in the second "
+                        "after a header row, such as llt's q.csv"},
+    "--beta": {"type": float,
+               "help": "the exponent of the --input sequence (default 1); only with --input"},
+}
+RADIUS_FLAGS = ("--exact", "--float", "--memory-cap", "--n-max")
+CLASSIFY_FLAGS = RADIUS_FLAGS + ("--series-order",)
+GREEN_FLAGS = CLASSIFY_FLAGS + ("--r-grid",)
+# command -> (handler, the flags it reads besides CONFIG and --out)
+COMMANDS = {
+    "validate": (cmd_validate, ("--exact", "--float", "--memory-cap")),
+    "radius": (cmd_radius, RADIUS_FLAGS),
+    "green": (cmd_green, GREEN_FLAGS),
+    "identities": (cmd_identities, GREEN_FLAGS + ("--truncation",)),
+    "parabolic": (cmd_parabolic, GREEN_FLAGS),
+    "classify": (cmd_classify, CLASSIFY_FLAGS),
+    "llt": (cmd_llt, RADIUS_FLAGS),
+    "automaton": (cmd_automaton, ("--export-dot",)),
+    "ancona": (cmd_ancona, GREEN_FLAGS),
+    "tauber": (cmd_tauber, ("--input", "--beta")),
 }
 
 
@@ -491,41 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="freewalk",
         description="random-walk experiments on free products",
     )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("config", help="path to a JSON experiment config")
-    parser.add_argument("--n-max", type=int, default=None)
-    parser.add_argument("--truncation", default=None, metavar="m,B")
-    parser.add_argument("--series-order", type=int, default=None)
-    parser.add_argument("--r-grid", default=None, metavar="f1,f2,...")
-    parser.add_argument("--memory-cap", type=int, default=None, metavar="MB",
-                        help="ball-table budget: MB * 10^6 / TABLE_BYTES_PER_ELEMENT "
-                             f"elements, {TABLE_BYTES_PER_ELEMENT} B being the measured peak "
-                             "per element of a table build, which ends with its step "
-                             "adjacency, and one float step; Green fields, pair matrices and "
-                             "Python-int levels are not counted")
-    arithmetic = parser.add_mutually_exclusive_group()
-    arithmetic.add_argument("--exact", dest="arithmetic", action="store_const", const="exact",
-                            help="exact rational arithmetic, whatever the config says")
-    arithmetic.add_argument("--float", dest="arithmetic", action="store_const", const="float",
-                            help="float arithmetic, whatever the config says")
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--export-dot", action="store_true")
-    parser.add_argument("--input", default=None,
-                        help="tauber: CSV with n in the first column and the value in "
-                             "the second after a header row, such as llt's q.csv")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="tauber: the exponent of the --input sequence (default 1); "
-                             "only with --input")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in COMMANDS.items():
+        sub = commands.add_parser(name)
+        sub.add_argument("config", help="path to a JSON experiment config")
+        sub.add_argument("--out", help="artifact directory (default: the config's out)")
+        arithmetic = sub.add_mutually_exclusive_group() if "--exact" in flags else None
+        for flag in flags:
+            target = arithmetic if flag in ("--exact", "--float") else sub
+            target.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        return 1
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help, 2 after a usage error
+        return 1 if exc.code else 0
     t0 = time.monotonic()
     status = 0
     extra: dict = {}
@@ -538,12 +538,12 @@ def main(argv=None) -> int:
         target.mkdir(parents=True, exist_ok=True)
         out_dir = target
         cfg_text = json.dumps(cfg, sort_keys=True)
-        mode = args.arithmetic or cfg.get("arithmetic", "exact")
+        mode = getattr(args, "arithmetic", None) or cfg.get("arithmetic", "exact")
         group = build_group(cfg)
         measure = build_measure(cfg, group, mode)
         budgets = _budgets(cfg, args)
         budgets.setdefault("radius", default_radius(measure, budgets["series_order"]))
-        cap_mb = budgets.get("memory_cap_mb")
+        cap_mb = budgets["memory_cap_mb"]
         if cap_mb is not None:
             measure.max_table_elements = int(cap_mb) * 1_000_000 // TABLE_BYTES_PER_ELEMENT
         ctx = {
@@ -554,7 +554,7 @@ def main(argv=None) -> int:
             "fractions": _r_fractions(cfg, args),
             "out": out_dir,
         }
-        extra = HANDLERS[args.command](ctx)
+        extra = COMMANDS[args.command][0](ctx)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         status = 1

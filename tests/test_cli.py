@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from freewalk.cli import main
+from freewalk.cli import ConfigError, build_parser, load_config, main
 
 CONFIG = {
     "group": [
@@ -128,13 +128,22 @@ def test_flag_overrides(config_path, tmp_path):
     assert manifest["budgets"]["n_max"] == 14
 
 
+def test_each_override_flag_sets_its_budget(config_path, tmp_path):
+    out = tmp_path / "o"
+    assert run("identities", config_path, out, "--n-max", "10", "--series-order", "8",
+               "--truncation", "1,2", "--memory-cap", "64") == 0
+    budgets = json.loads((out / "manifest.json").read_text())["budgets"]
+    assert (budgets["n_max"], budgets["series_order"]) == (10, 8)
+    assert (budgets["truncation"], budgets["memory_cap_mb"]) == ([1, 2], 64)
+
+
 def test_default_radius_resolved_into_manifest(tmp_path):
     cfg = json.loads(json.dumps(CONFIG))
     del cfg["budgets"]["radius"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    assert main(["radius", str(path), "--out", str(out), "--series-order", "4"]) == 0
+    assert main(["green", str(path), "--out", str(out), "--series-order", "4"]) == 0
     assert json.loads((out / "manifest.json").read_text())["budgets"]["radius"] == 4
 
 
@@ -296,3 +305,118 @@ def test_unknown_budget_key_exits_one_with_manifest(tmp_path, capsys):
     assert main(["validate", path, "--out", str(out)]) == 1
     assert "config error: budgets: unknown key 'seris_order'" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
+# the flags each command reads, written out here independently of cli.COMMANDS
+OPTIONS = {
+    "--n-max": ["3"], "--truncation": ["3,3"], "--series-order": ["4"],
+    "--r-grid": ["0.5"], "--memory-cap": ["1"], "--exact": [], "--float": [],
+    "--out": ["o"], "--export-dot": [], "--input": ["q.csv"], "--beta": ["1.5"],
+}
+VALIDATE = {"--exact", "--float", "--memory-cap", "--out"}
+RADIUS = VALIDATE | {"--n-max"}
+CLASSIFY = RADIUS | {"--series-order"}
+GREEN = CLASSIFY | {"--r-grid"}
+ACCEPTS = {
+    "validate": VALIDATE,
+    "radius": RADIUS,
+    "llt": RADIUS,
+    "classify": CLASSIFY,
+    "green": GREEN,
+    "parabolic": GREEN,
+    "ancona": GREEN,
+    "identities": GREEN | {"--truncation"},
+    "automaton": {"--export-dot", "--out"},
+    "tauber": {"--input", "--beta", "--out"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads(capsys):
+    parser = build_parser()
+    accepted = rejected = 0
+    for cmd, flags in ACCEPTS.items():
+        for option, values in OPTIONS.items():
+            argv = [cmd, "cfg.json", option, *values]
+            if option in flags:
+                assert parser.parse_args(argv).command == cmd, argv
+                accepted += 1
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, argv
+                assert "unrecognized arguments" in capsys.readouterr().err, argv
+                rejected += 1
+    assert (accepted, rejected) == (54, 56)
+
+
+def test_a_flag_the_command_does_not_read_exits_one(capsys):
+    argv = ["radius", "configs/f2-lazy.json", "--beta", "2", "--input",
+            "nonexistent.csv", "--export-dot"]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --beta 2 --input nonexistent.csv --export-dot" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [[cmd, "--help"] for cmd in ACCEPTS])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: freewalk" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ACCEPTS)
+def test_a_missing_config_argument_exits_one(cmd, capsys):
+    assert main([cmd]) == 1
+    assert "the following arguments are required: config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, number):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CONFIG).replace('"n_max": 12', f'"n_max": {number}'))
+    with pytest.raises(ConfigError, match=f"cfg.json: non-finite number {number}"):
+        load_config(str(path))
+    assert main(["validate", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, grid", [
+    (["--r-grid", "nan"], None),
+    (["--r-grid", "-0.5"], None),
+    (["--r-grid", "0.3,inf"], None),
+    ([], {"fractions": [0.3, -0.1]}),
+    ([], {"fractions": ["nan"]}),
+    ([], {"start": -0.2, "stop": 0.8, "count": 3}),
+])
+def test_negative_or_non_finite_r_grid_exits_one_with_manifest(tmp_path, capsys, flags, grid):
+    path = write_config(tmp_path, r_grid=grid) if grid else write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["green", path, "--out", str(out), *flags]) == 1
+    assert "config error: r_grid:" in capsys.readouterr().err
+    assert not (out / "green.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["partial"] is False
+
+
+def test_r_grid_fraction_above_one_is_allowed(config_path, tmp_path):
+    assert run("green", config_path, tmp_path / "o", "--r-grid", "1.25") == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_memory_cap_exits_one_with_manifest(tmp_path, capsys, source):
+    if source == "flag":
+        path, flags = write_config(tmp_path), ["--memory-cap", "-1"]
+    else:
+        path, flags = write_config(tmp_path, budgets=dict(CONFIG["budgets"],
+                                                          memory_cap_mb=-1)), []
+    out = tmp_path / "o"
+    assert main(["radius", path, "--out", str(out), *flags]) == 1
+    assert "config error: memory_cap_mb: must be >= 0, got -1" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["partial"] is False
+
+
+def test_green_sphere_sums_at_the_largest_r_whatever_the_grid_order(config_path, tmp_path):
+    assert run("green", config_path, tmp_path / "up", "--r-grid", "0.3,0.8") == 0
+    assert run("green", config_path, tmp_path / "down", "--r-grid", "0.8,0.3") == 0
+    assert ((tmp_path / "up" / "spheres.csv").read_bytes()
+            == (tmp_path / "down" / "spheres.csv").read_bytes())
