@@ -102,19 +102,23 @@ class AutomatonGraph:
         """Accepted sequences with <= m letters of factor word length <= B,
         in (length, letter-lexicographic) order."""
         grp = self.group
-        per_factor = {
-            k: grp.factor_elements(k, B) for k in range(1, grp.num_factors + 1)
-        }
+        letters = [fe for k in range(1, grp.num_factors + 1)
+                   for fe in grp.factor_elements(k, B)]
+        moves: dict[int, list] = {}  # state -> its (letter, next state) in letter order
+
+        def out(state):
+            if state not in moves:
+                moves[state] = [(fe, s2) for fe in letters
+                                if (s2 := self.step(state, fe)) is not None]
+            return moves[state]
+
         level: list[tuple[tuple[FactorElement, ...], int]] = [((), self.start)]
         yield ()
         for _ in range(m):
             nxt = []
             for seq, state in level:
-                for k in sorted(per_factor):
-                    for fe in per_factor[k]:
-                        s2 = self.step(state, fe)
-                        if s2 is not None:
-                            nxt.append((seq + (fe,), s2))
+                for fe, s2 in out(state):
+                    nxt.append((seq + (fe,), s2))
             nxt.sort(key=lambda item: item[0])
             for seq, _ in nxt:
                 yield seq

@@ -421,6 +421,8 @@ def cmd_tauber(ctx) -> dict:
     if args.beta is not None and not args.input:
         raise ValueError("--beta is the exponent of the --input sequence; "
                          "without --input it has nothing to apply to")
+    if args.beta is not None and not math.isfinite(args.beta):
+        raise ValueError(f"--beta must be a finite number, got {args.beta}")
     if args.input:
         with open(args.input, newline="") as fh:
             rows = [row for row in list(csv.reader(fh))[1:] if row]
@@ -521,6 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_dir(path) -> Path:
+    target = Path(path)
+    target.mkdir(parents=True, exist_ok=True)
+    return target
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -533,10 +541,11 @@ def main(argv=None) -> int:
     cfg_text = ""
     budgets: dict = {}
     try:
+        if args.out is not None:  # a config that cannot be loaded still gets a manifest
+            out_dir = _make_dir(args.out)
         cfg = load_config(args.config)
-        target = Path(args.out if args.out is not None else cfg.get("out", "out"))
-        target.mkdir(parents=True, exist_ok=True)
-        out_dir = target
+        if out_dir is None:
+            out_dir = _make_dir(cfg.get("out", "out"))
         cfg_text = json.dumps(cfg, sort_keys=True)
         mode = getattr(args, "arithmetic", None) or cfg.get("arithmetic", "exact")
         group = build_group(cfg)

@@ -50,11 +50,11 @@ _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
 _PASS = 1 << 18
 _BLOCK = 1 << 16  # entries per block of an exact dot; bounds its temporaries
 # Peak bytes per table element of a BallTable build, which ends with its step
-# adjacency, and one unbounded float64 step, under tracemalloc: 80.7 B on
+# adjacency, and one unbounded float64 step, under tracemalloc: 73.4 B on
 # lazy F2 at cap 12 (1,062,881 elements, five support columns), rounded up.
 # It does not cover Green fields, pair matrices, Python-int levels or more
 # support columns; the CLI turns --memory-cap into an element budget with it.
-TABLE_BYTES_PER_ELEMENT = 85
+TABLE_BYTES_PER_ELEMENT = 75
 
 
 def _syllable_alphabet(group: FreeProduct, support, cap: int) -> list[FactorElement]:
@@ -164,9 +164,11 @@ class BallTable:
         interned.  New elements are numbered by their first discovery, and
         the pass's keys join the sorted key array at its end; a pass that
         interns nothing leaves the key array alone.  The ids do not depend
-        on the pass size.  Row i of the neighbour matrix `nbr` holds the ids
-        of element_i * support_j (-1 beyond the cap) until the build ends by
-        turning it into the step adjacency.
+        on the pass size.  The per-id arrays get room for the pass's new
+        elements before it starts and are trimmed to the table at the end.
+        One neighbour array per stored support column j holds the ids of
+        element_i * support_j (-1 beyond the cap) until the build ends by
+        turning it into that column of the step adjacency and dropping it.
         """
         cap, stride, fac, slen = self.cap, self._stride, self._fac, self._len
         slots = list(self.syllables) + [None]
@@ -188,7 +190,7 @@ class BallTable:
         code = np.full(1, stride - 1, dtype=np.int32)
         wl, rel, maxfac = (np.zeros(1, dtype=np.int32) for _ in range(3))
         per_id = (parent, code, wl, rel, maxfac)
-        nbr = np.empty((0, K), dtype=np.int32)
+        nbr = [np.empty(0, dtype=np.int32) for _ in range(self._first(), K)]
         keys = np.empty(0, dtype=np.int64)
         kid = np.empty(0, dtype=np.int32)
 
@@ -216,6 +218,12 @@ class BallTable:
         n, lo = 1, 0
         while lo < n:
             hi, start = min(n, lo + per_pass), n
+            room = n + (hi - lo) * span  # each cell interns at most one element
+            if len(parent) < room:
+                # grown here, before the pass's temporaries exist: grown among
+                # them, the arrays were copied past them and left heap holes
+                for a in per_id:
+                    a.resize(room, refcheck=False)
             cur = np.repeat(np.arange(lo, hi, dtype=np.int32)[:, None], K, axis=1)
             pos_min = np.empty(0, dtype=np.int64)  # first discovery of each new element
             for k in range(depth):
@@ -235,14 +243,12 @@ class BallTable:
                 got[new] = np.arange(n, n + len(new))
                 cell = first[new]
                 p, s = lpar[cell], lsyl[cell]
-                if len(new):
-                    for a in per_id:
-                        a.resize(n + len(new), refcheck=False)
-                parent[n:] = p
-                code[n:] = s
-                wl[n:] = lw[cell]
-                rel[n:] = rel[p] + 1
-                maxfac[n:] = np.maximum(maxfac[p], slen[s])
+                added = slice(n, n + len(new))
+                parent[added] = p
+                code[added] = s
+                wl[added] = lw[cell]
+                rel[added] = rel[p] + 1
+                maxfac[added] = np.maximum(maxfac[p], slen[s])
                 n += len(new)
                 res[look] = got[inv]
                 cur[:, js] = res
@@ -259,13 +265,14 @@ class BallTable:
                 order = np.argsort(pos_min, kind="stable")
                 if (order != np.arange(len(order))).any():
                     self._renumber(per_id, cur, start, order)
-            if len(nbr) < hi:
-                # while passes intern, rows only for this pass's sources keep
-                # the key merge's peak low; after, rows for every known element
-                nbr.resize((hi if n > start else n, K), refcheck=False)
-            nbr[lo:hi] = cur
+            for j, col in enumerate(nbr, K - len(nbr)):
+                if len(col) < hi:
+                    # while passes intern, rows only for this pass's sources keep
+                    # the key merge's peak low; after, rows for every known element
+                    col.resize(hi if n > start else n, refcheck=False)
+                col[lo:hi] = cur[:, j]
             if n > start:
-                lk = parent[start:].astype(np.int64) * stride + code[start:]
+                lk = parent[start:n].astype(np.int64) * stride + code[start:n]
                 order = np.argsort(lk)
                 lk = lk[order]
                 at = np.searchsorted(keys, lk)
@@ -273,11 +280,13 @@ class BallTable:
                 kid = np.insert(kid, at, (start + order).astype(np.int32))
             lo = hi
         self.size = n
+        for a in per_id:
+            a.resize(n, refcheck=False)
         self.parent, self.code, self.wl, self.rel, self.maxfac = per_id
         self._keys, self._kid = keys, kid
         self._adj = []
-        for j in range(self._first(), K):
-            col = nbr[:, j]
+        while nbr:  # each column's neighbour array goes as its adjacency comes
+            col = nbr.pop(0)
             out = col < 0
             d = int(out.argmax()) if out.any() else n
             tail = d + np.flatnonzero(col[d:] >= 0)
@@ -290,11 +299,12 @@ class BallTable:
     def _renumber(per_id, cur, start, order):
         """Renumber the pass's new elements (ids from `start`) so that
         new id start + r goes to the element order[r]."""
+        end = start + len(order)
         new_id = np.empty(len(order), dtype=np.int64)
-        new_id[order] = np.arange(start, start + len(order))
+        new_id[order] = np.arange(start, end)
         for a in per_id:
-            a[start:] = a[start:][order]
-        parent = per_id[0][start:]
+            a[start:end] = a[start:end][order]
+        parent = per_id[0][start:end]
         moved = parent >= start
         parent[moved] = new_id[parent[moved] - start]
         moved = cur >= start

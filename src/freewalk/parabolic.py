@@ -154,10 +154,10 @@ def first_return_kernel(measure: Measure, k: int, r: float, horizon: int = 64,
     )
     prof, offsets = _absorption(measure, k, horizon, radius)
     nu: dict[GroupElement, float] = {}
-    for idx, sigma in enumerate(offsets):
+    for idx in np.flatnonzero(prof.any(axis=0)):  # the offsets that carry mass
         val = math.fsum(prof[n, idx] * r ** (n + 1) for n in range(horizon))
         if val > 0.0:
-            nu[sigma] = val
+            nu[offsets[idx]] = val
     return ReturnKernel(factor=k, r=r, nu=nu, horizon=horizon,
                         exploration_radius=radius)
 
@@ -167,41 +167,78 @@ def first_return_kernel(measure: Measure, k: int, r: float, horizon: int = 64,
 
 def _kernel_power_series(measure: Measure, kernel: ReturnKernel, order: int,
                          h_ball: int) -> list[float]:
-    """p^{(n)}(e, e) for n = 0..order, states truncated to the factor ball."""
+    """p^{(n)}(e, e) for n = 0..order, states truncated to the factor ball.
+
+    A level lives in a flat float64 buffer in which every kernel move is one
+    contiguous slice.  On Z/m the level is followed by a copy of itself, so a
+    cyclic shift reads one slice of the pair.  On Z^d the window carries a
+    zero pad as wide as the largest kept offset p, and one more outer row on
+    each side for the inner-axis part of a shift read from the outermost pad
+    rows; the inner pad cells are zeroed again after each step.
+    Step t computes only the outer rows within min(h_ball, t p, (order - t) p)
+    of the centre: rows further out hold no mass yet, or can no longer reach
+    the centre by step `order`.  Each cell sums the same products in the same
+    move order as adding every move into zeros: the weights are > 0 and the
+    levels >= 0, so the first product alone is that sum.
+    """
     spec = measure.group.factor(kernel.factor)
-    moves = []  # (src, dst, w): the window a move shifts and where it lands
+    # moves are (off, w): the move adds w * old[i - off] to new[i]
     if spec.kind == FINITE_CYCLIC:
         m = spec.order
-        shape, center = (m,), (0,)
         mover = np.zeros(m)
         for sigma, w in kernel.nu.items():
             shift = sigma.syllables[0].coords[0] if sigma.syllables else 0
             mover[shift % m] += w
-        # the shift by s adds w vec[(i - s) % m] to new[i]: vec[:m - s] lands
-        # on new[s:], and the wrapped vec[m - s:] on new[:s]
-        for s in range(m):
-            if mover[s]:
-                moves.append(((slice(0, m - s),), (slice(s, m),), mover[s]))
-                if s:
-                    moves.append(((slice(m - s, m),), (slice(0, s),), mover[s]))
+        # the shift by s adds w vec[(i - s) % m] to new[i], read from the copy at m + i - s
+        moves = [(s - m, mover[s]) for s in range(m) if mover[s]]
+        size, center = 2 * m, 0
+
+        def span(t):
+            return 0, m
+
+        def fix(buf, lo, hi):
+            buf[m:] = buf[:m]
     else:
         d = spec.rank
-        width = 2 * h_ball + 1
-        shape, center = (width,) * d, (h_ball,) * d
+        kept = []
         for sigma, w in kernel.nu.items():
             off = sigma.syllables[0].coords if sigma.syllables else (0,) * d
             if all(abs(c) <= 2 * h_ball for c in off):  # a nonempty window on every axis
-                spans = [(max(0, -c), min(width, width - c), c) for c in off]
-                moves.append((tuple(slice(lo, hi) for lo, hi, _ in spans),
-                              tuple(slice(lo + c, hi + c) for lo, hi, c in spans), w))
-    vec = np.zeros(shape)
-    vec[center] = 1.0
+                kept.append((off, w))
+        p = max((abs(c) for off, _ in kept for c in off), default=0)
+        inner = 2 * (h_ball + p) + 1
+        shape = (inner + 2,) + (inner,) * (d - 1)
+        strides = [inner ** (d - 1 - i) for i in range(d)]
+        row = strides[0]
+        size = shape[0] * row
+        mid = p + 1 + h_ball  # the centre's outer row
+        center = mid * row + sum((h_ball + p) * s for s in strides[1:])
+        moves = [(sum(c * s for c, s in zip(off, strides)), w) for off, w in kept]
+        pads = [(slice(None),) * i + (sl,) for i in range(1, d)
+                for sl in ((slice(0, p), slice(inner - p, inner)) if p else ())]
+
+        def span(t):
+            reach = min(h_ball, t * p, (order - t) * p)
+            return (mid - reach) * row, (mid + reach + 1) * row
+
+        def fix(buf, lo, hi):
+            grid = buf[lo:hi].reshape((-1,) + shape[1:])
+            for pad in pads:
+                grid[pad] = 0.0
     series = [1.0]
-    for _ in range(order):
-        new = np.zeros(shape)
-        for src, dst, w in moves:
-            new[dst] += w * vec[src]
-        vec = new
+    if not moves:
+        return series + [0.0] * order
+    vec, new = np.zeros(size), np.zeros(size)
+    vec[center] = 1.0
+    fix(vec, *span(0))
+    (off0, w0), rest = moves[0], moves[1:]
+    for t in range(1, order + 1):
+        lo, hi = span(t)
+        np.multiply(w0, vec[lo - off0:hi - off0], out=new[lo:hi])
+        for off, w in rest:
+            new[lo:hi] += w * vec[lo - off:hi - off]
+        fix(new, lo, hi)
+        vec, new = new, vec
         series.append(float(vec[center]))
     return series
 

@@ -1,10 +1,12 @@
 """Cone types, the relative automaton, P-set refinement, verification."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from freewalk import FactorSpec, free_group, free_product
+from freewalk.cli import build_group, load_config
 from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN, FactorElement, GroupElement, word_ball
 from freewalk.automaton import (
     Bundle,
@@ -225,6 +227,44 @@ def test_canonical_equals_reduced_language(zz):
     l0 = list(g0.language(4, 3))
     l1 = list(g1.language(4, 3))
     assert l0 == l1
+
+
+def stepwise_language(auto, m, B):
+    """Reference: the accepted sequences, stepping every prefix by every
+    letter of every factor, in (length, letter-lexicographic) order."""
+    grp = auto.group
+    letters = [fe for k in range(1, grp.num_factors + 1) for fe in grp.factor_elements(k, B)]
+    level = [((), auto.start)]
+    out = [()]
+    for _ in range(m):
+        nxt = []
+        for seq, state in level:
+            for fe in letters:
+                s2 = auto.step(state, fe)
+                if s2 is not None:
+                    nxt.append((seq + (fe,), s2))
+        nxt.sort(key=lambda item: item[0])
+        out.extend(seq for seq, _ in nxt)
+        level = nxt
+    return out
+
+
+CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_language_equals_the_stepwise_walk_on_shipped_configs(path):
+    cfg = load_config(str(path))
+    group = build_group(cfg)
+    C, (m, B) = cfg["budgets"]["automaton_c"], cfg["budgets"]["automaton_mb"]
+    for auto in (reduced_automaton(group, C, m, B), canonical_automaton(group, C, m, B)):
+        assert list(auto.language(m, B)) == stepwise_language(auto, m, B)
+
+
+def test_language_equals_the_stepwise_walk_on_z4_z2():
+    group = free_product(FactorSpec(FINITE_CYCLIC, order=4), FactorSpec(FREE_ABELIAN, rank=2))
+    for auto in (reduced_automaton(group, 2, 3, 2), canonical_automaton(group, 2, 3, 2)):
+        assert list(auto.language(3, 2)) == stepwise_language(auto, 3, 2)
 
 
 def test_canonical_psets_nonempty(zz):

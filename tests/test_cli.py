@@ -87,16 +87,30 @@ def test_automaton_export_dot(config_path, tmp_path):
     assert text.startswith("digraph")
 
 
+def assert_config_error_manifest(out):
+    """A config that cannot be loaded still leaves a manifest in --out."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["partial"] is False
+    assert manifest["budgets"] == {}
+
+
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert main(["validate", str(bad), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "bad.json" in err
+    assert_config_error_manifest(tmp_path / "o")
 
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"group": []}))
-    assert main(["validate", str(missing), "--out", str(tmp_path / "o")]) == 1
+    assert main(["validate", str(missing), "--out", str(tmp_path / "p")]) == 1
+    assert_config_error_manifest(tmp_path / "p")
+
+    absent = tmp_path / "absent.json"
+    assert main(["validate", str(absent), "--out", str(tmp_path / "q")]) == 1
+    assert "config error: cannot read config" in capsys.readouterr().err
+    assert_config_error_manifest(tmp_path / "q")
 
     badweight = tmp_path / "w.json"
     cfg = dict(CONFIG)
@@ -298,6 +312,18 @@ def test_tauber_beta_without_input_exits_one_with_manifest(config_path, tmp_path
     assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_tauber_non_finite_beta_exits_one_naming_it(config_path, tmp_path, capsys, beta):
+    # checked before the input is read: the missing CSV is never opened
+    out = tmp_path / "o"
+    assert run("tauber", config_path, out, "--input", str(tmp_path / "missing.csv"),
+               f"--beta={beta}") == 1
+    err = capsys.readouterr().err
+    assert "validation error: --beta must be a finite number" in err
+    assert not (out / "tauber.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
 def test_unknown_budget_key_exits_one_with_manifest(tmp_path, capsys):
     budgets = dict(CONFIG["budgets"], seris_order=8)
     path = write_config(tmp_path, budgets=budgets)
@@ -377,6 +403,7 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, number):
         load_config(str(path))
     assert main(["validate", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "config error:" in capsys.readouterr().err
+    assert_config_error_manifest(tmp_path / "o")
 
 
 @pytest.mark.parametrize("flags, grid", [

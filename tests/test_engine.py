@@ -133,6 +133,8 @@ def assert_matches_reference(group, support, cap):
     assert table.size == len(elems)
     for name in ("wl", "rel", "maxfac"):
         np.testing.assert_array_equal(getattr(table, name), ref[name], err_msg=name)
+    for name in ("parent", "code"):  # trimmed to the table after the build's headroom
+        assert len(getattr(table, name)) == table.size, name
     assert_step_relation_matches(table, elems, ref["nbr"])
     for i, g in enumerate(elems):
         assert table.element_of(i) == g
@@ -381,8 +383,10 @@ def lazy_f2_cap12_memory():
 
 def test_build_transient_stays_small(lazy_f2_cap12_memory):
     """The cap-12 build's temporaries: peak minus what the table keeps
-    (about 29 MB, mostly the neighbour matrix that the build ends by turning
-    into the step adjacency; 100 MB when passes were 2^18 sources)."""
+    (about 16 MB, at an interning pass: its temporaries and the per-id
+    arrays' room for its new elements; 29 MB when one (M x K) neighbour
+    matrix lived until the adjacency was whole, 100 MB when passes were
+    2^18 sources)."""
     size, build_peak, retained, _, _ = lazy_f2_cap12_memory
     assert size > 10**6
     assert build_peak - retained < 32e6
@@ -398,8 +402,8 @@ def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
 def test_table_keeps_one_step_relation(lazy_f2_cap12_memory):
     """After its build and a step, the cap-12 table keeps its per-id arrays
     (20 B per element), trie keys (12 B) and step adjacency (21 B): 53.4 B
-    per element measured.  The build's (M x K) neighbour matrix kept beside
-    the adjacency would add 20 B."""
+    per element measured.  The build's neighbour arrays kept beside the
+    adjacency would add 16 B."""
     size, _, _, _, kept = lazy_f2_cap12_memory
     assert kept / size < 60
 

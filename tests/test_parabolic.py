@@ -6,12 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freewalk import (free_group, free_product, lazy_walk, measure_from_pairs, simple_walk,
                       FactorSpec)
-from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN
+from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN, GroupElement
 from freewalk.green import resolve_r, spectral_radius
 from freewalk.parabolic import (
+    ReturnKernel,
+    _absorption,
     _kernel_power_series,
     classify,
     equadiff_table,
@@ -197,6 +201,104 @@ def test_cyclic_kernel_powers_equal_the_gathered_shifts(m):
             kern = first_return_kernel(mu, 2, r, horizon=16, exploration_radius=8)
             want = gathered_cyclic_powers(kern, m, 96)
             assert _kernel_power_series(mu, kern, 96, 8) == want
+
+
+def slice_move_powers(measure, kernel, order, h_ball):
+    """Reference: p^(n)(e, e) on the factor window, each step adding every
+    kernel move into a zeroed level over the whole window, one window slice
+    per move (two per cyclic shift)."""
+    spec = measure.group.factor(kernel.factor)
+    moves = []  # (src, dst, w): the window a move shifts and where it lands
+    if spec.kind == FINITE_CYCLIC:
+        m = spec.order
+        shape, center = (m,), (0,)
+        mover = np.zeros(m)
+        for sigma, w in kernel.nu.items():
+            shift = sigma.syllables[0].coords[0] if sigma.syllables else 0
+            mover[shift % m] += w
+        for s in range(m):
+            if mover[s]:
+                moves.append(((slice(0, m - s),), (slice(s, m),), mover[s]))
+                if s:
+                    moves.append(((slice(m - s, m),), (slice(0, s),), mover[s]))
+    else:
+        d = spec.rank
+        width = 2 * h_ball + 1
+        shape, center = (width,) * d, (h_ball,) * d
+        for sigma, w in kernel.nu.items():
+            off = sigma.syllables[0].coords if sigma.syllables else (0,) * d
+            if all(abs(c) <= 2 * h_ball for c in off):
+                spans = [(max(0, -c), min(width, width - c), c) for c in off]
+                moves.append((tuple(slice(lo, hi) for lo, hi, _ in spans),
+                              tuple(slice(lo + c, hi + c) for lo, hi, c in spans), w))
+    vec = np.zeros(shape)
+    vec[center] = 1.0
+    series = [1.0]
+    for _ in range(order):
+        new = np.zeros(shape)
+        for src, dst, w in moves:
+            new[dst] += w * vec[src]
+        vec = new
+        series.append(float(vec[center]))
+    return series
+
+
+@st.composite
+def factor_kernels(draw):
+    """A measure on Z^d * Z (d = 1, 2, 3) or Z/m * Z, a kernel on its first
+    factor with positive weights on arbitrary offsets (the identity among
+    them or not, diagonal ones, some beyond 2 h_ball), h_ball and an order."""
+    d = draw(st.integers(0, 3))  # 0: the factor is Z/m
+    h_ball = draw(st.integers(0, 5))
+    if d:
+        spec, dims, reach = FactorSpec(FREE_ABELIAN, rank=d), d, 2 * h_ball + 1
+    else:
+        spec = FactorSpec(FINITE_CYCLIC, order=draw(st.integers(2, 7)))
+        dims, reach = 1, spec.order - 1
+    grp = free_product(spec, FactorSpec(FREE_ABELIAN))
+    offsets = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * dims), max_size=6))
+    nu = {}
+    for off in offsets:
+        syl = grp.syllable(1, off)
+        sigma = GroupElement((syl,) if any(syl.coords) else ())
+        nu[sigma] = draw(st.floats(1e-3, 0.6))
+    kernel = ReturnKernel(factor=1, r=1.0, nu=nu, horizon=0, exploration_radius=0)
+    return lazy_walk(grp), kernel, h_ball, draw(st.integers(0, 100))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(factor_kernels())
+def test_kernel_powers_equal_the_slice_moves_on_random_kernels(case):
+    # the flat buffer adds the same products in the same move order, and its
+    # light cone leaves out only cells that cannot reach the centre in time
+    measure, kernel, h_ball, order = case
+    assert (_kernel_power_series(measure, kernel, order, h_ball)
+            == slice_move_powers(measure, kernel, order, h_ball))
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 17, 40, 63, 64, 65, 130])
+def test_kernel_powers_equal_the_slice_moves_inside_and_past_the_window(order):
+    # the Z^2 kernel of the shipped z2-z3-lazy walk moves one L1 ring per
+    # step: below 2 h_ball steps the cone never fills the window
+    grp = free_product(FactorSpec(FREE_ABELIAN, rank=2), FactorSpec(FINITE_CYCLIC, order=3))
+    mu = lazy_walk(grp)
+    kern = first_return_kernel(mu, 1, 0.9, horizon=24, exploration_radius=8)
+    assert _kernel_power_series(mu, kern, order, 32) == slice_move_powers(mu, kern, order, 32)
+
+
+@pytest.mark.parametrize("k, r", [(1, 0.5), (2, 0.9), (1, 0.0)])
+def test_first_return_kernel_sums_the_same_offsets_as_all_of_them(lazy, k, r):
+    # skipping the offsets that carry no mass keeps nu's keys, values and order
+    horizon, radius = 16, 8
+    kern = first_return_kernel(lazy, k, r, horizon=horizon, exploration_radius=radius)
+    prof, offsets = _absorption(lazy, k, horizon, radius)
+    want = {}
+    for idx, sigma in enumerate(offsets):
+        val = math.fsum(prof[n, idx] * r ** (n + 1) for n in range(horizon))
+        if val > 0.0:
+            want[sigma] = val
+    assert list(kern.nu.items()) == list(want.items())
+    assert r == 0.0 or len(kern.nu) < len(offsets)
 
 
 def test_green_moments_base_cases(zz, lazy):
