@@ -11,20 +11,24 @@ factors.  Two constructions are provided:
   are built directly: the identity, which extends by every factor, and one
   type per factor k, which extends by every factor but k.
 * `canonical_automaton` refines the states with competitor-offset sets
-  (P-sets) tracking lexicographically smaller spellings that stay within a
-  word-ball of radius C; a letter whose refreshed offset set would contain
-  the identity is rejected.  In a free product every element has a unique
-  reduced spelling, so the accepted language coincides with the reduced
-  one; the P-sets are still computed faithfully and exposed.  The offsets
-  g with x.g a single letter come from syllables, not from a search of the
-  C-ball: g = x^-1 s for a letter s, which either merges into the last
-  syllable of x^-1 (s in the factor of x's first syllable) or is appended.
+  (P-sets, Epstein et al., *Word Processing in Groups*, 1992) tracking
+  lexicographically smaller spellings that stay within a word-ball of
+  radius C.  A letter sigma steps a P-set on syllables alone: for each
+  offset gamma it forms h = sigma^-1 gamma by putting -sigma in front of
+  gamma's syllables, and the new offsets are the g = h.s of word length in
+  (0, C] for letters s, each factor ball listed once per build.  A letter
+  would be rejected when some h is a single letter, since then a smaller
+  sequence of as many letters spells the same element; in a free product
+  every element has one reduced spelling, so this never happens on the
+  reduced extensions the construction steps, and the accepted language is
+  the reduced one.  The P-sets are still computed faithfully and exposed.
 
 Edges come in bundles: one symbolic edge per (state, factor, coordinate
 class), since factors may be infinite.  Far coordinates collapse to one
 class per factor because the letter order is coordinate-lexicographic and
 therefore translation-invariant; the construction cross-checks this with
-sentinel probes.
+sentinel probes.  The bundles are the only copy of the transitions: the
+graph derives its stepping index from them.
 """
 
 from __future__ import annotations
@@ -71,24 +75,31 @@ class AutomatonGraph:
     start: int
     bundles: tuple[Bundle, ...]
     window: int
-    _trans: dict = field(repr=False, default_factory=dict)
+    _moves: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the stepping index: (state, factor, coords | "all" | "far") -> target
+        self._moves = {}
+        for b in self.bundles:
+            keys = b.predicate[1] if b.predicate[0] == "coords" else b.predicate[:1]
+            for key in keys:
+                self._moves[(b.source, b.factor, key)] = b.target
 
     # -- stepping ---------------------------------------------------------
 
     def step(self, state: int, letter: FactorElement) -> int | None:
         grp = self.group
         k = letter.factor
-        norm = grp.syllable(k, letter.coords)
-        if not any(norm.coords):
+        coords = grp.syllable(k, letter.coords).coords
+        if not any(coords):
             return None
-        per = self._trans.get((state, k))
-        if per is None:
-            return None
-        if grp.factor(k).kind == FINITE_CYCLIC:
-            return per["window"].get(norm.coords)
-        if grp.factor_word_length(k, norm.coords) <= self.window:
-            return per["window"].get(norm.coords)
-        return per["far"]
+        moves = self._moves
+        if (state, k, "all") in moves:
+            return moves[(state, k, "all")]
+        if (grp.factor(k).kind != FINITE_CYCLIC
+                and grp.factor_word_length(k, coords) > self.window):
+            return moves.get((state, k, "far"))
+        return moves.get((state, k, coords))
 
     def accept(self, letters: Sequence[FactorElement]) -> bool:
         state = self.start
@@ -161,71 +172,72 @@ def cone_types(group: FreeProduct, m: int = 4, B: int = 3) -> list[ConeType]:
 # -- P-set machinery ---------------------------------------------------------------
 
 
-class GroupAlphabet:
-    """Letters = nonidentity factor elements, ordered by (factor, coords)."""
+def offsets(group: FreeProduct, h: tuple[FactorElement, ...], C: int,
+            balls: dict) -> list[tuple[GroupElement, FactorElement]]:
+    """(g, s) for every letter s with g = h.s and 0 < |g| <= C, unordered.
 
-    def __init__(self, group: FreeProduct, C: int):
-        self.group = group
-        self.C = C
-
-    def letter_keys(self, x: GroupElement) -> list[tuple]:
-        """Order keys of the letters spelling x (at most one in a group)."""
-        if len(x.syllables) != 1:
-            return []
-        fe = x.syllables[0]
-        return [(fe.factor, fe.coords)]
-
-    def offsets(self, x: GroupElement) -> list[tuple[GroupElement, tuple]]:
-        """(g, key) for every g != e of word length <= C with x.g a single
-        letter s, key being the order key of s; in word-ball order.
-
-        g = x^-1 s: a letter s of the factor of x's first syllable x_1 merges
-        with x_1^-1 into t = x_1^-1 s, any other letter is appended.
-        """
-        grp = self.group
-        xinv = grp.inverse(x).syllables
-        room = self.C - grp.word_length(x)
-        first = x.syllables[0] if x.syllables else None
-        out = []
-        for k in range(1, grp.num_factors + 1):
-            if first is None or k != first.factor:
-                out += [(GroupElement(xinv + (s,)), (k, s.coords))
-                        for s in grp.factor_elements(k, room)]
-                continue
-            head = xinv[:-1]
-            reach = room + grp.factor_word_length(k, first.coords)
-            if head and reach >= 0:  # t = e: s = x_1, g = x^-1 without x_1^-1
-                out.append((GroupElement(head), (k, first.coords)))
-            for t in grp.factor_elements(k, reach):
-                s = grp.factor_add(k, first.coords, t.coords)
-                if any(s):
-                    out.append((GroupElement(head + (t,)), (k, s)))
-        out.sort(key=lambda item: _canonical(item[0]))
-        return out
-
-    def mul(self, a, b):
-        return self.group.multiply(a, b)
-
-    def inv(self, a):
-        return self.group.inverse(a)
-
-
-def pset_transition(alphabet, pset: Iterable[GroupElement], sigma: GroupElement,
-                    sigma_key: tuple) -> tuple[bool, frozenset]:
-    """One refinement step of the competitor-offset set.
-
-    Returns (killed, new_pset): `killed` means a strictly smaller spelling
-    of the same prefix exists (the identity entered the offset set), so the
-    letter must be rejected.
+    h is a syllable tuple in normal form.  A letter s outside the factor of
+    h's last syllable d is appended; a letter of that factor merges into t =
+    d + s, so g is h's body followed by t, or the body alone when s = d^-1.
+    `balls` caches factor_elements(k, room) by (k, room) for one build.
     """
-    killed = any(k < sigma_key for k in alphabet.letter_keys(sigma))
-    new = {g for g, key in alphabet.offsets(sigma) if key < sigma_key}
+    def ball(k: int, room: int) -> list[FactorElement]:
+        if (k, room) not in balls:
+            balls[(k, room)] = group.factor_elements(k, room)
+        return balls[(k, room)]
+
+    wl = [group.factor_word_length(k, c) for k, c in h]
+    room = C - sum(wl)
+    out = []
+    last = None
+    if h:
+        body, (last, d) = h[:-1], h[-1]
+        reach = room + wl[-1]  # C - |body|
+        if reach < 0:
+            return out  # every g keeps the whole body
+        neg = group.factor_neg(last, d)
+        if body:
+            out.append((GroupElement(body), FactorElement(last, neg)))
+        out += [(GroupElement(body + (t,)),
+                 FactorElement(last, group.factor_add(last, t.coords, neg)))
+                for t in ball(last, reach) if t.coords != d]
+    out += [(GroupElement(h + (s,)), s)
+            for k in range(1, group.num_factors + 1) if k != last
+            for s in ball(k, room)]
+    return out
+
+
+def pset_transition(group: FreeProduct, C: int, pset: Iterable[GroupElement],
+                    sigma: FactorElement, balls: dict) -> frozenset:
+    """One refinement step of the competitor-offset set on the letter sigma.
+
+    The new set holds the offsets (`offsets`) of h = sigma^-1 gamma for every
+    gamma of the set, and, for gamma = e, those whose letter s precedes
+    sigma.  h is formed on syllables: -sigma goes in front of gamma, merging
+    with gamma's first syllable when that one is in sigma's factor.
+
+    A single letter h = s^-1 would kill sigma: with w' = w.gamma the smaller
+    spelling that gamma records, w'.s is a lexicographically smaller
+    sequence with as many letters as w.sigma that spells the same element.
+    `_build` steps only reduced extensions w.sigma, so w'.s would be a second
+    reduced spelling of one element, which the normal form rules out; the
+    case raises AssertionError.
+    """
+    k, c = sigma
+    neg = FactorElement(k, group.factor_neg(k, c))
+    new = {g for g, s in offsets(group, (neg,), C, balls) if s < sigma}
     for gamma in pset:
-        base = alphabet.mul(alphabet.inv(gamma), sigma)
-        if alphabet.letter_keys(base):
-            killed = True
-        new.update(g for g, _ in alphabet.offsets(base))
-    return killed, frozenset(new)
+        first, rest = gamma.syllables[0], gamma.syllables[1:]
+        if first.factor == k:
+            t = group.factor_add(k, neg.coords, first.coords)
+            h = ((FactorElement(k, t),) if any(t) else ()) + rest
+        else:
+            h = (neg,) + gamma.syllables
+        if len(h) == 1:
+            raise AssertionError("a competitor offset spells the prefix with a "
+                                 "smaller letter: the normal form is not unique")
+        new.update(g for g, _ in offsets(group, h, C, balls))
+    return frozenset(new)
 
 
 # -- construction --------------------------------------------------------------------
@@ -239,9 +251,9 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
     types = cone_types(group, m, B)
     by_last = {t.last_factor: t for t in types}
     window = 2 * C + 1
-    alphabet = GroupAlphabet(group, C) if kind == "canonical" else None
+    balls: dict = {}
 
-    def far_letters(k: int) -> list[GroupElement]:
+    def far_letters(k: int) -> list[FactorElement]:
         spec = group.factor(k)
         if spec.kind == FINITE_CYCLIC:
             return []
@@ -250,18 +262,17 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
             for sign in (1, -1):
                 coords = [0] * spec.rank
                 coords[0] = sign * mag
-                probes.append(group.normalize([group.syllable(k, coords)]))
+                probes.append(group.syllable(k, coords))
                 if spec.rank > 1:
                     coords = [0] * spec.rank
                     coords[-1] = sign * mag
-                    probes.append(group.normalize([group.syllable(k, coords)]))
+                    probes.append(group.syllable(k, coords))
         return probes
 
     index: dict[tuple, int] = {}
     vertices: list[Vertex] = []
     psets: list[frozenset] = []
     bundles: list[Bundle] = []
-    trans: dict = {}
     queue: list[int] = []
 
     def vertex(cone_type: int, pset: frozenset) -> int:
@@ -282,9 +293,7 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
         for k in sorted(vt.extension_factors):
             target_type = by_last[k].index
             if kind == "reduced":
-                j = vertex(target_type, frozenset())
-                bundles.append(Bundle(v, j, k, ("all",)))
-                trans[(v, k)] = {"window": _AllCoords(j), "far": j}
+                bundles.append(Bundle(v, vertex(target_type, frozenset()), k, ("all",)))
                 continue
 
             # canonical: split the factor by induced P-set
@@ -296,40 +305,18 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
                     )
             spec_k = group.factor(k)
             letter_reach = spec_k.order if spec_k.kind == FINITE_CYCLIC else window
-            classes: dict[tuple, list] = {}
+            classes: dict[frozenset, list] = {}  # coords in letter order
             for fe in group.factor_elements(k, letter_reach):
-                sigma = GroupElement((fe,))
-                killed, new_pset = pset_transition(alphabet, pset, sigma,
-                                                   (fe.factor, fe.coords))
-                ckey = ("dead",) if killed else ("live", new_pset)
-                classes.setdefault(ckey, []).append(fe.coords)
-            far_results = set()
-            for sigma in far_letters(k):
-                fe = sigma.syllables[0]
-                killed, new_pset = pset_transition(alphabet, pset, sigma,
-                                                   (fe.factor, fe.coords))
-                far_results.add(("dead",) if killed else ("live", new_pset))
-            if len(far_results) > 1:
+                classes.setdefault(pset_transition(group, C, pset, fe, balls), []).append(fe.coords)
+            far = {pset_transition(group, C, pset, fe, balls) for fe in far_letters(k)}
+            if len(far) > 1:
                 raise AssertionError("far sentinel probes disagree; "
                                      "window too small for this alphabet order")
-
-            per = {"window": {}, "far": None}
-            for ckey, coords_list in sorted(
-                classes.items(), key=lambda kv: sorted(kv[1])
-            ):
-                if ckey[0] == "dead":
-                    continue
-                j = vertex(target_type, ckey[1])
-                bundles.append(Bundle(v, j, k, ("coords", tuple(sorted(coords_list)))))
-                for coords in coords_list:
-                    per["window"][coords] = j
-            if far_results:
-                fkey = next(iter(far_results))
-                if fkey[0] == "live":
-                    j = vertex(target_type, fkey[1])
-                    bundles.append(Bundle(v, j, k, ("far", window)))
-                    per["far"] = j
-            trans[(v, k)] = per
+            for new_pset, coords_list in sorted(classes.items(), key=lambda kv: kv[1]):
+                j = vertex(target_type, new_pset)
+                bundles.append(Bundle(v, j, k, ("coords", tuple(coords_list))))
+            if far:
+                bundles.append(Bundle(v, vertex(target_type, far.pop()), k, ("far", window)))
 
     return AutomatonGraph(
         group=group,
@@ -340,22 +327,7 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
         start=0,
         bundles=tuple(bundles),
         window=window,
-        _trans=trans,
     )
-
-
-class _AllCoords(dict):
-    """Transition row accepting every nonidentity coordinate of a factor."""
-
-    def __init__(self, target):
-        super().__init__()
-        self._target = target
-
-    def get(self, coords, default=None):
-        return self._target
-
-    def __repr__(self):
-        return f"<all -> {self._target}>"
 
 
 def reduced_automaton(group: FreeProduct, C: int = 3, m: int = 4, B: int = 3) -> AutomatonGraph:

@@ -393,7 +393,7 @@ def cmd_ancona(ctx) -> dict:
             "triples_checked": tri.triples_checked,
             "violations": tri.violations,
             "uninformative": tri.uninformative,
-            "worst_signed_slack": tri.worst_signed_slack,
+            "worst_signed_slack": _finite(tri.worst_signed_slack),
         },
         "ratios": {
             "count": len(ratios.rows),

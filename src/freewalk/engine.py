@@ -681,14 +681,15 @@ def green_field(table: BallTable, weights: Iterable, order: int,
     """Accumulate G(e, g | r) = sum_n r^n mu^{*n}(g) over the whole table.
 
     Returns {"final": {r: array}, "e_series": list mu^{*n}(e),
-    "last_terms": {r: [three term arrays]}} computed in one DP pass; the
-    e_series gives the (radius-truncated) return weights and the last term
-    arrays feed per-element tail estimates.
+    "last_levels": [(t, mu^{*t}) for the last three t]} computed in one DP
+    pass; the e_series gives the (radius-truncated) return weights, and the
+    last levels, kept once for every r, feed per-element tail estimates
+    through their terms (r ** t) * mu^{*t}.
     """
     rs = list(r_values)
     acc = {r: np.zeros(table.size) for r in rs}
     e_series: list[float] = []
-    last_terms: dict[float, list] = {r: [] for r in rs}
+    last_levels: list[tuple[int, np.ndarray]] = []
     scratch = np.empty(table.size)  # r^t mu^{*t} on the prefix, for every r and t
     for t, (w, hi) in enumerate(levels(table, weights, order)):
         e_series.append(float(w[0]))
@@ -696,9 +697,9 @@ def green_field(table: BallTable, weights: Iterable, order: int,
         for r in rs:
             np.multiply(w[:hi], r ** t, out=term)
             acc[r][:hi] += term
-            if t >= order - 2:
-                last_terms[r].append((r ** t) * w)
-    return {"final": acc, "e_series": e_series, "last_terms": last_terms}
+        if t >= order - 2:
+            last_levels.append((t, w))
+    return {"final": acc, "e_series": e_series, "last_levels": last_levels}
 
 
 def absorbed_profile(table: BallTable, weights: Iterable, absorb_ids: np.ndarray,

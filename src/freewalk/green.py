@@ -79,7 +79,7 @@ def _field(measure: Measure, r_values: Sequence[float], order: int, radius: int)
         # the same unpruned DP as pruned_return_weights: serve it from here
         measure.memo(("qf", order, radius), lambda: out["e_series"])
         return {"table": table, "G": out["final"], "e_series": out["e_series"],
-                "last_terms": out["last_terms"]}
+                "last_levels": out["last_levels"]}
 
     # fields hold several full-table float arrays; keep at most two alive
     return measure.memo(("field", rs, order, radius), compute, keep=2)
@@ -92,10 +92,9 @@ def field_tails(field: dict, r: float, ratio_cap: float) -> np.ndarray:
     at `ratio_cap` and at 0.999; elements whose series has not produced a
     term yet get an infinite (uninformative) tail.
     """
-    terms = field["last_terms"][r]
-    if len(terms) < 3:
+    if len(field["last_levels"]) < 3:
         return np.full_like(field["G"][r], np.inf)
-    t0, t1, t2 = terms[-3], terms[-2], terms[-1]
+    t0, t1, t2 = ((r ** t) * w for t, w in field["last_levels"][-3:])
     cap = min(0.999, ratio_cap)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(np.where(t0 > 0, np.sqrt(t2 / np.where(t0 > 0, t0, 1.0)), cap), cap)

@@ -1,20 +1,25 @@
 """Cone types, the relative automaton, P-set refinement, verification."""
 
+import dataclasses
 import hashlib
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-from freewalk import FactorSpec, free_group, free_product
-from freewalk.cli import build_group, load_config
-from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN, FactorElement, GroupElement, word_ball
+from freewalk import FactorSpec, automaton, free_group, free_product
+from freewalk.cli import build_group, load_config, main
+from freewalk.groups import (
+    FINITE_CYCLIC, FREE_ABELIAN, FactorElement, FreeProduct, GroupElement, word_ball,
+)
 from freewalk.automaton import (
     Bundle,
-    GroupAlphabet,
+    Vertex,
+    _canonical,
     canonical_automaton,
     cone_types,
     export_dot,
-    pset_transition,
+    offsets,
     reduced_automaton,
     verify_structure,
 )
@@ -139,12 +144,15 @@ def test_automaton_needs_positive_m(zz):
 def test_offsets_match_brute_force(zz, z2z3, z3z4):
     for grp in (zz, z2z3, z3z4):
         for C in (1, 2):
-            alpha = GroupAlphabet(grp, C)
             ball = word_ball(grp, C)
-            for x in word_ball(grp, 2 * C + 1):
-                brute = [(g, k) for g in ball if g != grp.identity
-                         for k in alpha.letter_keys(grp.multiply(x, g))]
-                assert alpha.offsets(x) == brute, (grp.render(x), C)
+            balls = {}
+            for h in word_ball(grp, 2 * C + 1):
+                hinv = grp.inverse(h)
+                brute = {(g, s.syllables[0]) for g in ball if g != grp.identity
+                         if len((s := grp.multiply(hinv, g)).syllables) == 1}
+                got = offsets(grp, h.syllables, C, balls)
+                assert len(got) == len(brute) and set(got) == brute, (grp.render(h), C)
+
 
 
 def test_g0_shape_two_factors(zz):
@@ -211,11 +219,7 @@ def test_verify_structure_mutated(zz):
     # adding a same-factor loop breaks the geodesic condition
     bad = Bundle(source=1, target=1, factor=auto.cone_types[
         auto.vertices[1].cone_type].last_factor, predicate=("all",))
-    auto2 = reduced_automaton(zz)
-    auto2.bundles = auto2.bundles + (bad,)
-    from freewalk.automaton import _AllCoords
-
-    auto2._trans[(1, bad.factor)] = {"window": _AllCoords(1), "far": 1}
+    auto2 = dataclasses.replace(auto, bundles=auto.bundles + (bad,))
     report = verify_structure(auto2, 3, 2)
     assert not report["checks"]["geodesic"]
     assert "geodesic" in report["witnesses"]
@@ -280,6 +284,165 @@ def test_canonical_verify_structure(zz, z2z3):
         g1 = canonical_automaton(grp)
         report = verify_structure(g1, 3, 2)
         assert report["ok"], report
+
+
+# -- the alphabet oracle: the P-set step through group products ----------------------
+
+
+class GroupAlphabet:
+    """Letters = nonidentity factor elements, ordered by (factor, coords)."""
+
+    def __init__(self, group: FreeProduct, C: int):
+        self.group = group
+        self.C = C
+
+    def letter_keys(self, x: GroupElement) -> list[tuple]:
+        """Order keys of the letters spelling x (at most one in a group)."""
+        if len(x.syllables) != 1:
+            return []
+        fe = x.syllables[0]
+        return [(fe.factor, fe.coords)]
+
+    def offsets(self, x: GroupElement) -> list[tuple[GroupElement, tuple]]:
+        """(g, key) for every g != e of word length <= C with x.g a single
+        letter s, key being the order key of s; in word-ball order.
+
+        g = x^-1 s: a letter s of the factor of x's first syllable x_1 merges
+        with x_1^-1 into t = x_1^-1 s, any other letter is appended.
+        """
+        grp = self.group
+        xinv = grp.inverse(x).syllables
+        room = self.C - grp.word_length(x)
+        first = x.syllables[0] if x.syllables else None
+        out = []
+        for k in range(1, grp.num_factors + 1):
+            if first is None or k != first.factor:
+                out += [(GroupElement(xinv + (s,)), (k, s.coords))
+                        for s in grp.factor_elements(k, room)]
+                continue
+            head = xinv[:-1]
+            reach = room + grp.factor_word_length(k, first.coords)
+            if head and reach >= 0:  # t = e: s = x_1, g = x^-1 without x_1^-1
+                out.append((GroupElement(head), (k, first.coords)))
+            for t in grp.factor_elements(k, reach):
+                s = grp.factor_add(k, first.coords, t.coords)
+                if any(s):
+                    out.append((GroupElement(head + (t,)), (k, s)))
+        out.sort(key=lambda item: _canonical(item[0]))
+        return out
+
+    def mul(self, a, b):
+        return self.group.multiply(a, b)
+
+    def inv(self, a):
+        return self.group.inverse(a)
+
+
+def pset_transition(alphabet, pset: Iterable[GroupElement], sigma: GroupElement,
+                    sigma_key: tuple) -> tuple[bool, frozenset]:
+    """One refinement step of the competitor-offset set.
+
+    Returns (killed, new_pset): `killed` means a strictly smaller spelling
+    of the same prefix exists (the identity entered the offset set), so the
+    letter must be rejected.
+    """
+    killed = any(k < sigma_key for k in alphabet.letter_keys(sigma))
+    new = {g for g, key in alphabet.offsets(sigma) if key < sigma_key}
+    for gamma in pset:
+        base = alphabet.mul(alphabet.inv(gamma), sigma)
+        if alphabet.letter_keys(base):
+            killed = True
+        new.update(g for g, _ in alphabet.offsets(base))
+    return killed, frozenset(new)
+
+
+def reduced_sequences(group, m, B):
+    """Reference language: every letter sequence with <= m letters of factor
+    word length <= B and no two consecutive letters from one factor, in
+    (length, letter-lexicographic) order."""
+    letters = [fe for k in range(1, group.num_factors + 1) for fe in group.factor_elements(k, B)]
+    level, out = [()], [()]
+    for _ in range(m):
+        level = sorted(seq + (fe,) for seq in level for fe in letters
+                       if not seq or seq[-1].factor != fe.factor)
+        out += level
+    return out
+
+
+ORACLE_GROUPS = {
+    "z/4-z^2": (free_product(FactorSpec(FINITE_CYCLIC, order=4), FactorSpec(FREE_ABELIAN, rank=2)),
+              (3, 2)),
+    "z^3-z/2": (free_product(FactorSpec(FREE_ABELIAN, rank=3), FactorSpec(FINITE_CYCLIC, order=2)),
+              (2, 2)),
+}
+for _path in CONFIGS:
+    _cfg = load_config(str(_path))
+    ORACLE_GROUPS[_path.stem] = (build_group(_cfg), tuple(_cfg["budgets"]["automaton_mb"]))
+
+
+@pytest.mark.parametrize("C", (1, 2, 3))
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_syllable_step_equals_the_alphabet_oracle(name, C, monkeypatch):
+    """Every P-set step the build takes, far probes included, gives the
+    oracle's set, and the oracle never kills a letter; both automaton kinds
+    equal the ones built on the oracle step and accept the reduced language."""
+    group, (m, B) = ORACLE_GROUPS[name]
+    auto = canonical_automaton(group, C, m, B)
+    syllable_step = automaton.pset_transition
+    steps = []
+
+    def checked(grp, radius, pset, sigma, balls):
+        killed, want = pset_transition(GroupAlphabet(grp, radius), pset, GroupElement((sigma,)),
+                                       (sigma.factor, sigma.coords))
+        assert not killed
+        assert syllable_step(grp, radius, pset, sigma, balls) == want, (pset, sigma)
+        steps.append(sigma)
+        return want
+
+    monkeypatch.setattr(automaton, "pset_transition", checked)
+    oracle = canonical_automaton(group, C, m, B)
+    monkeypatch.undo()
+    assert steps and any(v.pset for v in auto.vertices)
+    assert auto.vertices == oracle.vertices and auto.bundles == oracle.bundles
+    assert export_dot(auto) == export_dot(oracle)
+    language = reduced_sequences(group, m, B)
+    assert list(auto.language(m, B)) == list(oracle.language(m, B)) == language
+
+    reduced = reduced_automaton(group, C, m, B)
+    n = group.num_factors
+    assert reduced.vertices == tuple(Vertex(i, i, ()) for i in range(n + 1))
+    assert reduced.bundles == tuple(Bundle(v, k, k, ("all",)) for v in range(n + 1)
+                                    for k in range(1, n + 1) if k != v)
+    assert list(reduced.language(m, B)) == language
+
+
+# sha256 of the `automaton --export-dot` artifacts on the shipped configs, recorded
+# from the construction that stepped P-sets through group products
+ARTIFACT_SHA256 = {
+    "f2-lazy": {
+        "structure.json": "a92c0f33268ac8d17943634d635c9f8f8885734da175c2f6cf162c4cee7706be",
+        "language.txt": "55766f3a7f7430c062b2ab4db7d1c8399a1511a97dca03eb9fbedee660b306be",
+        "automaton.dot": "5cde7b90c80092271b1c1c6d12a32dac0f8f8367d758d87c6fa05acf29644e90",
+    },
+    "f2-simple": {
+        "structure.json": "a92c0f33268ac8d17943634d635c9f8f8885734da175c2f6cf162c4cee7706be",
+        "language.txt": "55766f3a7f7430c062b2ab4db7d1c8399a1511a97dca03eb9fbedee660b306be",
+        "automaton.dot": "5cde7b90c80092271b1c1c6d12a32dac0f8f8367d758d87c6fa05acf29644e90",
+    },
+    "z2-z3-lazy": {
+        "structure.json": "2fc3e9aaae07fa15a524e67d3c4d31f874d3e2caae7aa6dc33680f33a3be4e60",
+        "language.txt": "9ae04bffd5029e739ef9b2fa10415006f92265992dc8a9003c9b56bdef02e858",
+        "automaton.dot": "3367debb36fae9029e553cdd0361deae15ceb3272a7af02c2ac0e39d840b0540",
+    },
+}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_automaton_artifacts_are_pinned(path, tmp_path):
+    out = tmp_path / "auto"
+    assert main(["automaton", str(path), "--export-dot", "--out", str(out)]) == 0
+    for name, digest in ARTIFACT_SHA256[path.stem].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class AliasAlphabet:

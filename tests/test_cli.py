@@ -210,6 +210,21 @@ def test_automaton_m_below_one_exits_one_with_manifest(tmp_path, capsys):
     assert manifest["budgets"]["automaton_mb"] == [0, 2]
 
 
+@pytest.mark.parametrize("triples,extra", [(0, ()), (25, ("--series-order", "1"))],
+                         ids=["no-triples", "series-order-1"])
+def test_ancona_writes_an_infinite_worst_slack(tmp_path, triples, extra):
+    """With no informative triple (none sampled, or fewer than three terms,
+    so every tail is infinite) the worst signed slack is -inf, written as a
+    string like the ratio bounds."""
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["budgets"]["triples"] = triples
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["ancona", str(path), "--out", str(out), *extra]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["triangle"]["worst_signed_slack"] == "-inf"
+
 def test_coordinates_beyond_int16(tmp_path):
     cfg = json.loads(json.dumps(CONFIG))
     cfg["measure"] = [["1:(40000)", "1/2"], ["1:(-40000)", "1/2"]]

@@ -781,9 +781,9 @@ def test_level_driver_matches_the_callback_loop(measure):
         assert got["e_series"] == want["e_series"]
         for r in (0.25, 0.5):
             assert np.array_equal(got["final"][r], want["final"][r])
-            assert len(got["last_terms"][r]) == len(want["last_terms"][r])
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(got["last_terms"][r], want["last_terms"][r]))
+            terms = [(r ** t) * w for t, w in got["last_levels"]]  # as field_tails forms them
+            assert len(terms) == len(want["last_terms"][r])
+            assert all(np.array_equal(a, b) for a, b in zip(terms, want["last_terms"][r]))
     for k in range(1, measure.group.num_factors + 1):
         ids = table.subgroup_ids(k)
         prof = absorbed_profile(table, measure.entries.values(), ids, 9)
@@ -792,6 +792,23 @@ def test_level_driver_matches_the_callback_loop(measure):
     for n_max in (0, 1, 7, 8):
         assert return_sequence(fmu, n_max).values == reference_float_returns(fmu, n_max)
 
+
+def test_green_field_keeps_each_level_once():
+    """A field over three r keeps its three accumulators and its last three
+    levels, shared by every r: six table-sized arrays, not one copy of the
+    last levels per r (twelve)."""
+    measure = driver_measures()[0]
+    table = measure.table(10)
+    green_field(table, measure.entries.values(), 9, [0.25])  # warm every table cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field = green_field(table, measure.entries.values(), 9, [0.25, 0.5, 0.75])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(field["last_levels"]) == 3
+    assert kept <= 6.5 * 8 * table.size
 
 def reference_levels(table, weights, n_steps, bound=None):
     """Full-width levels from e: every step reads the whole table."""
@@ -916,6 +933,19 @@ def test_step_is_called_only_by_the_level_driver():
     assert isinstance(level, ast.Subscript) and isinstance(level.slice, ast.Slice)
     assert level.slice.lower is None and level.slice.upper is not None
 
+
+
+def test_pset_step_stays_on_syllables():
+    """The automaton's P-set step and its offsets never multiply, invert or
+    normalize group elements: they work on syllable tuples."""
+    tree = ast.parse((SRC / "automaton.py").read_text())
+    for name in ("pset_transition", "offsets"):
+        fn = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and isinstance(node.func, (ast.Attribute, ast.Name))}
+        assert called and not called & {"multiply", "inverse", "normalize"}, name
 
 # -- the exact oracle ----------------------------------------------------------------
 
