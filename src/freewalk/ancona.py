@@ -91,7 +91,8 @@ def _locate(measure, fld, pairs) -> dict:
 
 
 def _pair_values(loc, gf, tails, r, rho, order, radius) -> dict:
-    """(value, tail) for G(x, y | r) from the field, for every located pair.
+    """(value, tail) for G(x, y | r) from the field, for every located pair;
+    `tails` maps each located table id to its `field_tails` estimate.
 
     The tail combines the per-element empirical estimate with systematic
     geometric bounds for what the truncation cannot see: series terms past
@@ -115,15 +116,17 @@ def _pair_values(loc, gf, tails, r, rho, order, radius) -> dict:
 def _audit_values(measure: Measure, pairs, rs: list[float], order: int,
                   radius: int | None, n_max_spectral: int):
     """Per r in rs, (r, values): `_pair_values` of (e, e) and of every pair,
-    all from one field and one location pass."""
+    all from one field and one location pass; the per-element tails are
+    formed at the located ids only."""
     radius = default_radius(measure, order) if radius is None else radius
     rho = 1.0 / spectral_radius(measure, n_max_spectral).point
     fld = _field(measure, rs, order, radius)
     e = measure.group.identity
     loc = _locate(measure, fld, [(e, e)] + pairs)
+    ids = sorted({i for i, _ in loc.values() if i is not None})
     for r in rs:
-        yield r, _pair_values(loc, fld["G"][r], field_tails(fld, r, r * rho), r, rho, order,
-                              radius)
+        tails = dict(zip(ids, field_tails(fld, r, r * rho, ids)))
+        yield r, _pair_values(loc, fld["G"][r], tails, r, rho, order, radius)
 
 
 def triangle_audit(measure: Measure, triples, r_values: Sequence[float],

@@ -348,7 +348,12 @@ def verify_structure(auto: AutomatonGraph, m: int, B: int) -> dict:
     """Check the four structural conditions on the truncated language:
     nothing enters the start state, every state is reachable, accepted
     paths are relative geodesics, and evaluation is a bijection onto the
-    truncated ball."""
+    truncated ball.
+
+    A sequence of nonidentity letters in reduced coordinates with no two
+    neighbours in one factor is its own normal form: only a sequence that
+    fails this test, made from its letters, is normalized.
+    """
     grp = auto.group
     report: dict = {"checks": {}, "witnesses": {}}
 
@@ -370,8 +375,14 @@ def verify_structure(auto: AutomatonGraph, m: int, B: int) -> dict:
     geodesic_ok = True
     witness = None
     products = []
+    reduced: dict = {}  # letter -> whether it is a nonidentity letter in reduced coordinates
     for seq in auto.language(m, B):
-        g = grp.normalize([fe for fe in seq])
+        for fe in seq:
+            if fe not in reduced:
+                reduced[fe] = grp.normalize([fe]).syllables == (fe,)
+        own = all(map(reduced.get, seq)) and all(a.factor != b.factor
+                                                 for a, b in zip(seq, seq[1:]))
+        g = GroupElement(tuple(seq)) if own else grp.normalize(seq)
         products.append(g)
         if grp.relative_length(g) != len(seq):
             geodesic_ok = False

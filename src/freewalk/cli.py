@@ -120,6 +120,18 @@ def _budgets(cfg: dict, args) -> dict:
     cap_mb = budgets["memory_cap_mb"]
     if cap_mb is not None and cap_mb < 0:
         raise ConfigError(f"memory_cap_mb: must be >= 0, got {cap_mb}")
+    # the (m, B) truncation: two ints, m >= 0 and B >= 1, from the flag's "m,B" or the config
+    value = budgets["truncation"]
+    flag = getattr(args, "truncation", None) is not None
+    try:
+        mB = budgets["truncation"] = [int(x) for x in value.split(",")] if flag else value
+        m, B = mB
+        ok = all(type(x) is int for x in mB) and m >= 0 and B >= 1
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{'--truncation' if flag else 'truncation'}: expected m,B with ints "
+                          f"m >= 0 and B >= 1, got {value!r}")
     return budgets
 
 
@@ -465,10 +477,6 @@ def cmd_tauber(ctx) -> dict:
     return {}
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
-
-
 FLAGS = {  # add_argument keywords; each budget override's dest is its budget key
     "--exact": {"dest": "arithmetic", "action": "store_const", "const": "exact",
                 "help": "exact rational arithmetic, whatever the config says"},
@@ -476,7 +484,7 @@ FLAGS = {  # add_argument keywords; each budget override's dest is its budget ke
                 "help": "float arithmetic, whatever the config says"},
     "--n-max": {"type": int},
     "--series-order": {"type": int},
-    "--truncation": {"type": _int_list, "metavar": "m,B"},
+    "--truncation": {"metavar": "m,B"},
     "--memory-cap": {"dest": "memory_cap_mb", "type": int, "metavar": "MB",
                      "help": "ball-table budget of MB * 10^6 / TABLE_BYTES_PER_ELEMENT "
                              f"({TABLE_BYTES_PER_ELEMENT}) elements, the measured peak bytes "

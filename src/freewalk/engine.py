@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import FactorElement, FreeProduct, GroupElement
+from .groups import FINITE_CYCLIC, FactorElement, FreeProduct, GroupElement
 
 _FLOAT_BITS = 53  # float64 holds every integer below 2^53 exactly
 _FLOAT_EXACT_LIMIT = 2.0**_FLOAT_BITS
@@ -88,15 +88,37 @@ def _syllable_alphabet(group: FreeProduct, support, cap: int) -> list[FactorElem
     return out
 
 
-def _merge_row(group: FreeProduct, codes: dict, slots, y: FactorElement) -> np.ndarray:
-    """For each syllable a of `slots` in y's factor: the code of a + y in
-    `codes`, _ZERO if it cancels, _OUT if it is missing; _OUT elsewhere."""
-    row = np.full(len(slots), _OUT, dtype=np.int32)
-    for c, a in enumerate(slots):
-        if a is not None and a.factor == y.factor:
-            total = group.factor_add(y.factor, a.coords, y.coords)
-            row[c] = codes.get(FactorElement(y.factor, total), _OUT) if any(total) else _ZERO
-    return row
+def _merge_rows(group: FreeProduct, codes: dict, slots, ys) -> np.ndarray:
+    """Row i: for each syllable a of `slots` in ys[i]'s factor, the code of
+    a + ys[i] in `codes`, _ZERO if it cancels, _OUT if it is missing; _OUT
+    elsewhere.
+
+    Per factor, one coordinate-array sum (mod m on Z/m) forms every a + y,
+    and one sort of the sums together with the factor's coded syllables
+    finds their codes: no syllable is added in Python.
+    """
+    rows = np.full((len(ys), len(slots)), _OUT, dtype=np.int32)
+    for f in {y.factor for y in ys}:
+        spec = group.factor(f)
+        yi = [i for i, y in enumerate(ys) if y.factor == f]
+        ai = [c for c, a in enumerate(slots) if a is not None and a.factor == f]
+        known = [(s.coords, c) for s, c in codes.items() if s.factor == f]
+        y, a, keys = (np.array(x, dtype=np.int64).reshape(-1, spec.dim) for x in (
+            [ys[i].coords for i in yi], [slots[c].coords for c in ai], [k for k, _ in known]))
+        total = (y[:, None] + a).reshape(-1, spec.dim)
+        if spec.kind == FINITE_CYCLIC:
+            total %= spec.order
+        both = np.concatenate([keys, total])
+        order = np.lexsort(both.T)
+        ranked = both[order]
+        rank = np.empty(len(both), dtype=np.int64)  # equal coordinates, equal rank
+        rank[order] = np.cumsum(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        code_of = np.full(len(both) + 1, _OUT, dtype=np.int32)
+        code_of[rank[:len(keys)]] = [c for _, c in known]
+        got = code_of[rank[len(keys):]]
+        got[~total.any(axis=1)] = _ZERO
+        rows[np.ix_(yi, ai)] = got.reshape(len(yi), len(ai))
+    return rows
 
 
 def _lookup(keys: np.ndarray, kid: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -172,11 +194,13 @@ class BallTable:
         """
         cap, stride, fac, slen = self.cap, self._stride, self._fac, self._len
         slots = list(self.syllables) + [None]
+        rows = iter(_merge_rows(self.group, self._code, slots,
+                                [s for g in self.support for s in g.syllables]))
         # per support element and syllable: (factor, code or -1 beyond the
         # cap, word length, merge row over the alphabet)
         steps = [
-            [(s.factor, self._code.get(s, -1), self.group.factor_word_length(*s),
-              _merge_row(self.group, self._code, slots, s)) for s in g.syllables]
+            [(s.factor, self._code.get(s, -1), self.group.factor_word_length(*s), next(rows))
+             for s in g.syllables]
             for g in self.support
         ]
         K = len(steps)
@@ -483,7 +507,9 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
     e holds the inverses g_i^-1; those missing from the table get extra ids
     >= table.size together with their prefixes, since later columns can pop
     back through them into the table.  A merge or append that lands outside
-    the table stays outside: the rest of g_j only appends.
+    the table stays outside: the rest of g_j only appends.  One `_merge_rows`
+    call gives every merge row, and the columns of one syllable depth go in
+    blocks of at most _BLOCK cells (one column at least), one `_child` each.
     """
     size, group = table.size, table.group
     index = {g.syllables: j for j, g in enumerate(elems)}
@@ -492,7 +518,8 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
     slots = list(table.syllables) + [None]
     codes = dict(table._code)  # extended by the inverses' missing syllables
     extra: dict[tuple[int, int], int] = {}  # (parent, code) -> extra id
-    pair = np.full((len(elems), len(elems)), -1, dtype=np.int64)
+    n = len(elems)
+    pair = np.full((n, n), -1, dtype=np.int64)
     for i, g in enumerate(elems):
         node = 0
         for s in group.inverse(g).syllables:
@@ -504,31 +531,36 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
         pair[i, index[()]] = node
     extra_parent, extra_code = np.array(list(extra), dtype=np.int64).reshape(-1, 2).T
     slot_fac = np.array([0 if s is None else s.factor for s in slots], dtype=np.int64)
-    merge_rows: dict[FactorElement, np.ndarray] = {}
-    for j in sorted(range(len(elems)), key=lambda j: len(elems[j].syllables)):
-        syls = elems[j].syllables
-        if not syls:
-            continue
-        y = syls[-1]
-        row = merge_rows.get(y)
-        if row is None:
-            row = merge_rows[y] = _merge_row(group, table._code, slots, y)
-        v = pair[:, index[syls[:-1]]]
-        ok = v >= 0
-        ext = v >= size
-        at = np.where(ok & ~ext, v, 0)
-        last = table.code[at].astype(np.int64)
-        up = table.parent[at].astype(np.int64)
-        last[ext] = extra_code[v[ext] - size]
-        up[ext] = extra_parent[v[ext] - size]
-        merge = ok & (slot_fac[last] == y.factor)
-        m = row[last]
-        base = np.where(merge, up, v)
-        c = np.where(merge, m, table._code.get(y, -1))
-        col = np.where(merge & (m == _ZERO), up, -1)
-        look = ok & (c >= 0) & (base >= 0) & (base < size)
-        col[look] = table._child(base[look], c[look])
-        pair[:, j] = col
+    ends = [g.syllables[-1] if g.syllables else None for g in elems]
+    lasts = list(dict.fromkeys(y for y in ends if y is not None))
+    rows = _merge_rows(group, table._code, slots, lasts)
+    row_of = {y: r for r, y in enumerate(lasts)}
+    # per column: its prefix's column, and the merge row, factor and code of its last syllable
+    prefix, y_row, y_fac, y_code = np.array(
+        [(0, 0, 0, -1) if y is None else
+         (index[g.syllables[:-1]], row_of[y], y.factor, table._code.get(y, -1))
+         for g, y in zip(elems, ends)], dtype=np.int64).T
+    depth = np.array([len(g.syllables) for g in elems])
+    width = max(1, _BLOCK // n)  # columns per block
+    for d in range(1, depth.max() + 1):
+        js = np.flatnonzero(depth == d)
+        for cols in (js[b:b + width] for b in range(0, len(js), width)):
+            v = pair[:, prefix[cols]]
+            ok = v >= 0
+            ext = v >= size
+            at = np.where(ok & ~ext, v, 0)
+            last, up = table.code[at], table.parent[at]  # int32
+            del at
+            last[ext] = extra_code[v[ext] - size]
+            up[ext] = extra_parent[v[ext] - size]
+            merge = ok & (slot_fac[last] == y_fac[cols])
+            m = rows[y_row[cols], last]
+            base = np.where(merge, up, v)
+            c = np.where(merge, m, y_code[cols])
+            col = np.where(merge & (m == _ZERO), up, -1)
+            look = ok & (c >= 0) & (base >= 0) & (base < size)
+            col[look] = table._child(base[look], c[look])
+            pair[:, cols] = col
     pair[pair >= size] = -1
     return pair
 

@@ -85,25 +85,28 @@ def _field(measure: Measure, r_values: Sequence[float], order: int, radius: int)
     return measure.memo(("field", rs, order, radius), compute, keep=2)
 
 
-def field_tails(field: dict, r: float, ratio_cap: float) -> np.ndarray:
-    """Per-element geometric tail estimates for G(e, . | r).
+def field_tails(field: dict, r: float, ratio_cap: float,
+                ids: np.ndarray | None = None) -> np.ndarray:
+    """Per-element geometric tail estimates for G(e, . | r), over the whole
+    table or, given `ids`, at those table ids only (the same values: every
+    step is elementwise).
 
     The empirical two-step term ratio (robust to period-2 walks) is capped
     at `ratio_cap` and at 0.999; elements whose series has not produced a
     term yet get an infinite (uninformative) tail.
     """
+    at = slice(None) if ids is None else ids
+    g = field["G"][r][at]
     if len(field["last_levels"]) < 3:
-        return np.full_like(field["G"][r], np.inf)
-    t0, t1, t2 = ((r ** t) * w for t, w in field["last_levels"][-3:])
+        return np.full_like(g, np.inf)
+    t0, t1, t2 = ((r ** t) * w[at] for t, w in field["last_levels"][-3:])
     cap = min(0.999, ratio_cap)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(np.where(t0 > 0, np.sqrt(t2 / np.where(t0 > 0, t0, 1.0)), cap), cap)
     last = np.maximum(t2, t1)
     tail = last * ratio / (1.0 - ratio)
     # never-seen elements: no information at this truncation
-    seen = field["G"][r] > 0
-    tail = np.where(seen, tail, np.inf)
-    return tail
+    return np.where(g > 0, tail, np.inf)
 
 
 def _g_backward(measure: Measure, field: dict, r: float) -> np.ndarray:

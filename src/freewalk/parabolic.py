@@ -318,15 +318,23 @@ def green_moments(measure: Measure, k: int, r: float,
 
     Geometrically decaying ladder increments mean the full series converges
     (finite Green moments); non-decaying increments mean it cannot.
+
+    One pair matrix at the ladder's largest B serves every rung: pair ids
+    depend only on the two elements, and `_factor_ball` lists each smaller
+    ball in the same order, so each rung is a sub-matrix.
     """
     group = measure.group
     radius = default_radius(measure, order) if radius is None else radius
     table, gf, gb = _field_arrays(measure, r, order, radius)
+    ball = _factor_ball(group, k, max(ladder))
+    full = engine.pair_ids(table, ball)
+    wl = np.array([group.word_length(g) for g in ball[1:]], dtype=np.int64)
 
     partials = []
     for B in ladder:
+        sub = np.concatenate([[0], 1 + np.flatnonzero(wl <= B)])  # e, then the B-ball
+        pair = full[np.ix_(sub, sub)]
         # row 0 is h = e: the ids of the ball elements themselves
-        pair = engine.pair_ids(table, _factor_ball(group, k, B))
         keep = pair[0] >= 0
         ids = pair[0, keep]
         pair = pair[np.ix_(keep, keep)]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from freewalk import free_group, lazy_walk
@@ -165,3 +166,19 @@ def test_audits_equal_the_per_r_lookups(zz, lazy, radius):
     rat = ratio_audit(lazy, pairs, rs, order=16, radius=radius, n_max_spectral=16)
     assert tri == want_tri and rat == want_rat
     assert rat.rows
+
+
+@pytest.mark.parametrize("order", [1, 2, 24])  # below three levels every tail is infinite
+def test_tails_at_ids_equal_the_whole_table_tails(lazy, order):
+    rs = [0.0, 0.2, 0.45]
+    fld = _field(lazy, rs, order, 8)
+    size = fld["table"].size
+    ids = np.array([0, 5, 17, size // 2, size - 1, 17], dtype=np.int64)
+    for r in rs:
+        whole = field_tails(fld, r, 0.7)
+        # infinite where unseen (all but e at r = 0) or everywhere below three levels
+        assert np.isinf(whole).any() == (order < 3 or r == 0.0)
+        at = field_tails(fld, r, 0.7, ids)
+        assert at.tobytes() == whole[ids].tobytes()
+        assert field_tails(fld, r, 0.7, ids.tolist()).tobytes() == at.tobytes()
+        assert len(field_tails(fld, r, 0.7, [])) == 0

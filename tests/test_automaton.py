@@ -6,6 +6,8 @@ from pathlib import Path
 from typing import Iterable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freewalk import FactorSpec, automaton, free_group, free_product
 from freewalk.cli import build_group, load_config, main
@@ -13,6 +15,7 @@ from freewalk.groups import (
     FINITE_CYCLIC, FREE_ABELIAN, FactorElement, FreeProduct, GroupElement, word_ball,
 )
 from freewalk.automaton import (
+    AutomatonGraph,
     Bundle,
     Vertex,
     _canonical,
@@ -284,6 +287,127 @@ def test_canonical_verify_structure(zz, z2z3):
         g1 = canonical_automaton(grp)
         report = verify_structure(g1, 3, 2)
         assert report["ok"], report
+
+
+# -- verification against the normalize-every-sequence oracle -----------------------
+
+
+def normalize_verify(auto, m, B):
+    """verify_structure as it was: every accepted sequence normalized."""
+    grp = auto.group
+    report = {"checks": {}, "witnesses": {}}
+    into_start = [b for b in auto.bundles if b.target == auto.start]
+    report["checks"]["no_edge_into_start"] = not into_start
+    if into_start:
+        report["witnesses"]["no_edge_into_start"] = into_start[:3]
+    reach = {auto.start}
+    frontier = [auto.start]
+    while frontier:
+        v = frontier.pop()
+        for b in auto.bundles:
+            if b.source == v and b.target not in reach:
+                reach.add(b.target)
+                frontier.append(b.target)
+    report["checks"]["all_reachable"] = reach == set(range(len(auto.vertices)))
+    geodesic_ok = True
+    witness = None
+    products = []
+    for seq in auto.language(m, B):
+        g = grp.normalize([fe for fe in seq])
+        products.append(g)
+        if grp.relative_length(g) != len(seq):
+            geodesic_ok = False
+            if witness is None:
+                witness = seq
+    report["checks"]["geodesic"] = geodesic_ok
+    if witness is not None:
+        report["witnesses"]["geodesic"] = witness
+    ball = list(grp.enumerate_ball(m, B))
+    report["counts"] = {
+        "accepted": len(products),
+        "distinct_images": len(set(products)),
+        "ball": len(ball),
+    }
+    report["checks"]["bijection"] = (
+        len(products) == len(ball)
+        and len(set(products)) == len(products)
+        and set(products) == set(ball)
+    )
+    report["ok"] = all(report["checks"].values())
+    return report
+
+
+def every_sequence(group):
+    """One state that steps on every letter: its language holds every
+    letter sequence, same-factor neighbours and cancellations included."""
+    n = group.num_factors
+    return AutomatonGraph(group, "reduced", 1, tuple(cone_types(group, 1, 1)[:1]),
+                          (Vertex(0, 0, ()),), 0,
+                          tuple(Bundle(0, 0, k, ("all",)) for k in range(1, n + 1)), 3)
+
+
+def same_factor_neighbours(auto, m, B):
+    return sum(any(a.factor == b.factor for a, b in zip(seq, seq[1:]))
+               for seq in auto.language(m, B))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_verify_equals_the_normalize_oracle_on_shipped_configs(path):
+    cfg = load_config(str(path))
+    group = build_group(cfg)
+    C, (m, B) = cfg["budgets"]["automaton_c"], cfg["budgets"]["automaton_mb"]
+    autos = [reduced_automaton(group, C, m, B), canonical_automaton(group, C, m, B)]
+    for auto in autos:
+        assert verify_structure(auto, m, B) == normalize_verify(auto, m, B)
+        assert verify_structure(auto, m, B)["ok"]
+    loose = every_sequence(group)
+    assert same_factor_neighbours(loose, 3, 2) > 0
+    report = verify_structure(loose, 3, 2)
+    assert report == normalize_verify(loose, 3, 2) and not report["checks"]["geodesic"]
+
+
+def test_verify_equals_the_normalize_oracle_with_a_same_factor_loop(zz):
+    auto = reduced_automaton(zz)
+    bad = Bundle(source=1, target=1, factor=auto.cone_types[
+        auto.vertices[1].cone_type].last_factor, predicate=("all",))
+    auto2 = dataclasses.replace(auto, bundles=auto.bundles + (bad,))
+    assert same_factor_neighbours(auto2, 3, 2) > 0
+    assert verify_structure(auto2, 3, 2) == normalize_verify(auto2, 3, 2)
+
+
+def test_verify_normalizes_letters_that_are_not_reduced(z2z3):
+    """Letters outside reduced coordinates (the identity, 4 in Z/3) are
+    normalized even with no same-factor neighbours."""
+    auto = reduced_automaton(z2z3, 1, 2, 1)
+    a, c = FactorElement(1, (1, 0)), FactorElement(2, (1,))
+    seqs = [(), (a,), (c,), (FactorElement(2, (4,)),), (a, FactorElement(2, (3,))),
+            (FactorElement(1, (0, 0)), c), (c, a), (a, c)]
+    auto.language = lambda m, B: iter(seqs)  # the check reads the language only
+    report = verify_structure(auto, 2, 1)
+    assert report == normalize_verify(auto, 2, 1) and not report["checks"]["geodesic"]
+    assert report["counts"]["distinct_images"] == 5
+
+
+@st.composite
+def small_groups(draw):
+    specs = [
+        draw(st.one_of(
+            st.builds(lambda d: FactorSpec(FREE_ABELIAN, rank=d), st.integers(1, 2)),
+            st.builds(lambda m: FactorSpec(FINITE_CYCLIC, order=m), st.integers(2, 5)),
+        ))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return free_product(*specs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_groups(), st.integers(1, 2), st.integers(1, 3), st.integers(1, 2))
+def test_verify_equals_the_normalize_oracle_on_random_products(group, C, m, B):
+    autos = [reduced_automaton(group, C, m, B), every_sequence(group)]
+    if group.num_factors > 1 and C == 1:
+        autos.append(canonical_automaton(group, C, m, B))
+    for auto in autos:
+        assert verify_structure(auto, m, B) == normalize_verify(auto, m, B)
 
 
 # -- the alphabet oracle: the P-set step through group products ----------------------

@@ -462,3 +462,32 @@ def test_green_sphere_sums_at_the_largest_r_whatever_the_grid_order(config_path,
     assert run("green", config_path, tmp_path / "down", "--r-grid", "0.8,0.3") == 0
     assert ((tmp_path / "up" / "spheres.csv").read_bytes()
             == (tmp_path / "down" / "spheres.csv").read_bytes())
+
+
+@pytest.mark.parametrize("text", ["1", "1,2,3", "1,x", "-1,2", "2,0", ""])
+def test_bad_truncation_flag_exits_one_with_manifest(config_path, tmp_path, capsys, text):
+    out = tmp_path / "o"
+    assert run("identities", config_path, out, f"--truncation={text}") == 1
+    err = capsys.readouterr().err
+    assert "config error: --truncation: expected m,B" in err and repr(text) in err
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
+@pytest.mark.parametrize("value", [[1], [1, 2, 3], [-1, 2], [2, 0], [2.0, 2], [True, 2],
+                                   "2,2", 2, None])
+def test_bad_truncation_budget_exits_one_with_manifest(tmp_path, capsys, value):
+    path = write_config(tmp_path, budgets=dict(CONFIG["budgets"], truncation=value))
+    out = tmp_path / "o"
+    assert main(["identities", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    want = f"config error: truncation: expected m,B with ints m >= 0 and B >= 1, got {value!r}"
+    assert want in err
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
+def test_truncation_flag_overrides_a_bad_budget(tmp_path):
+    path = write_config(tmp_path, budgets=dict(CONFIG["budgets"], truncation=[1]))
+    out = tmp_path / "o"
+    assert main(["identities", path, "--out", str(out), "--truncation", "0,1",
+                 "--series-order", "4"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["budgets"]["truncation"] == [0, 1]

@@ -270,6 +270,159 @@ def test_pair_ids_need_a_prefix_closed_list():
         pair_ids(table, [group.identity, group.parse("1:(1)|2:(1)")])
 
 
+# -- merge rows and pair ids against the per-slot oracle -----------------------------
+
+
+def merge_row(group, codes, slots, y):
+    """The per-slot merge row that `_merge_rows` replaced: one `factor_add`
+    per slot of y's factor."""
+    row = np.full(len(slots), engine._OUT, dtype=np.int32)
+    for c, a in enumerate(slots):
+        if a is not None and a.factor == y.factor:
+            total = group.factor_add(y.factor, a.coords, y.coords)
+            row[c] = codes.get(FactorElement(y.factor, total), engine._OUT) if any(total) \
+                else engine._ZERO
+    return row
+
+
+def oracle_pair_ids(table, elems):
+    """pair_ids as it was: one `merge_row` per last syllable, one column at
+    a time in order of syllable count."""
+    size, group = table.size, table.group
+    index = {g.syllables: j for j, g in enumerate(elems)}
+    slots = list(table.syllables) + [None]
+    codes = dict(table._code)
+    extra = {}
+    pair = np.full((len(elems), len(elems)), -1, dtype=np.int64)
+    for i, g in enumerate(elems):
+        node = 0
+        for s in group.inverse(g).syllables:
+            c = codes.setdefault(s, len(slots))
+            if c == len(slots):
+                slots.append(s)
+            child = table._child_at(node, c)
+            node = child if child >= 0 else extra.setdefault((node, c), size + len(extra))
+        pair[i, index[()]] = node
+    extra_parent, extra_code = np.array(list(extra), dtype=np.int64).reshape(-1, 2).T
+    slot_fac = np.array([0 if s is None else s.factor for s in slots], dtype=np.int64)
+    merge_rows = {}
+    for j in sorted(range(len(elems)), key=lambda j: len(elems[j].syllables)):
+        syls = elems[j].syllables
+        if not syls:
+            continue
+        y = syls[-1]
+        row = merge_rows.get(y)
+        if row is None:
+            row = merge_rows[y] = merge_row(group, table._code, slots, y)
+        v = pair[:, index[syls[:-1]]]
+        ok = v >= 0
+        ext = v >= size
+        at = np.where(ok & ~ext, v, 0)
+        last = table.code[at].astype(np.int64)
+        up = table.parent[at].astype(np.int64)
+        last[ext] = extra_code[v[ext] - size]
+        up[ext] = extra_parent[v[ext] - size]
+        merge = ok & (slot_fac[last] == y.factor)
+        m = row[last]
+        base = np.where(merge, up, v)
+        c = np.where(merge, m, table._code.get(y, -1))
+        col = np.where(merge & (m == engine._ZERO), up, -1)
+        look = ok & (c >= 0) & (base >= 0) & (base < size)
+        col[look] = table._child(base[look], c[look])
+        pair[:, j] = col
+    pair[pair >= size] = -1
+    return pair
+
+
+def pair_slots(table, elems):
+    """The slots pair_ids merges over: the table alphabet, the empty code,
+    then the syllables of the inverses that the alphabet lacks."""
+    slots = list(table.syllables) + [None]
+    for g in elems:
+        for s in table.group.inverse(g).syllables:
+            if s not in table._code and s not in slots:
+                slots.append(s)
+    return slots
+
+
+def assert_pair_ids_match_oracle(table, elems):
+    """`_merge_rows` over pair_ids' slots, for the table alphabet, the
+    inverses' extra syllables, the support's and the list's last syllables,
+    row by row `==` the per-slot oracle, and pair_ids `==` the oracle's.
+    Returns the number of extra slots."""
+    slots = pair_slots(table, elems)
+    ys = list(dict.fromkeys(
+        [s for s in slots if s is not None] + [s for g in table.support for s in g.syllables]
+        + [g.syllables[-1] for g in elems if g.syllables]))
+    rows = engine._merge_rows(table.group, table._code, slots, ys)
+    assert rows.dtype == np.int32 and rows.shape == (len(ys), len(slots))
+    for y, row in zip(ys, rows):
+        assert np.array_equal(row, merge_row(table.group, table._code, slots, y)), y
+    assert np.array_equal(pair_ids(table, elems), oracle_pair_ids(table, elems))
+    return len(slots) - len(table.syllables) - 1
+
+
+@pytest.mark.parametrize("name,cap,ball", [
+    ("f2-lazy", 5, (2, 6)), ("f2-simple", 5, (2, 7)), ("z2-z3-lazy", 4, (2, 5)),
+])
+def test_pair_ids_match_the_per_slot_oracle_on_configs(name, cap, ball):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    group = build_group(cfg)
+    table = BallTable(group, list(build_measure(cfg, group, "exact").entries), cap)
+    # the ball's syllables reach past the cap: their inverses are extra slots
+    assert assert_pair_ids_match_oracle(table, list(group.enumerate_ball(*ball))) > 0
+
+
+@pytest.mark.parametrize("make_group,texts,cap,ball", [
+    (free_group, ODD_F2, 9, (2, 3)),
+    (z3_z5_z, Z3_Z5_Z, 4, (2, 1)),
+    (free_group, MULTI_F2, 6, (3, 2)),
+])
+def test_pair_ids_match_the_per_slot_oracle_on_multi_syllable_supports(make_group, texts,
+                                                                       cap, ball):
+    group = make_group()
+    table = BallTable(group, _parse(group, texts), cap)
+    assert_pair_ids_match_oracle(table, list(group.enumerate_ball(*ball)))
+
+
+def test_pair_ids_match_the_per_slot_oracle_over_several_blocks():
+    group = free_group(2)
+    table = BallTable(group, list(lazy_walk(group).entries), 6)
+    elems = list(group.enumerate_ball(3, 3))  # 517 rows, 432 columns at depth 3
+    assert len(elems) * 432 > 3 * _BLOCK
+    assert_pair_ids_match_oracle(table, elems)
+
+
+def test_pair_ids_temporaries_stay_within_blocks():
+    """On the (3, 4)-ball of F2 (1,169 elements, 1,024 columns at depth 3)
+    pair_ids needs, beyond its pair matrix, less than 24 blocks of _BLOCK
+    int64 cells: whole-depth temporaries would take over 100 MB."""
+    group = free_group(2)
+    table = BallTable(group, list(lazy_walk(group).entries), 8)
+    elems = list(group.enumerate_ball(3, 4))
+    tracemalloc.start()
+    try:
+        pair = pair_ids(table, elems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(elems) == 1169
+    assert peak - pair.nbytes < 24 * _BLOCK * 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_products(), st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]),
+       st.integers(1, 40))
+def test_pair_ids_match_the_per_slot_oracle_on_random_products(case, ball, block):
+    group, support, cap = case
+    table = BallTable(group, support, cap)
+    elems = list(group.enumerate_ball(*ball))
+    assert_pair_ids_match_oracle(table, elems)
+    with pytest.MonkeyPatch.context() as mp:  # blocks of a few cells: one column each
+        mp.setattr(engine, "_BLOCK", block)
+        assert np.array_equal(pair_ids(table, elems), oracle_pair_ids(table, elems))
+
+
 @pytest.mark.parametrize("make_group,texts,cap", [
     (free_group, ["e", "1:(1)", "1:(-1)", "2:(1)", "2:(-1)"], 6),
     (free_group, MULTI_F2, 5),

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 from freewalk import (free_group, free_product, lazy_walk, measure_from_pairs, simple_walk,
                       FactorSpec)
 from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN, GroupElement
-from freewalk.green import resolve_r, spectral_radius
+from freewalk.cli import build_group, build_measure, load_config
+from freewalk.engine import pair_ids
+from freewalk.green import _field_arrays, resolve_r, spectral_radius
 from freewalk.parabolic import (
     ReturnKernel,
     _absorption,
+    _factor_ball,
     _kernel_power_series,
     classify,
     equadiff_table,
@@ -311,6 +315,68 @@ def test_green_moments_finite_at_spectral(zz, lazy):
     rep = green_moments(lazy, 1, r_hat, ladder=(1, 2, 4), order=32, radius=10)
     assert rep.verdict == "finite"
     assert all(a <= b + 1e-15 for a, b in zip(rep.partial_sums, rep.partial_sums[1:]))
+
+
+def ladder_partials(measure, k, r, ladder, order, radius):
+    """green_moments' partial sums as they were: one pair matrix per rung."""
+    table, gf, gb = _field_arrays(measure, r, order, radius)
+    partials = []
+    for B in ladder:
+        pair = pair_ids(table, _factor_ball(measure.group, k, B))
+        keep = pair[0] >= 0
+        ids = pair[0, keep]
+        pair = pair[np.ix_(keep, keep)]
+        v = gf[ids]
+        u = gb[ids]
+        G = np.where(pair >= 0, gf[np.maximum(pair, 0)], 0.0)
+        partials.append(float(v @ G @ u))
+    return tuple(partials)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["f2-lazy", "f2-simple", "z2-z3-lazy"])
+@pytest.mark.parametrize("ladder", [(1, 2, 4, 8), (3, 1, 2), (2, 2), (0, 1), (5,)])
+def test_green_moments_equal_the_per_rung_pair_matrices_on_configs(name, ladder):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    group = build_group(cfg)
+    measure = build_measure(cfg, group, "float")
+    r = 0.9 * spectral_radius(measure, 12).point
+    for k in range(1, group.num_factors + 1):
+        rep = green_moments(measure, k, r, ladder, order=12, radius=5)
+        assert rep.partial_sums == ladder_partials(measure, k, r, ladder, 12, 5)
+
+
+@st.composite
+def moment_cases(draw):
+    """A walk on a product of one to three Z^d (d <= 2) and Z/m factors
+    (the lazy walk, or half the time e and a first-factor generator, 1/2
+    each), a factor, r, a ladder and a radius."""
+    specs = [
+        draw(st.one_of(
+            st.builds(lambda d: FactorSpec(FREE_ABELIAN, rank=d), st.integers(1, 2)),
+            st.builds(lambda m: FactorSpec(FINITE_CYCLIC, order=m), st.integers(2, 6)),
+        ))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    grp = free_product(*specs)
+    measure = lazy_walk(grp).as_float()
+    if draw(st.booleans()):  # a drift on the first factor: G(., e) is the pulled-back field
+        unit = grp.syllable(1, (1,) + (0,) * (specs[0].dim - 1))
+        pairs = [(grp.identity, 0.5), (GroupElement((unit,)), 0.5)]
+        measure = measure_from_pairs(grp, pairs).as_float()
+    ladder = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
+    return (measure, draw(st.integers(1, len(specs))), draw(st.floats(0.0, 0.95)), ladder,
+            draw(st.integers(1, 4)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(moment_cases())
+def test_green_moments_equal_the_per_rung_pair_matrices_on_random_products(case):
+    measure, k, r, ladder, radius = case
+    rep = green_moments(measure, k, r, ladder, order=8, radius=radius)
+    assert rep.partial_sums == ladder_partials(measure, k, r, ladder, 8, radius)
 
 
 def test_classify_rejects_inadmissible(zz):
