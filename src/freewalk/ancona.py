@@ -81,13 +81,10 @@ def _locate(measure, fld, pairs) -> dict:
     """For each pair (x, y): the table id of x^-1 y (None outside the
     table) and its word length, resolved once for every r."""
     grp, table = measure.group, fld["table"]
-    out: dict = {}
-    for x, y in pairs:
-        if (x, y) not in out:
-            w = grp.multiply(grp.inverse(x), y)
-            i = table.id_of(w)
-            out[(x, y)] = (i, grp.word_length(w) if i is None else int(table.wl[i]))
-    return out
+    prods = {(x, y): grp.multiply(grp.inverse(x), y) for x, y in dict.fromkeys(pairs)}
+    ids = table.ids_of(list(prods.values())).tolist()
+    return {xy: (None, grp.word_length(w)) if i < 0 else (i, int(table.wl[i]))
+            for (xy, w), i in zip(prods.items(), ids)}
 
 
 def _pair_values(loc, gf, tails, r, rho, order, radius) -> dict:

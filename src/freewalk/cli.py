@@ -132,6 +132,10 @@ def _budgets(cfg: dict, args) -> dict:
     if not ok:
         raise ConfigError(f"{'--truncation' if flag else 'truncation'}: expected m,B with ints "
                           f"m >= 0 and B >= 1, got {value!r}")
+    for key, least in (("radius", 0), ("sphere_m", 0), ("series_order", 1), ("horizon", 1),
+                       ("kernel_order", 1), ("h_ball", 1), ("sphere_b", 1)):
+        if type(value := budgets.get(key, least)) is not int or value < least:
+            raise ConfigError(f"{key}: expected an int >= {least}, got {value!r}")
     return budgets
 
 

@@ -121,6 +121,14 @@ def _merge_rows(group: FreeProduct, codes: dict, slots, ys) -> np.ndarray:
     return rows
 
 
+def _padded(rows: Sequence[Sequence[int]], fill: int) -> np.ndarray:
+    """Int rows of any lengths as one int64 array, padded at the end with fill."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
 def _lookup(keys: np.ndarray, kid: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Ids stored under the queried keys of a sorted key array, -1 if absent."""
     if not len(keys):
@@ -399,29 +407,43 @@ class BallTable:
     # -- element <-> id -------------------------------------------------------
 
     def _child(self, ids: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Ids of element ids[i] times syllables[codes[i]]; -1 if absent or
-        if ids[i] is -1.  The keys are searched in sorted order."""
+        """Ids of element ids[i] times syllables[codes[i]]; -1 if absent, if
+        ids[i] is -1 or codes[i] is not in the alphabet.  Sorted queries."""
         q = ids.astype(np.int64) * self._stride + codes
         order = np.argsort(q)
         got = np.empty(len(q), dtype=np.int64)
         got[order] = _lookup(self._keys, self._kid, q[order])
-        return np.where((codes >= 0) & (ids >= 0), got, -1)
+        return np.where((codes >= 0) & (codes < self._stride - 1) & (ids >= 0), got, -1)
 
-    def _child_at(self, i: int, c: int) -> int:
-        """Scalar _child; codes outside the alphabet give -1."""
-        if not 0 <= c < self._stride - 1:
-            return -1
-        key = i * self._stride + c
-        at = int(self._keys.searchsorted(key))
-        return int(self._kid[at]) if at < len(self._keys) and self._keys[at] == key else -1
+    def walk(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the elements spelled by the rows of (n, depth) syllable codes,
+        one `_child` call per depth down the trie from e; the empty code
+        len(syllables) stays put.  A product outside the table gets a virtual
+        id size + k, one per distinct (parent, code) of a depth, with
+        extra[k] = (parent, code).  Returns (ids, extra), both int64."""
+        ids = np.zeros(len(codes), dtype=np.int64)
+        extra = np.empty((0, 2), dtype=np.int64)
+        span = int(codes.max(initial=0)) + 2  # key of (parent, code): parent * span + code + 1
+        for c in codes.T:
+            move = np.flatnonzero(c != self._stride - 1)
+            got = self._child(ids[move], c[move])
+            miss = move[got < 0]
+            if miss.size:
+                keys, inv = np.unique(ids[miss] * span + c[miss] + 1, return_inverse=True)
+                got[got < 0] = self.size + len(extra) + inv
+                extra = np.concatenate([extra, np.stack([keys // span, keys % span - 1], 1)])
+            ids[move] = got
+        return ids, extra
+
+    def ids_of(self, elems: Sequence[GroupElement]) -> np.ndarray:
+        """Table ids of elems (int64), -1 for those outside the table."""
+        codes = _padded([[self._code.get(s, -1) for s in g.syllables] for g in elems],
+                        self._stride - 1)
+        ids = self.walk(codes)[0]
+        return np.where(ids < self.size, ids, -1)
 
     def id_of(self, g: GroupElement) -> int | None:
-        i = 0
-        for s in g.syllables:
-            i = self._child_at(i, self._code.get(s, -1))
-            if i < 0:
-                return None
-        return i
+        return next((i for i in self.ids_of([g]).tolist() if i >= 0), None)
 
     def element_of(self, i: int) -> GroupElement:
         syls = []
@@ -438,8 +460,8 @@ class BallTable:
         first syllable s has the inverse t^-1 s^-1, the child of its tail
         t's inverse, and its tail is the child of its parent's tail.  The
         trie is prefix-closed but not suffix-closed, so a tail can leave the
-        table while the inverse stays in; such elements walk their own
-        syllables back from the last one instead."""
+        table while the inverse stays in; such elements `walk` their negated
+        syllables, read up the parent chain, instead."""
         if self._inv_perm is None:
             group = self.group
             neg = np.array(
@@ -458,25 +480,13 @@ class BallTable:
                     tail[ids] = self._child(tail[p], self.code[ids])
                 t = tail[ids]
                 inv[ids] = self._child(np.where(t >= 0, inv[t], -1), neg[head[ids]])
-                lost = ids[t < 0]  # before the next level reads their inverses
-                inv[lost] = self._walk_inverse(lost, neg)
+                up = [ids[t < 0]]  # before the next level reads their inverses
+                for _ in range(1, r):
+                    up.append(self.parent[up[-1]])
+                got = self.walk(neg[self.code[np.stack(up, 1)]])[0]
+                inv[up[0]] = np.where(got < self.size, got, -1)
             self._inv_perm = inv
         return self._inv_perm
-
-    def _walk_inverse(self, ids: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        """Ids of the inverses of ids (-1 if absent): pass k appends the
-        inverse of each element's k-th last syllable to its inverse's
-        prefix."""
-        inv = np.zeros(len(ids), dtype=np.int64)
-        rest = ids.astype(np.int64)  # the prefix of each element still to invert
-        live = np.flatnonzero(self.rel[ids] > 0)
-        while live.size:
-            r = rest[live]
-            got = self._child(inv[live], neg[self.code[r]])
-            inv[live] = got
-            rest[live] = self.parent[r]
-            live = live[(got >= 0) & (self.parent[r] > 0)]
-        return inv
 
     def pull_back(self, x: np.ndarray) -> np.ndarray:
         """x composed with inversion: at id g, x at the id of g^-1, or 0
@@ -504,10 +514,11 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
 
     Column j is the column of g_j's prefix times g_j's last syllable: a pop,
     a merge or an append on the trie, for all rows at once.  The column of
-    e holds the inverses g_i^-1; those missing from the table get extra ids
-    >= table.size together with their prefixes, since later columns can pop
-    back through them into the table.  A merge or append that lands outside
-    the table stays outside: the rest of g_j only appends.  One `_merge_rows`
+    e holds the inverses g_i^-1, one `walk` of negated syllables; those
+    outside the table keep their virtual ids >= table.size, since later
+    columns can pop back through them into the table.  A merge or append
+    that lands outside the table stays outside: the rest of g_j only
+    appends.  One `_merge_rows`
     call gives every merge row, and the columns of one syllable depth go in
     blocks of at most _BLOCK cells (one column at least), one `_child` each.
     """
@@ -515,21 +526,14 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
     index = {g.syllables: j for j, g in enumerate(elems)}
     if () not in index or any(g.syllables[:-1] not in index for g in elems):
         raise ValueError("pair_ids needs a prefix-closed element list")
-    slots = list(table.syllables) + [None]
-    codes = dict(table._code)  # extended by the inverses' missing syllables
-    extra: dict[tuple[int, int], int] = {}  # (parent, code) -> extra id
+    neg = {s: FactorElement(s.factor, group.factor_neg(*s))
+           for s in dict.fromkeys(s for g in elems for s in g.syllables)}
+    slots = list(table.syllables) + [None] + [t for t in neg.values() if t not in table._code]
+    code = {t: c for c, t in enumerate(slots)}
     n = len(elems)
     pair = np.full((n, n), -1, dtype=np.int64)
-    for i, g in enumerate(elems):
-        node = 0
-        for s in group.inverse(g).syllables:
-            c = codes.setdefault(s, len(slots))
-            if c == len(slots):
-                slots.append(s)
-            child = table._child_at(node, c)
-            node = child if child >= 0 else extra.setdefault((node, c), size + len(extra))
-        pair[i, index[()]] = node
-    extra_parent, extra_code = np.array(list(extra), dtype=np.int64).reshape(-1, 2).T
+    inverses = [[code[neg[s]] for s in reversed(g.syllables)] for g in elems]
+    pair[:, index[()]], extra = table.walk(_padded(inverses, len(table.syllables)))
     slot_fac = np.array([0 if s is None else s.factor for s in slots], dtype=np.int64)
     ends = [g.syllables[-1] if g.syllables else None for g in elems]
     lasts = list(dict.fromkeys(y for y in ends if y is not None))
@@ -551,8 +555,7 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
             at = np.where(ok & ~ext, v, 0)
             last, up = table.code[at], table.parent[at]  # int32
             del at
-            last[ext] = extra_code[v[ext] - size]
-            up[ext] = extra_parent[v[ext] - size]
+            up[ext], last[ext] = extra[v[ext] - size].T
             merge = ok & (slot_fac[last] == y_fac[cols])
             m = rows[y_row[cols], last]
             base = np.where(merge, up, v)
@@ -571,6 +574,13 @@ def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
 def exact_capacity(denominator: int, steps: int) -> bool:
     """True when integerized weights stay float64-exact for this many steps."""
     return denominator ** (steps + 1) < 2**_FLOAT_BITS
+
+
+def integer_weights(int_weights: Sequence[int], steps: int) -> np.ndarray:
+    """Integerized weights typed for `levels` over this many steps: float64
+    within `exact_capacity`, else Python ints in an object array."""
+    fits = exact_capacity(sum(int_weights), steps)
+    return np.array(int_weights, dtype=float if fits else object)
 
 
 def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np.ndarray:
@@ -690,12 +700,12 @@ def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: i
     Each pairing dot takes the pulled-back level t with level t - 1 or t,
     over the prefix of the level it pairs with: the pulled-back level is
     not zero beyond its own level's bound.  Level t sums to at most D^t:
-    within `exact_capacity` the levels are float64 and the dots
-    `_exact_dots`, beyond it both are Python ints.
+    within `exact_capacity` (`integer_weights`) the levels are float64 and
+    the dots `_exact_dots`, beyond it both are Python ints.
     """
     half = (n_max + 1) // 2
-    fits = exact_capacity(sum(int_weights), half)
-    weights = int_weights if fits else np.array(int_weights, dtype=object)
+    weights = integer_weights(int_weights, half)
+    fits = weights.dtype != object
     dots = [1] + [0] * n_max
     for t, (w, hi) in enumerate(levels(table, weights, half,
                                        lambda t: return_bound(t, n_max, d_mu))):

@@ -177,18 +177,10 @@ def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int
                    radius: int) -> dict[GroupElement, list[float]]:
     """Raw coefficient streams mu^{*n}(w) for several targets in one DP."""
     table = measure.table(radius)
-    tids = []
-    for w in targets:
-        i = table.id_of(w)
-        tids.append(-1 if i is None else i)
-    rows: dict[int, list[float]] = {i: [] for i in set(tids) if i >= 0}
-    for wvec, _ in engine.levels(table, measure.entries.values(), order):
-        for i in rows:
-            rows[i].append(float(wvec[i]))
-    out = {}
-    for w, i in zip(targets, tids):
-        out[w] = rows[i] if i >= 0 else [0.0] * (order + 1)
-    return out
+    tids = table.ids_of(targets)
+    cols = np.array([w[tids] for w, _ in engine.levels(table, measure.entries.values(), order)])
+    cols[:, tids < 0] = 0.0
+    return {w: col.tolist() for w, col in zip(targets, cols.T)}
 
 
 def _pair_series(measure: Measure, pairs: Sequence[tuple[GroupElement, GroupElement]],
@@ -331,12 +323,9 @@ def resolve_r(measure: Measure, fraction: float, n_max: int = 28) -> float:
 def _ball_ids(measure: Measure, m: int, B: int, radius: int):
     """Ids (and elements) of the relative (m, B)-ball inside the table."""
     table = measure.table(radius)
-    elems = [g for g in measure.group.enumerate_ball(m, B)]
-    ids = np.array(
-        [i if (i := table.id_of(g)) is not None else -1 for g in elems], dtype=np.int64
-    )
-    keep = ids >= 0
-    return table, [g for g, k in zip(elems, keep) if k], ids[keep]
+    elems = list(measure.group.enumerate_ball(m, B))
+    ids = table.ids_of(elems)
+    return table, [g for g, i in zip(elems, ids) if i >= 0], ids[ids >= 0]
 
 
 def _pair_matrix_ids(measure: Measure, m: int, B: int, radius: int):

@@ -326,8 +326,8 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None) -> d
     radius bites and all of mu^{*n} when prune_radius >= n * d_mu.  Returns
     a dict GroupElement -> nonzero weight (a Measure proper requires total
     mass 1), from `engine.levels` on a ball table bounded by
-    `max_table_elements`; exact mode runs the integerized weights in Python
-    ints.
+    `max_table_elements`; exact mode runs the integerized weights in
+    float64 or Python ints (`engine.integer_weights`).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -341,7 +341,7 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None) -> d
     table = measure.table(cap)
     if measure.mode == EXACT:
         ints, denom = measure.integerized()
-        weights, value = np.array(ints, dtype=object), lambda x: Fraction(x, denom**n)
+        weights, value = engine.integer_weights(ints, n), lambda x: Fraction(int(x), denom**n)
     else:
         weights, value = measure.entries.values(), float
     for w, hi in engine.levels(table, weights, n, bound):

@@ -491,3 +491,26 @@ def test_truncation_flag_overrides_a_bad_budget(tmp_path):
     assert main(["identities", path, "--out", str(out), "--truncation", "0,1",
                  "--series-order", "4"]) == 0
     assert json.loads((out / "manifest.json").read_text())["budgets"]["truncation"] == [0, 1]
+
+
+@pytest.mark.parametrize("key,value,least", [
+    ("radius", -1, 0), ("radius", 2.5, 0), ("radius", True, 0),
+    ("kernel_order", -1, 1), ("h_ball", -1, 1), ("sphere_m", -1, 0), ("sphere_b", -1, 1),
+    ("sphere_b", 0, 1), ("series_order", -1, 1), ("series_order", False, 1),
+    ("horizon", 0, 1), ("horizon", "8", 1),
+])
+def test_bad_count_budget_exits_one_with_manifest(tmp_path, capsys, key, value, least):
+    """Each of these once ran to exit 0 with a wrong result: G on a one-element
+    table, an infinite kernel radius, empty or all-zero sphere sums, u_0 = 1."""
+    path = write_config(tmp_path, budgets=dict(CONFIG["budgets"], **{key: value}))
+    out = tmp_path / "o"
+    assert main(["green", path, "--out", str(out)]) == 1
+    assert (f"config error: {key}: expected an int >= {least}, got {value!r}"
+            in capsys.readouterr().err)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["partial"] is False
+
+
+def test_series_order_flag_below_one_exits_one(config_path, tmp_path, capsys):
+    assert run("green", config_path, tmp_path / "o", "--series-order", "0") == 1
+    assert "config error: series_order: expected an int >= 1, got 0" in capsys.readouterr().err

@@ -257,9 +257,7 @@ def test_pair_ids_match_group_products(make_group, texts, cap, ball):
     for i, a in enumerate(elems):
         ainv = group.inverse(a)
         outside += table.id_of(ainv) is None
-        for j, b in enumerate(elems):
-            t = table.id_of(group.multiply(ainv, b))
-            assert pair[i, j] == (-1 if t is None else t)
+        assert pair[i].tolist() == table.ids_of([group.multiply(ainv, b) for b in elems]).tolist()
     assert outside > 0  # some rows start outside the table
 
 
@@ -285,6 +283,27 @@ def merge_row(group, codes, slots, y):
     return row
 
 
+def child_at(table, i, c):
+    """The scalar trie lookup that `BallTable.walk` replaced, verbatim:
+    codes outside the alphabet give -1."""
+    if not 0 <= c < table._stride - 1:
+        return -1
+    key = i * table._stride + c
+    at = int(table._keys.searchsorted(key))
+    return int(table._kid[at]) if at < len(table._keys) and table._keys[at] == key else -1
+
+
+def oracle_id_of(table, g):
+    """The scalar `id_of` that `BallTable.ids_of` replaced: one `child_at`
+    per syllable."""
+    i = 0
+    for s in g.syllables:
+        i = child_at(table, i, table._code.get(s, -1))
+        if i < 0:
+            return None
+    return i
+
+
 def oracle_pair_ids(table, elems):
     """pair_ids as it was: one `merge_row` per last syllable, one column at
     a time in order of syllable count."""
@@ -300,7 +319,7 @@ def oracle_pair_ids(table, elems):
             c = codes.setdefault(s, len(slots))
             if c == len(slots):
                 slots.append(s)
-            child = table._child_at(node, c)
+            child = child_at(table, node, c)
             node = child if child >= 0 else extra.setdefault((node, c), size + len(extra))
         pair[i, index[()]] = node
     extra_parent, extra_code = np.array(list(extra), dtype=np.int64).reshape(-1, 2).T
@@ -421,6 +440,79 @@ def test_pair_ids_match_the_per_slot_oracle_on_random_products(case, ball, block
     with pytest.MonkeyPatch.context() as mp:  # blocks of a few cells: one column each
         mp.setattr(engine, "_BLOCK", block)
         assert np.array_equal(pair_ids(table, elems), oracle_pair_ids(table, elems))
+
+
+def test_pair_ids_pop_back_into_the_table_through_extra_ids():
+    """A non-symmetric multi-syllable support whose table lacks most
+    inverses: those rows start on extra ids, and their diagonal g^-1 g = e
+    pops back through them into the table."""
+    group = free_group(2)
+    table = BallTable(group, _parse(group, AB_BA + ["1:(1)"]), 6)
+    elems = list(group.enumerate_ball(3, 2))
+    pair = pair_ids(table, elems)
+    assert np.array_equal(pair, oracle_pair_ids(table, elems))
+    out = [i for i, g in enumerate(elems) if oracle_id_of(table, group.inverse(g)) is None]
+    assert len(out) > len(elems) // 2
+    assert (pair[out, out] == 0).all()
+
+
+# -- the trie walk against the scalar oracle -------------------------------------------
+
+
+def assert_walk_matches_oracle(table, elems):
+    """`ids_of` and `id_of` `==` the scalar walk on every element, and the
+    walk's virtual ids name the elements outside the table: one id per
+    distinct row of codes, whose chain of extra (parent, code) rows spells
+    that row.  Returns the numbers of elements outside the table and of
+    syllables outside the alphabet."""
+    want = [oracle_id_of(table, g) for g in elems]
+    assert table.ids_of(elems).tolist() == [-1 if i is None else i for i in want]
+    assert [table.id_of(g) for g in elems] == want
+    rows = [tuple(table._code.get(s, -1) for s in g.syllables) for g in elems]
+    ids, extra = table.walk(engine._padded(rows, len(table.syllables)))
+    for row, i in zip(rows, ids.tolist()):
+        spelled = []
+        while i >= table.size:
+            i, c = extra[i - table.size].tolist()
+            spelled.append(c)
+        while i > 0:
+            spelled.append(int(table.code[i]))
+            i = int(table.parent[i])
+        assert tuple(reversed(spelled)) == row
+    assert len(set(zip(rows, ids.tolist()))) == len(set(rows)) == len(set(ids.tolist()))
+    return sum(i is None for i in want), sum(-1 in row for row in rows)
+
+
+@pytest.mark.parametrize("name,cap,ball", [
+    ("f2-lazy", 5, (3, 7)), ("f2-simple", 5, (3, 7)), ("z2-z3-lazy", 4, (3, 5)),
+])
+def test_ids_of_matches_the_scalar_walk_on_configs(name, cap, ball):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    group = build_group(cfg)
+    table = BallTable(group, list(build_measure(cfg, group, "exact").entries), cap)
+    elems = [table.element_of(i) for i in range(table.size)]
+    elems += [group.inverse(g) for g in elems] + list(group.enumerate_ball(*ball))
+    outside, foreign = assert_walk_matches_oracle(table, elems)
+    assert outside > 0 and foreign > 0  # beyond the cap, and past the alphabet
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_products(), st.data())
+def test_ids_of_matches_the_scalar_walk_on_random_products(case, data):
+    """Table elements, their inverses and their products with drawn
+    elements whose coordinates reach past the support's and the cap."""
+    group, support, cap = case
+    table = BallTable(group, support, cap)
+    specs = group.factors
+    raw_syllable = st.integers(1, len(specs)).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(-7, 7), min_size=specs[k - 1].dim,
+                                                max_size=specs[k - 1].dim)))
+    drawn = data.draw(st.lists(st.lists(raw_syllable, max_size=4).map(group.element),
+                               min_size=1, max_size=12))
+    elems = [table.element_of(i) for i in range(min(table.size, 200))]
+    elems += [group.inverse(g) for g in elems] + drawn
+    elems += [group.multiply(g, h) for g in elems[:20] for h in drawn]
+    assert_walk_matches_oracle(table, elems)
 
 
 @pytest.mark.parametrize("make_group,texts,cap", [
@@ -1088,17 +1180,41 @@ def test_step_is_called_only_by_the_level_driver():
 
 
 
+def called_in(module, name):
+    """Names of the functions and methods that the top-level function `name`
+    of src module `module` calls."""
+    tree = ast.parse((SRC / module).read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))}
+
+
 def test_pset_step_stays_on_syllables():
     """The automaton's P-set step and its offsets never multiply, invert or
     normalize group elements: they work on syllable tuples."""
-    tree = ast.parse((SRC / "automaton.py").read_text())
     for name in ("pset_transition", "offsets"):
-        fn = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == name)
-        called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
-                  for node in ast.walk(fn) if isinstance(node, ast.Call)
-                  and isinstance(node.func, (ast.Attribute, ast.Name))}
+        called = called_in("automaton.py", name)
         assert called and not called & {"multiply", "inverse", "normalize"}, name
+
+
+def test_element_lookups_are_one_trie_walk():
+    """Every element -> id lookup in src goes through `BallTable.walk`: no
+    scalar trie lookup exists, `pair_ids` inverts no element, and the
+    callers that look up many elements call `ids_of` once, not `id_of` per
+    element."""
+    for path in SRC.glob("*.py"):
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert "_child_at" not in names, path.name
+    assert "walk" in called_in("engine.py", "pair_ids")
+    assert not called_in("engine.py", "pair_ids") & {"inverse", "id_of", "ids_of"}
+    for module, name in (("green.py", "_target_series"), ("green.py", "_ball_ids"),
+                         ("ancona.py", "_locate")):
+        called = called_in(module, name)
+        assert "ids_of" in called and "id_of" not in called, name
 
 # -- the exact oracle ----------------------------------------------------------------
 
@@ -1177,8 +1293,8 @@ def test_exact_paths_match_the_fraction_dict_dp_on_configs(name, n_max, dist_n):
 
 def test_exact_paths_match_the_fraction_dict_dp_beyond_float_capacity():
     """The non-symmetric walk with D = 97 at n_max = 15..18; its distribution
-    is in Python ints at every n, checked to n = 6 and at n = 15 on the
-    ball of radius 0."""
+    is in float64 to n = 7 and in Python ints beyond, checked to n = 6 and at
+    n = 15 on the ball of radius 0."""
     measure = f2_walk(NS97, 97)
     assert not exact_capacity(97, (15 + 1) // 2) and not measure.is_symmetric()
     assert_exact_oracle(measure, range(15, 19), range(7))
@@ -1206,6 +1322,38 @@ def test_exact_paths_match_the_fraction_dict_dp_on_random_products(case, wide, s
     d_mu = max(1, measure.d_mu)
     assert_exact_oracle(measure, [n for n in range(11) if (n + 1) // 2 * d_mu <= 6],
                         [n for n in range(7) if n * d_mu <= 6])
+
+
+# {e: 1/2, ab, BA, a^2, B: 1/8 each}: non-symmetric, d_mu = 2
+LONG_STEPS = {"e": 4, "1:(1)|2:(1)": 1, "2:(-1)|1:(-1)": 1, "1:(2)": 1, "2:(-1)": 1}
+
+
+@pytest.mark.parametrize("weights,denom,n,dtype", [
+    (LONG_STEPS, 8, 4, float), (NS97, 97, 7, float), (NS97, 97, 8, object),
+    (TAIL_OUT, D40, 3, object),
+])
+def test_exact_distribution_runs_float64_levels_within_capacity(monkeypatch, weights, denom,
+                                                                n, dtype):
+    """Exact `distribution` takes the number type of its levels from
+    `engine.integer_weights`, as the exact pairing does: float64 within
+    `exact_capacity` of its n steps, Python ints beyond; both `==` the
+    Fraction dict DP."""
+    seen = set()
+    real = engine.levels
+
+    def spy(*args):
+        for w, hi in real(*args):
+            seen.add(w.dtype)
+            yield w, hi
+
+    monkeypatch.setattr(engine, "levels", spy)
+    measure = f2_walk(weights, denom)
+    assert exact_capacity(denom, n) == (dtype is float)
+    for radius in (None, 1):
+        got = distribution(measure, n, radius)
+        assert got == oracle_distribution(measure, n, radius)
+        assert all(type(v) is Fraction for v in got.values())
+    assert seen == {np.dtype(dtype)}
 
 
 def test_object_levels_hold_python_ints():
