@@ -16,7 +16,7 @@ factors.  Two constructions are provided:
   radius C.  A letter sigma steps a P-set on syllables alone: for each
   offset gamma it forms h = sigma^-1 gamma by putting -sigma in front of
   gamma's syllables, and the new offsets are the g = h.s of word length in
-  (0, C] for letters s, each factor ball listed once per build.  A letter
+  (0, C] for letters s, each factor ball listed once by the group.  A letter
   would be rejected when some h is a single letter, since then a smaller
   sequence of as many letters spells the same element; in a free product
   every element has one reduced spelling, so this never happens on the
@@ -111,7 +111,8 @@ class AutomatonGraph:
 
     def language(self, m: int, B: int) -> Iterator[tuple[FactorElement, ...]]:
         """Accepted sequences with <= m letters of factor word length <= B,
-        in (length, letter-lexicographic) order."""
+        in (length, letter-lexicographic) order: each level extends the
+        last one's sequences in order by letters in order."""
         grp = self.group
         letters = [fe for k in range(1, grp.num_factors + 1)
                    for fe in grp.factor_elements(k, B)]
@@ -129,10 +130,9 @@ class AutomatonGraph:
             nxt = []
             for seq, state in level:
                 for fe, s2 in out(state):
-                    nxt.append((seq + (fe,), s2))
-            nxt.sort(key=lambda item: item[0])
-            for seq, _ in nxt:
-                yield seq
+                    ext = seq + (fe,)
+                    yield ext
+                    nxt.append((ext, s2))
             level = nxt
 
 
@@ -172,20 +172,14 @@ def cone_types(group: FreeProduct, m: int = 4, B: int = 3) -> list[ConeType]:
 # -- P-set machinery ---------------------------------------------------------------
 
 
-def offsets(group: FreeProduct, h: tuple[FactorElement, ...], C: int,
-            balls: dict) -> list[tuple[GroupElement, FactorElement]]:
+def offsets(group: FreeProduct, h: tuple[FactorElement, ...],
+            C: int) -> list[tuple[GroupElement, FactorElement]]:
     """(g, s) for every letter s with g = h.s and 0 < |g| <= C, unordered.
 
     h is a syllable tuple in normal form.  A letter s outside the factor of
     h's last syllable d is appended; a letter of that factor merges into t =
     d + s, so g is h's body followed by t, or the body alone when s = d^-1.
-    `balls` caches factor_elements(k, room) by (k, room) for one build.
     """
-    def ball(k: int, room: int) -> list[FactorElement]:
-        if (k, room) not in balls:
-            balls[(k, room)] = group.factor_elements(k, room)
-        return balls[(k, room)]
-
     wl = [group.factor_word_length(k, c) for k, c in h]
     room = C - sum(wl)
     out = []
@@ -200,15 +194,15 @@ def offsets(group: FreeProduct, h: tuple[FactorElement, ...], C: int,
             out.append((GroupElement(body), FactorElement(last, neg)))
         out += [(GroupElement(body + (t,)),
                  FactorElement(last, group.factor_add(last, t.coords, neg)))
-                for t in ball(last, reach) if t.coords != d]
+                for t in group.factor_elements(last, reach) if t.coords != d]
     out += [(GroupElement(h + (s,)), s)
             for k in range(1, group.num_factors + 1) if k != last
-            for s in ball(k, room)]
+            for s in group.factor_elements(k, room)]
     return out
 
 
 def pset_transition(group: FreeProduct, C: int, pset: Iterable[GroupElement],
-                    sigma: FactorElement, balls: dict) -> frozenset:
+                    sigma: FactorElement) -> frozenset:
     """One refinement step of the competitor-offset set on the letter sigma.
 
     The new set holds the offsets (`offsets`) of h = sigma^-1 gamma for every
@@ -225,7 +219,7 @@ def pset_transition(group: FreeProduct, C: int, pset: Iterable[GroupElement],
     """
     k, c = sigma
     neg = FactorElement(k, group.factor_neg(k, c))
-    new = {g for g, s in offsets(group, (neg,), C, balls) if s < sigma}
+    new = {g for g, s in offsets(group, (neg,), C) if s < sigma}
     for gamma in pset:
         first, rest = gamma.syllables[0], gamma.syllables[1:]
         if first.factor == k:
@@ -236,7 +230,7 @@ def pset_transition(group: FreeProduct, C: int, pset: Iterable[GroupElement],
         if len(h) == 1:
             raise AssertionError("a competitor offset spells the prefix with a "
                                  "smaller letter: the normal form is not unique")
-        new.update(g for g, _ in offsets(group, h, C, balls))
+        new.update(g for g, _ in offsets(group, h, C))
     return frozenset(new)
 
 
@@ -251,7 +245,6 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
     types = cone_types(group, m, B)
     by_last = {t.last_factor: t for t in types}
     window = 2 * C + 1
-    balls: dict = {}
 
     def far_letters(k: int) -> list[FactorElement]:
         spec = group.factor(k)
@@ -307,8 +300,8 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
             letter_reach = spec_k.order if spec_k.kind == FINITE_CYCLIC else window
             classes: dict[frozenset, list] = {}  # coords in letter order
             for fe in group.factor_elements(k, letter_reach):
-                classes.setdefault(pset_transition(group, C, pset, fe, balls), []).append(fe.coords)
-            far = {pset_transition(group, C, pset, fe, balls) for fe in far_letters(k)}
+                classes.setdefault(pset_transition(group, C, pset, fe), []).append(fe.coords)
+            far = {pset_transition(group, C, pset, fe) for fe in far_letters(k)}
             if len(far) > 1:
                 raise AssertionError("far sentinel probes disagree; "
                                      "window too small for this alphabet order")

@@ -118,6 +118,8 @@ def _budgets(cfg: dict, args) -> dict:
     budgets.update((k, v) for k, v in vars(args).items()
                    if k in DEFAULT_BUDGETS and v is not None)
     cap_mb = budgets["memory_cap_mb"]
+    if cap_mb is not None and type(cap_mb) is not int:
+        raise ConfigError(f"memory_cap_mb: expected null or an int >= 0, got {cap_mb!r}")
     if cap_mb is not None and cap_mb < 0:
         raise ConfigError(f"memory_cap_mb: must be >= 0, got {cap_mb}")
     # the (m, B) truncation: two ints, m >= 0 and B >= 1, from the flag's "m,B" or the config
@@ -132,7 +134,8 @@ def _budgets(cfg: dict, args) -> dict:
     if not ok:
         raise ConfigError(f"{'--truncation' if flag else 'truncation'}: expected m,B with ints "
                           f"m >= 0 and B >= 1, got {value!r}")
-    for key, least in (("radius", 0), ("sphere_m", 0), ("series_order", 1), ("horizon", 1),
+    for key, least in (("radius", 0), ("sphere_m", 0), ("triples", 0), ("depth", 0),
+                       ("n_max", 0), ("series_order", 1), ("horizon", 1),
                        ("kernel_order", 1), ("h_ball", 1), ("sphere_b", 1)):
         if type(value := budgets.get(key, least)) is not int or value < least:
             raise ConfigError(f"{key}: expected an int >= {least}, got {value!r}")
@@ -566,7 +569,7 @@ def main(argv=None) -> int:
         budgets.setdefault("radius", default_radius(measure, budgets["series_order"]))
         cap_mb = budgets["memory_cap_mb"]
         if cap_mb is not None:
-            measure.max_table_elements = int(cap_mb) * 1_000_000 // TABLE_BYTES_PER_ELEMENT
+            measure.max_table_elements = cap_mb * 1_000_000 // TABLE_BYTES_PER_ELEMENT
         ctx = {
             "args": args,
             "group": group,

@@ -659,34 +659,32 @@ def levels(table: BallTable, weights: Iterable, n_steps: int,
         yield w, hi
 
 
-def _exact_dots(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[int]:
-    """The dot product of a with each b of bs, exactly, as Python ints.
+def _exact_dots(a: np.ndarray, b: np.ndarray) -> int:
+    """The dot product of a and b, exactly, as a Python int.
 
-    Every entry must be a non-negative integer below 2^53, and every sum(b)
-    below 2^53.  a is cut into k-bit limbs with k = 53 - bitlen(max sum(b)),
-    at least 1, so each limb's dot with b is at most (2^k - 1) sum(b) < 2^53
-    and float64 gets it exactly in any summation order; the limb dots are
+    Every entry must be a non-negative integer below 2^53, and sum(b) below
+    2^53.  a is cut into k-bit limbs with k = 53 - bitlen(sum(b)), at least
+    1, so each limb's dot with b is at most (2^k - 1) sum(b) < 2^53 and
+    float64 gets it exactly in any summation order; the limb dots are
     shifted back and added in Python ints.  Works in blocks of _BLOCK
     entries, so no temporary is larger than a block.
     """
     # a float sum of non-negative integers reaches 2^53 iff the exact one does
-    top = max((b.sum() for b in bs), default=0.0)
+    top = b.sum()
     if top >= _FLOAT_EXACT_LIMIT:
         raise OverflowError("dot operand sum reaches 2^53")
     k = max(1, _FLOAT_BITS - int(top).bit_length())
     base, scale = 2.0**k, 2.0**-k
     shifts = range(0, int(a.max(initial=0)).bit_length(), k)
-    out = [0] * len(bs)
+    out = 0
     for lo in range(0, len(a), _BLOCK):
-        hi = a[lo:lo + _BLOCK]
-        blocks = [b[lo:lo + _BLOCK] for b in bs]
+        hi, block = a[lo:lo + _BLOCK], b[lo:lo + _BLOCK]
         for s in shifts:
             limb = hi
             if s + k < shifts.stop:  # split off the low k bits; scaling by 2^+-k is exact
                 hi = np.floor(limb * scale)
                 limb = limb - hi * base
-            for i, b in enumerate(blocks):
-                out[i] += int(limb @ b) << s
+            out += int(limb @ block) << s
     return out
 
 
@@ -713,7 +711,7 @@ def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: i
             side = w if symmetric else table.pull_back(w)
             for n, (b, h) in zip((2 * t - 1, 2 * t), ((prev, prev_hi), (w, hi))):
                 if n <= n_max:
-                    dots[n] = _exact_dots(side[:h], [b[:h]])[0] if fits else int(side[:h] @ b[:h])
+                    dots[n] = _exact_dots(side[:h], b[:h]) if fits else int(side[:h] @ b[:h])
         prev, prev_hi = w, hi
     return dots
 

@@ -88,7 +88,8 @@ class FreeProduct:
     """The free product H_1 * ... * H_N with its two metrics.
 
     Factors are numbered 1..N.  All values are immutable; every method is
-    pure, so instances are safe to share across threads.
+    pure, and the factor balls are cached by an atomic dict setdefault, so
+    instances are safe to share across threads.
     """
 
     def __init__(self, factors: Sequence[FactorSpec]):
@@ -115,6 +116,7 @@ class FreeProduct:
             named.append(FactorSpec(spec.kind, spec.rank, spec.order, gens))
         self.factors: tuple[FactorSpec, ...] = tuple(named)
         self.identity = GroupElement(())
+        self._factor_balls: dict[tuple[int, int], tuple[FactorElement, ...]] = {}
 
     @property
     def num_factors(self) -> int:
@@ -146,18 +148,16 @@ class FreeProduct:
             return min(r, spec.order - r)
         return sum(abs(c) for c in coords)
 
-    def factor_elements(self, k: int, max_word: int) -> list[FactorElement]:
+    def factor_elements(self, k: int, max_word: int) -> tuple[FactorElement, ...]:
         """Nonidentity elements of H_k with word length <= max_word, in
-        coordinate-lexicographic order."""
+        coordinate-lexicographic order, listed once per (k, max_word)."""
+        if (k, max_word) in self._factor_balls:
+            return self._factor_balls[(k, max_word)]
         spec = self.factor(k)
-        out = []
-        if spec.kind == FINITE_CYCLIC:
-            for r in range(1, spec.order):
-                if min(r, spec.order - r) <= max_word:
-                    out.append(FactorElement(k, (r,)))
-            return out
+        out: list[FactorElement] = []
 
         def rec(prefix: tuple[int, ...], remaining: int, dims_left: int):
+            # each coordinate ascends within its prefix: lexicographic order
             if dims_left == 0:
                 if any(prefix):
                     out.append(FactorElement(k, prefix))
@@ -165,9 +165,13 @@ class FreeProduct:
             for c in range(-remaining, remaining + 1):
                 rec(prefix + (c,), remaining - abs(c), dims_left - 1)
 
-        rec((), max_word, spec.rank)
-        out.sort(key=lambda fe: fe.coords)
-        return out
+        if spec.kind == FINITE_CYCLIC:
+            out += [FactorElement(k, (r,)) for r in range(1, spec.order)
+                    if min(r, spec.order - r) <= max_word]
+        else:
+            rec((), max_word, spec.rank)
+        # setdefault is atomic: threads racing on one key all get one tuple
+        return self._factor_balls.setdefault((k, max_word), tuple(out))
 
     # -- normal form and group law -----------------------------------------
 
@@ -180,27 +184,25 @@ class FreeProduct:
         red = self._reduce_coords(k, coords)
         return FactorElement(k, red)
 
+    def _merge(self, out: list[FactorElement],
+               syllables: Iterable[FactorElement]) -> GroupElement:
+        """Append reduced nonidentity syllables to the normal form `out`,
+        merging each into a last syllable of its factor by the factor law."""
+        for syl in syllables:
+            k = syl.factor
+            if out and out[-1].factor == k:
+                merged = self.factor_add(k, out.pop().coords, syl.coords)
+                if any(merged):
+                    out.append(FactorElement(k, merged))
+            else:
+                out.append(syl)
+        return GroupElement(tuple(out))
+
     def normalize(self, raw: Iterable[FactorElement]) -> GroupElement:
         """Canonical syllable form: merge adjacent same-factor items by the
         factor group law and drop identity syllables."""
-        out: list[FactorElement] = []
-        for item in raw:
-            k, coords = item
-            self.factor(k)  # raises on unknown id
-            coords = self._reduce_coords(k, coords)
-            if not any(coords):
-                continue
-            if out and out[-1].factor == k:
-                merged = self.factor_add(k, out[-1].coords, coords)
-                out.pop()
-                if any(merged):
-                    out.append(FactorElement(k, merged))
-                    continue
-                # full cancellation may expose a new same-factor boundary;
-                # nothing to do: the stack invariant already holds
-                continue
-            out.append(FactorElement(k, coords))
-        return GroupElement(tuple(out))
+        reduced = (FactorElement(k, self._reduce_coords(k, coords)) for k, coords in raw)
+        return self._merge([], (syl for syl in reduced if any(syl.coords)))
 
     def element(self, raw: Iterable[tuple[int, Sequence[int] | int]]) -> GroupElement:
         return self.normalize(
@@ -208,16 +210,7 @@ class FreeProduct:
         )
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        out = list(a.syllables)
-        for syl in b.syllables:
-            if out and out[-1].factor == syl.factor:
-                merged = self.factor_add(syl.factor, out[-1].coords, syl.coords)
-                out.pop()
-                if any(merged):
-                    out.append(FactorElement(syl.factor, merged))
-            else:
-                out.append(syl)
-        return GroupElement(tuple(out))
+        return self._merge(list(a.syllables), b.syllables)
 
     def inverse(self, a: GroupElement) -> GroupElement:
         return GroupElement(
@@ -342,34 +335,38 @@ class FreeProduct:
 
     # -- ball enumeration ------------------------------------------------------
 
+    def _ball(self, m: int, B: int, C: int) -> Iterator[GroupElement]:
+        """Elements with <= m syllables, each of factor word length <= B and
+        at most C in all, by relative length, then syllables.
+
+        Level l + 1 extends level l's prefixes in order, each by factor and
+        then by letter: a prefix orders its extensions before their last
+        syllable does, and each factor ball is in letter order, so every
+        level comes out sorted.
+        """
+        factors = range(1, self.num_factors + 1)
+        wl = {fe: self.factor_word_length(k, fe.coords)
+              for k in factors for fe in self.factor_elements(k, B)}
+        yield self.identity
+        level = [((), C)]
+        for _ in range(m):
+            nxt = []
+            for prefix, room in level:
+                last = prefix[-1].factor if prefix else 0
+                for k in factors:
+                    if k != last:
+                        for fe in self.factor_elements(k, min(B, room)):
+                            g = prefix + (fe,)
+                            yield GroupElement(g)
+                            nxt.append((g, room - wl[fe]))
+            level = nxt
+
     def enumerate_ball(self, m: int, B: int) -> Iterator[GroupElement]:
         """Elements with <= m syllables, each of factor word length <= B,
         without duplicates, ordered by (relative length, syllable lexicographic)."""
         if m < 0 or B < 1:
             raise ValueError("need m >= 0 and B >= 1")
-        per_factor = {
-            k: self.factor_elements(k, B) for k in range(1, self.num_factors + 1)
-        }
-        yield self.identity
-
-        def rec(prefix: list[FactorElement], length: int) -> Iterator[GroupElement]:
-            for k in sorted(per_factor):
-                if prefix and prefix[-1].factor == k:
-                    continue
-                for fe in per_factor[k]:
-                    ext = prefix + [fe]
-                    yield GroupElement(tuple(ext))
-                    if length + 1 < m:
-                        yield from rec(ext, length + 1)
-
-        if m >= 1:
-            # breadth order: regroup the depth-first stream by length
-            by_len: dict[int, list[GroupElement]] = {}
-            for g in rec([], 0):
-                by_len.setdefault(len(g.syllables), []).append(g)
-            for ell in range(1, m + 1):
-                for g in sorted(by_len.get(ell, []), key=lambda x: x.syllables):
-                    yield g
+        yield from self._ball(m, B, m * B)
 
     # -- text form ---------------------------------------------------------------
 
@@ -418,14 +415,4 @@ def free_group(rank: int = 2) -> FreeProduct:
 
 def word_ball(group: FreeProduct, C: int) -> tuple[GroupElement, ...]:
     """Elements of word length <= C, by relative length, then syllables."""
-    out, frontier = [group.identity], [((), C)]
-    while frontier:
-        prefix, room = frontier.pop()
-        for k in range(1, group.num_factors + 1):
-            if prefix and prefix[-1].factor == k:
-                continue
-            for fe in group.factor_elements(k, room):
-                g = prefix + (fe,)
-                out.append(GroupElement(g))
-                frontier.append((g, room - group.factor_word_length(k, fe.coords)))
-    return tuple(sorted(out, key=lambda g: (len(g.syllables), g.syllables)))
+    return tuple(group._ball(C, C, C))

@@ -138,8 +138,7 @@ def check_partial_sums_vs_laplace(seq: SequenceSpec, beta: float,
     )
 
 
-def check_monotone_lemma(seq: SequenceSpec, beta: float,
-                         n_grid: Sequence[int] | None = None) -> MonotoneLemmaReport:
+def check_monotone_lemma(seq: SequenceSpec, beta: float) -> MonotoneLemmaReport:
     """For non-increasing b_n: if sum_{k<=n} k b_k grows like n^beta
     (0 < beta < 1) then b_n decays like n^(beta-2).
 
@@ -152,9 +151,7 @@ def check_monotone_lemma(seq: SequenceSpec, beta: float,
     if any(x < y - 1e-15 for x, y in zip(b, b[1:])):
         raise ValueError("sequence is not non-increasing")
     n_max = len(b) - 1
-    if n_grid is None:
-        n_grid = [n for n in range(max(2, n_max // 8), n_max + 1,
-                                   max(1, n_max // 16))]
+    n_grid = range(max(2, n_max // 8), n_max + 1, max(1, n_max // 16))
     weighted = np.cumsum([k * v for k, v in enumerate(b)])
     hypothesis = [(n, float(weighted[n] / n**beta)) for n in n_grid]
     conclusion = [(n, float(b[n] / n ** (beta - 2.0))) for n in n_grid if b[n] > 0]

@@ -86,11 +86,17 @@ def test_ratio_audit_stability_under_budget_doubling(zz, lazy):
 
 def reference_audits(measure, triples, pairs, rs, order, radius, n_max_spectral):
     """Both audits as they were written first: each r looks every pair up
-    again, forming x^-1 y and its table id per r, with a per-r cache."""
+    again, forming x^-1 y per r, with a per-r cache; the table ids of all
+    the products come from one `ids_of`."""
     grp = measure.group
     rho = 1.0 / spectral_radius(measure, n_max_spectral).point
     fld = _field(measure, rs, order, radius)
     e = grp.identity
+    used = [(e, e)] + [p for x, y, z in triples for p in ((x, y), (y, z), (x, z))]
+    used += [p for x, z in pairs for y in grp.relative_geodesic(x, z).vertices[1:-1]
+             for p in ((x, z), (x, y), (y, z))]
+    words = list(dict.fromkeys(grp.multiply(grp.inverse(x), y) for x, y in used))
+    table_id = dict(zip(words, fld["table"].ids_of(words).tolist()))
 
     def value(gf, tails, cache, x, y, r):
         w = grp.multiply(grp.inverse(x), y)
@@ -101,8 +107,8 @@ def reference_audits(measure, triples, pairs, rs, order, radius, n_max_spectral)
         def geo(k):
             return q ** max(k, 0) / (1.0 - q)
 
-        i = fld["table"].id_of(w)
-        if i is None:
+        i = table_id[w]
+        if i < 0:
             hit = (0.0, geo(grp.word_length(w)))
         else:
             wl = int(fld["table"].wl[i])

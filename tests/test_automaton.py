@@ -148,12 +148,11 @@ def test_offsets_match_brute_force(zz, z2z3, z3z4):
     for grp in (zz, z2z3, z3z4):
         for C in (1, 2):
             ball = word_ball(grp, C)
-            balls = {}
             for h in word_ball(grp, 2 * C + 1):
                 hinv = grp.inverse(h)
                 brute = {(g, s.syllables[0]) for g in ball if g != grp.identity
                          if len((s := grp.multiply(hinv, g)).syllables) == 1}
-                got = offsets(grp, h.syllables, C, balls)
+                got = offsets(grp, h.syllables, C)
                 assert len(got) == len(brute) and set(got) == brute, (grp.render(h), C)
 
 
@@ -515,11 +514,11 @@ def test_syllable_step_equals_the_alphabet_oracle(name, C, monkeypatch):
     syllable_step = automaton.pset_transition
     steps = []
 
-    def checked(grp, radius, pset, sigma, balls):
+    def checked(grp, radius, pset, sigma):
         killed, want = pset_transition(GroupAlphabet(grp, radius), pset, GroupElement((sigma,)),
                                        (sigma.factor, sigma.coords))
         assert not killed
-        assert syllable_step(grp, radius, pset, sigma, balls) == want, (pset, sigma)
+        assert syllable_step(grp, radius, pset, sigma) == want, (pset, sigma)
         steps.append(sigma)
         return want
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from freewalk import cli
 from freewalk.cli import ConfigError, build_parser, load_config, main
 
 CONFIG = {
@@ -170,13 +171,13 @@ def test_tauber_reads_llt_output(config_path, tmp_path):
     assert json.loads((out / "tauber.json").read_text())["input"]["beta"] == 1.0
 
 
-def test_any_other_error_exits_one_with_manifest(tmp_path, capsys):
-    cfg = json.loads(json.dumps(CONFIG))
-    cfg["budgets"]["depth"] = "four"
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+def test_any_other_error_exits_one_with_manifest(config_path, tmp_path, capsys, monkeypatch):
+    def broken(ctx):
+        raise TypeError("a handler fault")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", (broken, cli.COMMANDS["validate"][1]))
     out = tmp_path / "o"
-    assert main(["validate", str(path), "--out", str(out)]) == 1
+    assert main(["validate", config_path, "--out", str(out)]) == 1
     assert "error: TypeError:" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 1 and manifest["partial"] is False
@@ -507,6 +508,28 @@ def test_bad_count_budget_exits_one_with_manifest(tmp_path, capsys, key, value, 
     assert main(["green", path, "--out", str(out)]) == 1
     assert (f"config error: {key}: expected an int >= {least}, got {value!r}"
             in capsys.readouterr().err)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and manifest["partial"] is False
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    ("ancona", "triples", -3, "expected an int >= 0"),
+    ("ancona", "triples", 2.5, "expected an int >= 0"),
+    ("validate", "depth", -1, "expected an int >= 0"),
+    ("validate", "depth", 2.5, "expected an int >= 0"),
+    ("radius", "n_max", 2.5, "expected an int >= 0"),
+    ("radius", "n_max", True, "expected an int >= 0"),
+    ("radius", "memory_cap_mb", True, "expected null or an int >= 0"),
+    ("radius", "memory_cap_mb", 1.5, "expected null or an int >= 0"),
+])
+def test_bad_walk_budget_exits_one_under_its_own_name(tmp_path, capsys, command, key, value,
+                                                      message):
+    """Each of these once exited 0 as if clamped, failed under another key's
+    name, or ended in a bare TypeError."""
+    path = write_config(tmp_path, budgets=dict(CONFIG["budgets"], **{key: value}))
+    out = tmp_path / "o"
+    assert main([command, path, "--out", str(out)]) == 1
+    assert f"config error: {key}: {message}, got {value!r}" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 1 and manifest["partial"] is False
 

@@ -136,9 +136,8 @@ def assert_matches_reference(group, support, cap):
     for name in ("parent", "code"):  # trimmed to the table after the build's headroom
         assert len(getattr(table, name)) == table.size, name
     assert_step_relation_matches(table, elems, ref["nbr"])
-    for i, g in enumerate(elems):
-        assert table.element_of(i) == g
-        assert table.id_of(g) == i
+    assert [table.element_of(i) for i in range(table.size)] == elems
+    assert table.ids_of(elems).tolist() == list(range(table.size))
     return table, elems
 
 
@@ -202,9 +201,7 @@ def test_builder_matches_reference_on_random_products(case):
     table, elems = assert_matches_reference(group, support, cap)
     assert_step_matches_reference(table)
     inv = table.inverse_perm()
-    for i, g in enumerate(elems):
-        j = table.id_of(group.inverse(g))
-        assert inv[i] == (-1 if j is None else j)
+    assert inv.tolist() == table.ids_of([group.inverse(g) for g in elems]).tolist()
     ints = [1 + k % 3 for k in range(len(support))]
     d_mu = max(group.word_length(g) for g in support)
     for n_max in range(2 * cap + 2):
@@ -221,26 +218,22 @@ def test_inverse_perm_matches_group_inverse(make_group, texts, cap, leaves):
     group = make_group()
     table = BallTable(group, _parse(group, texts), cap)
     inv = table.inverse_perm()
-    missing = 0
-    for i in range(table.size):
-        j = table.id_of(group.inverse(table.element_of(i)))
-        assert inv[i] == (-1 if j is None else j)
-        missing += j is None
-    assert (missing > 0) == leaves  # whether some inverses leave the table
+    want = table.ids_of([group.inverse(table.element_of(i)) for i in range(table.size)])
+    assert inv.tolist() == want.tolist()
+    assert (want < 0).any() == leaves  # whether some inverses leave the table
 
 
 def test_inverse_perm_where_a_tail_leaves_the_table_but_the_inverse_stays():
     group = free_group(2)
     table = BallTable(group, _parse(group, AB_BA), 8)
     inv = table.inverse_perm()
-    tail_out_inverse_in = 0
-    for i in range(table.size):
-        g = table.element_of(i)
-        j = table.id_of(group.inverse(g))
-        assert inv[i] == (-1 if j is None else j)
-        tail_out = len(g.syllables) > 1 and table.id_of(GroupElement(g.syllables[1:])) is None
-        tail_out_inverse_in += tail_out and j is not None
-    assert tail_out_inverse_in > 0
+    elems = [table.element_of(i) for i in range(table.size)]
+    ids = table.ids_of([group.inverse(g) for g in elems]
+                       + [GroupElement(g.syllables[1:]) for g in elems]).tolist()
+    want, tails = ids[:table.size], ids[table.size:]
+    assert inv.tolist() == want
+    assert any(len(g.syllables) > 1 and t < 0 and j >= 0
+               for g, t, j in zip(elems, tails, want))  # tail out, inverse in
 
 
 @pytest.mark.parametrize("make_group,texts,cap,ball", [
@@ -253,12 +246,11 @@ def test_pair_ids_match_group_products(make_group, texts, cap, ball):
     table = BallTable(group, _parse(group, texts), cap)
     elems = list(group.enumerate_ball(*ball))
     pair = pair_ids(table, elems)
-    outside = 0
-    for i, a in enumerate(elems):
-        ainv = group.inverse(a)
-        outside += table.id_of(ainv) is None
-        assert pair[i].tolist() == table.ids_of([group.multiply(ainv, b) for b in elems]).tolist()
-    assert outside > 0  # some rows start outside the table
+    invs = [group.inverse(a) for a in elems]
+    ids = table.ids_of(invs + [group.multiply(ainv, b) for ainv in invs for b in elems])
+    n = len(elems)
+    assert pair.tolist() == ids[n:].reshape(n, n).tolist()
+    assert (ids[:n] < 0).any()  # some rows start outside the table
 
 
 def test_pair_ids_need_a_prefix_closed_list():
@@ -824,7 +816,8 @@ def split_sum(rng, n, total):
 
 
 def assert_exact_dots(a, bs):
-    assert _exact_dots(a, bs) == [big_int_dot(a, b) for b in bs]
+    for b in bs:
+        assert _exact_dots(a, b) == big_int_dot(a, b)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -847,8 +840,8 @@ def test_exact_dot_around_the_block_size(n):
 
 def test_exact_dot_with_an_all_zero_side():
     a = np.full(10, 2.0**53 - 1)
-    assert _exact_dots(a, [np.zeros(10)]) == [0]
-    assert _exact_dots(np.zeros(10), [np.full(10, 2.0**40)]) == [0]
+    assert _exact_dots(a, np.zeros(10)) == 0
+    assert _exact_dots(np.zeros(10), np.full(10, 2.0**40)) == 0
 
 
 def test_exact_dot_over_four_limbs_and_more():
@@ -862,7 +855,7 @@ def test_exact_dot_over_four_limbs_and_more():
 
 def test_exact_dot_refuses_a_sum_at_2_to_53():
     with pytest.raises(OverflowError):
-        _exact_dots(np.ones(2), [np.array([2.0**52, 2.0**52])])
+        _exact_dots(np.ones(2), np.array([2.0**52, 2.0**52]))
 
 
 def reference_power_sequence(table, int_weights, n_max, d_mu, symmetric):

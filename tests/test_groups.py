@@ -1,13 +1,16 @@
 """Normal forms, metrics, geodesics, lifts and ball enumeration."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freewalk import FactorSpec, FreeProduct, free_group, free_product
-from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN
+from freewalk.groups import (
+    FINITE_CYCLIC, FREE_ABELIAN, FactorElement, GroupElement, word_ball,
+)
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +248,164 @@ def test_gen_lookup(zz):
     assert zz.gen("a", -2) == zz.element([(1, -2)])
     with pytest.raises(ValueError):
         zz.gen("zz")
+
+
+# -- the listing and merge loops against the code they replaced ---------------------
+
+
+def oracle_enumerate_ball(self, m, B):
+    """The recursive `enumerate_ball` that `FreeProduct._ball` replaced, verbatim."""
+    if m < 0 or B < 1:
+        raise ValueError("need m >= 0 and B >= 1")
+    per_factor = {
+        k: self.factor_elements(k, B) for k in range(1, self.num_factors + 1)
+    }
+    yield self.identity
+
+    def rec(prefix, length):
+        for k in sorted(per_factor):
+            if prefix and prefix[-1].factor == k:
+                continue
+            for fe in per_factor[k]:
+                ext = prefix + [fe]
+                yield GroupElement(tuple(ext))
+                if length + 1 < m:
+                    yield from rec(ext, length + 1)
+
+    if m >= 1:
+        # breadth order: regroup the depth-first stream by length
+        by_len = {}
+        for g in rec([], 0):
+            by_len.setdefault(len(g.syllables), []).append(g)
+        for ell in range(1, m + 1):
+            for g in sorted(by_len.get(ell, []), key=lambda x: x.syllables):
+                yield g
+
+
+def oracle_word_ball(group, C):
+    """The stack-and-sort `word_ball` that `FreeProduct._ball` replaced, verbatim."""
+    out, frontier = [group.identity], [((), C)]
+    while frontier:
+        prefix, room = frontier.pop()
+        for k in range(1, group.num_factors + 1):
+            if prefix and prefix[-1].factor == k:
+                continue
+            for fe in group.factor_elements(k, room):
+                g = prefix + (fe,)
+                out.append(GroupElement(g))
+                frontier.append((g, room - group.factor_word_length(k, fe.coords)))
+    return tuple(sorted(out, key=lambda g: (len(g.syllables), g.syllables)))
+
+
+def oracle_normalize(self, raw):
+    """`normalize`'s own merge loop before `FreeProduct._merge`, verbatim."""
+    out = []
+    for item in raw:
+        k, coords = item
+        self.factor(k)  # raises on unknown id
+        coords = self._reduce_coords(k, coords)
+        if not any(coords):
+            continue
+        if out and out[-1].factor == k:
+            merged = self.factor_add(k, out[-1].coords, coords)
+            out.pop()
+            if any(merged):
+                out.append(FactorElement(k, merged))
+                continue
+            # full cancellation may expose a new same-factor boundary;
+            # nothing to do: the stack invariant already holds
+            continue
+        out.append(FactorElement(k, coords))
+    return GroupElement(tuple(out))
+
+
+def oracle_multiply(self, a, b):
+    """`multiply`'s own merge loop before `FreeProduct._merge`, verbatim."""
+    out = list(a.syllables)
+    for syl in b.syllables:
+        if out and out[-1].factor == syl.factor:
+            merged = self.factor_add(syl.factor, out[-1].coords, syl.coords)
+            out.pop()
+            if any(merged):
+                out.append(FactorElement(syl.factor, merged))
+        else:
+            out.append(syl)
+    return GroupElement(tuple(out))
+
+
+def ball_size(group, m, B, C):
+    """How many elements have <= m syllables of word length <= B each and
+    <= C in all, counted by (last factor, word length used) without listing."""
+    by_wl = {k: Counter(group.factor_word_length(k, fe.coords)
+                        for fe in group.factor_elements(k, B))
+             for k in range(1, group.num_factors + 1)}
+    level, total = Counter({(0, 0): 1}), 1
+    for _ in range(m):
+        nxt = Counter()
+        for (last, used), n in level.items():
+            for k, counts in by_wl.items():
+                for w, c in counts.items():
+                    if k != last and used + w <= C:
+                        nxt[(k, used + w)] += n * c
+        total += sum(nxt.values())
+        level = nxt
+    return total
+
+
+LISTED = 3000  # the largest ball a draw lists: m or C shrinks until it fits
+
+products = st.lists(
+    st.one_of(st.builds(lambda d: FactorSpec(FREE_ABELIAN, rank=d), st.integers(1, 3)),
+              st.builds(lambda n: FactorSpec(FINITE_CYCLIC, order=n), st.integers(2, 7))),
+    min_size=1, max_size=3).map(lambda specs: free_product(*specs))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(products, st.integers(0, 4), st.integers(1, 4))
+def test_enumerate_ball_equals_the_recursive_oracle(group, m, B):
+    while ball_size(group, m, B, m * B) > LISTED:
+        m -= 1
+    assert list(group.enumerate_ball(m, B)) == list(oracle_enumerate_ball(group, m, B))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(products, st.integers(0, 6))
+def test_word_ball_equals_the_stack_oracle(group, C):
+    while ball_size(group, C, C, C) > LISTED:
+        C -= 1
+    assert word_ball(group, C) == oracle_word_ball(group, C)
+
+
+def raw_syllables(group):
+    def syllable(k):
+        dim = group.factor(k).dim
+        return st.tuples(st.just(k), st.tuples(*[st.integers(-9, 9)] * dim))
+    return st.lists(st.integers(1, group.num_factors).flatmap(syllable), max_size=8)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(products.flatmap(lambda g: st.tuples(st.just(g), raw_syllables(g), raw_syllables(g))))
+def test_normalize_and_multiply_equal_their_old_loops(case):
+    group, raw_a, raw_b = case
+    a, b = group.normalize(raw_a), group.normalize(raw_b)
+    assert a == oracle_normalize(group, raw_a) and b == oracle_normalize(group, raw_b)
+    assert group.multiply(a, b) == oracle_multiply(group, a, b)
+    assert group.multiply(b, a) == oracle_multiply(group, b, a)
+
+
+def test_normalize_does_not_call_multiply(z2z3, monkeypatch):
+    """The tracer counts `multiply`: normalizing must not move that count."""
+    def no_multiply(self, a, b):
+        raise AssertionError("normalize called multiply")
+
+    monkeypatch.setattr(FreeProduct, "multiply", no_multiply)
+    assert z2z3.normalize([(1, (1, 0)), (1, (2, -1)), (2, (2,)), (2, (1,))]) == \
+        z2z3.element([(1, (3, -1))])
+
+
+def test_factor_elements_are_listed_once_per_group(z2z3):
+    for k, r in ((1, 3), (2, 1), (1, 0)):
+        ball = z2z3.factor_elements(k, r)
+        assert isinstance(ball, tuple) and z2z3.factor_elements(k, r) is ball
+        assert list(ball) == sorted(ball) and len(set(ball)) == len(ball)
+    assert len(z2z3.factor_elements(1, 3)) == 24 and z2z3.factor_elements(1, 0) == ()

@@ -162,7 +162,7 @@ def test_return_sequence_falls_back_to_dicts_beyond_float_capacity(zz, monkeypat
     D = m.integerized()[1]
     assert D == 2**20 and not engine.exact_capacity(D, (6 + 1) // 2)
 
-    def no_float_dots(*args, **kwargs):
+    def no_float_dots(a, b):
         raise AssertionError("the float64 limb dots ran beyond their capacity")
 
     monkeypatch.setattr(engine, "_exact_dots", no_float_dots)
