@@ -3,9 +3,12 @@
 This is the workhorse behind exact convolution powers, Green evaluations
 and first-return kernels.  Elements reachable from e inside a word-radius
 cap are interned once into a trie of (parent id, syllable code) rows,
-grown breadth first in passes bounded in cells with numpy sort and
-search, ending with the compact step adjacency; every random-walk
-computation is then a sequence of level steps over flat weight arrays.
+grown breadth first in passes bounded in cells, ending with the compact
+step adjacency.  A pass reads every product off one small table per
+build, indexed by last syllable and support step, and interns the new
+ones through sorted key runs that merge geometrically, so no pass copies
+the whole key array.  Every random-walk computation is then a sequence of
+level steps over flat weight arrays.
 A step scales the level once per support column: each column's dense
 prefix (the ids whose products all stay in the table) is scaled with no
 gather, the rest of its sources are gathered, and both are added in order
@@ -44,6 +47,7 @@ class BudgetExceededError(RuntimeError):
     """Raised when a computation would exceed its element budget."""
 
 
+_INT32_MAX = np.iinfo(np.int32).max
 _ZERO = -2  # merge row value: the two syllables cancel
 _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
 # cells (source x syllable step) per builder pass; bounds the pass temporaries
@@ -137,6 +141,64 @@ def _lookup(keys: np.ndarray, kid: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(keys[pos] == q, kid[pos], -1).astype(np.int64)
 
 
+def _merge_runs(a, b):
+    """One sorted run of (keys, ids) from two with disjoint keys: the
+    shorter one's keys are placed by one search in the longer one."""
+    if len(a[0]) < len(b[0]):
+        a, b = b, a
+    (ak, ai), (bk, bi) = a, b
+    at = np.searchsorted(ak, bk)
+    at += np.arange(len(bk))
+    rest = np.ones(len(ak) + len(bk), dtype=bool)
+    rest[at] = False
+    keys = np.empty(len(rest), dtype=ak.dtype)
+    kid = np.empty(len(rest), dtype=ai.dtype)
+    keys[at], keys[rest] = bk, ak
+    kid[at], kid[rest] = bi, ai
+    return keys, kid
+
+
+class _KeyIndex:
+    """Trie keys and their ids as sorted runs with disjoint keys, oldest
+    first.
+
+    The last run merges with the one before it while that one is at most
+    twice as long, so every run is more than twice as long as the next:
+    over n keys there are at most log2(n) + 1 runs, and a lookup searches
+    each.  A run is merged only once the keys added after it number at
+    least half its length, so the whole index is copied only after it has
+    grown by half, not once per added run."""
+
+    def __init__(self):
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def find(self, q: np.ndarray) -> np.ndarray:
+        """Ids stored under the queried keys (sorted), -1 if absent."""
+        got = np.full(len(q), -1, dtype=np.int64)
+        for keys, ids in self._runs:
+            part = slice(q.searchsorted(keys[0]), q.searchsorted(keys[-1], "right"))
+            np.maximum(got[part], _lookup(keys, ids, q[part]), out=got[part])
+        return got
+
+    def add(self, keys: np.ndarray, ids: np.ndarray):
+        """Add sorted keys, none of them stored yet, with their int32 ids."""
+        runs = self._runs
+        if len(keys):
+            runs.append((keys, ids))
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            runs.append(_merge_runs(runs.pop(), runs.pop()))
+
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """All keys as one sorted int64 array, with their int32 ids; the
+        index keeps that one run."""
+        runs = self._runs
+        while len(runs) > 1:
+            runs.append(_merge_runs(runs.pop(), runs.pop()))
+        if not runs:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+        return runs[0]
+
+
 class BallTable:
     """All elements reachable from e by support steps within a word-radius cap.
 
@@ -184,37 +246,71 @@ class BallTable:
 
     # -- construction -------------------------------------------------------
 
+    def _products(self):
+        """The product step as small tables, one per syllable depth k.
+
+        Depth k's (js, syl, merge, fit, cancel) covers the support columns
+        js whose step has a k-th syllable.  Row r, column i is the product
+        of an element whose last syllable has code r (the empty code for e,
+        len(syllables) + 1 for a dead cell) with column js[i]'s k-th
+        syllable y: `merge` when y joins the last syllable, so the
+        product's parent is the element's parent, else the element; `syl`
+        the product's last code, _ZERO when y cancels the last syllable
+        (`cancel`: the product is the parent) and _OUT beyond the alphabet;
+        `fit` the largest word length of an element whose product stays in
+        the cap, -1 when none does.
+        """
+        ys = [s for g in self.support for s in g.syllables]
+        rows = _merge_rows(self.group, self._code, list(self.syllables) + [None], ys)
+        rows = np.vstack([rows.T, np.full((1, len(ys)), _OUT, dtype=np.int32)])
+        # per row, the last syllable's factor and length; the empty code and
+        # the dead row have factor 0, so they merge with nothing
+        fac = np.r_[self._fac, 0][:, None]
+        slen = np.r_[self._len, 0].astype(np.int64)  # so that cap - grow cannot wrap
+        cap = min(self.cap, _INT32_MAX)  # word lengths are int32: no larger cap matters
+        ycol = np.cumsum([0] + [len(g.syllables) for g in self.support])
+        tables = []
+        for k in range(max(np.diff(ycol), default=0)):
+            js = [j for j, g in enumerate(self.support) if len(g.syllables) > k]
+            at = ycol[js] + k
+            y = [ys[i] for i in at]
+            yfac = np.array([s.factor for s in y], dtype=np.int32)
+            ycode = np.array([self._code.get(s, -1) for s in y], dtype=np.int32)
+            ylen = np.array([self.group.factor_word_length(*s) for s in y], dtype=np.int32)
+            merge = fac == yfac
+            syl = np.where(merge, rows[:, at], ycode).astype(np.int32)
+            grow = np.where(merge, slen[np.maximum(syl, 0)] - slen[:, None], ylen)
+            fit = np.where(syl >= 0, np.minimum(cap - grow, _INT32_MAX), -1).astype(np.int32)
+            fit[-1] = -1  # dead cells
+            tables.append((js, syl, merge, fit, syl == _ZERO))
+        return tables
+
     def _build(self, max_elements):
         """Grow the trie breadth first, expanding sources in passes of about
         _PASS cells (one cell is one source times one syllable step).
 
         A pass runs the support steps syllable by syllable over all its
-        sources at once: each product is a pop to the parent, or a
+        sources at once, reading each product off the `_products` table of
+        its last syllable and the step: a pop to the parent, or a
         (parent, code) key that is looked up among the known elements or
-        interned.  New elements are numbered by their first discovery, and
-        the pass's keys join the sorted key array at its end; a pass that
-        interns nothing leaves the key array alone.  The ids do not depend
-        on the pass size.  The per-id arrays get room for the pass's new
-        elements before it starts and are trimmed to the table at the end.
-        One neighbour array per stored support column j holds the ids of
-        element_i * support_j (-1 beyond the cap) until the build ends by
-        turning it into that column of the step adjacency and dropping it.
+        interned.  At the first syllable the cells are the pass's sources
+        themselves, so their codes, parents and word lengths are slices.
+        New elements are numbered by their first discovery; their keys come
+        out of the pass's sort already sorted (a pass that renumbers its
+        new elements sorts their keys again) and join a `_KeyIndex` of
+        sorted runs, and a pass that interns nothing adds none.  The ids do
+        not depend on the pass size.  The per-id arrays get room for the
+        pass's new elements before it starts and are trimmed to the table at
+        the end.  One neighbour array per stored support column j holds the
+        ids of element_i * support_j (-1 beyond the cap) until the build
+        ends by turning it into that column of the step adjacency and
+        dropping it.
         """
-        cap, stride, fac, slen = self.cap, self._stride, self._fac, self._len
-        slots = list(self.syllables) + [None]
-        rows = iter(_merge_rows(self.group, self._code, slots,
-                                [s for g in self.support for s in g.syllables]))
-        # per support element and syllable: (factor, code or -1 beyond the
-        # cap, word length, merge row over the alphabet)
-        steps = [
-            [(s.factor, self._code.get(s, -1), self.group.factor_word_length(*s), next(rows))
-             for s in g.syllables]
-            for g in self.support
-        ]
-        K = len(steps)
-        depth = max((len(st) for st in steps), default=0)
+        stride, slen = self._stride, self._len
+        products = self._products()
+        K, depth = len(self.support), len(products)
         # discovery position of (support j, syllable k) within one source
-        offset = np.cumsum([0] + [len(st) for st in steps])
+        offset = np.cumsum([0] + [len(g.syllables) for g in self.support])
         span = int(offset[-1])
         per_pass = max(1, _PASS // max(1, span))  # sources per pass
 
@@ -223,28 +319,11 @@ class BallTable:
         wl, rel, maxfac = (np.zeros(1, dtype=np.int32) for _ in range(3))
         per_id = (parent, code, wl, rel, maxfac)
         nbr = [np.empty(0, dtype=np.int32) for _ in range(self._first(), K)]
-        keys = np.empty(0, dtype=np.int64)
-        kid = np.empty(0, dtype=np.int32)
+        index = _KeyIndex()
 
         def check_budget(count):
             if max_elements is not None and count > max_elements:
                 raise BudgetExceededError(f"ball table exceeded {max_elements} elements")
-
-        def multiply(c, step):
-            """Products of the ids c (-1: dead) with one syllable per column:
-            the ids known at once (pops to the parent, else -1), the mask of
-            products to look up, and their parents, codes and word lengths."""
-            f, t, tlen, rows = (np.array(x, dtype=np.int32) for x in zip(*step))
-            alive = c >= 0
-            c = np.where(alive, c, 0)
-            last = code[c]
-            merge = alive & (fac[last] == f)
-            m = rows[np.arange(len(f)), last]
-            par = np.where(merge, parent[c], c)
-            syl = np.where(merge, m, t)
-            w = np.where(merge, wl[c] - slen[last] + slen[np.maximum(m, 0)], wl[c] + tlen)
-            look = alive & (syl >= 0) & (w <= cap)
-            return np.where(merge & (m == _ZERO), par, -1), look, par[look], syl[look], w[look]
 
         check_budget(1)
         n, lo = 1, 0
@@ -257,65 +336,85 @@ class BallTable:
                 for a in per_id:
                     a.resize(room, refcheck=False)
             cur = np.repeat(np.arange(lo, hi, dtype=np.int32)[:, None], K, axis=1)
+            runs = _KeyIndex()  # this pass's new elements
             pos_min = np.empty(0, dtype=np.int64)  # first discovery of each new element
-            for k in range(depth):
-                js = [j for j in range(K) if len(steps[j]) > k]
-                res, look, lpar, lsyl, lw = multiply(cur[:, js], [steps[j][k] for j in js])
-                uq, first, inv = np.unique(lpar.astype(np.int64) * stride + lsyl,
-                                           return_index=True, return_inverse=True)
-                got = _lookup(keys, kid, uq)
-                if n > start:  # a later syllable can meet this pass's new elements
-                    pkeys = parent[start:n].astype(np.int64) * stride + code[start:n]
-                    order = np.argsort(pkeys)
-                    got = np.where(got >= 0, got,
-                                   _lookup(pkeys[order], start + order, uq))
-                new = np.flatnonzero(got < 0)
+            for k, (js, syl, merge, fit, cancel) in enumerate(products):
+                nc = len(js)
+                if k == 0:  # every cell is alive, a source: per-source slices
+                    last, up = code[lo:hi], parent[lo:hi]
+                    fl = np.flatnonzero(wl[lo:hi, None] <= np.take(fit, last, axis=0))
+                    pop = np.flatnonzero(np.take(cancel, last, axis=0))
+                    res = np.full((hi - lo, nc), -1, dtype=np.int32)
+                    res.flat[pop] = up[pop // nc]
+                    row, ci = np.divmod(fl, nc)
+                    kind, at, up = last[row] * nc + ci, row + lo, up[row]
+                else:
+                    at = cur[:, js]
+                    kind = code[at]
+                    kind[at < 0] = stride  # the dead row; as wl >= 0, no dead cell fits
+                    kind = kind * nc + np.arange(nc)
+                    fl = np.flatnonzero(wl[at] <= np.take(fit, kind))
+                    pop = np.flatnonzero(np.take(cancel, kind))
+                    res = np.full_like(at, -1)
+                    res.flat[pop] = parent[at.flat[pop]]
+                    row, ci = np.divmod(fl, nc)
+                    kind, at = kind.flat[fl], at.flat[fl]
+                    up = parent[at]
+                # the cells to look up (fl), in discovery order, and their keys
+                key = np.multiply(np.where(np.take(merge, kind), up, at), stride, dtype=np.int64)
+                key += np.take(syl, kind)
+                del pop, kind, at, up
+                uq, first, inv = np.unique(key, return_index=True, return_inverse=True)
+                del key
+                got = np.maximum(index.find(uq), runs.find(uq))
+                fresh = got < 0
+                new = np.flatnonzero(fresh)
                 new = new[np.argsort(first[new], kind="stable")]
                 check_budget(n + len(new))
                 got[new] = np.arange(n, n + len(new))
-                cell = first[new]
-                p, s = lpar[cell], lsyl[cell]
+                p, s = np.divmod(uq[new], stride)
                 added = slice(n, n + len(new))
                 parent[added] = p
                 code[added] = s
-                wl[added] = lw[cell]
+                wl[added] = wl[p] + slen[s]
                 rel[added] = rel[p] + 1
                 maxfac[added] = np.maximum(maxfac[p], slen[s])
                 n += len(new)
-                res[look] = got[inv]
+                if len(new):
+                    runs.add(uq[fresh], got[fresh].astype(np.int32))
+                got = got[inv]
+                res.flat[fl] = got
                 cur[:, js] = res
                 if depth > 1:
                     # stage by stage is not discovery order: keep each new
                     # element's first (source, support, syllable) position
-                    rows_at, cols_at = np.nonzero(look)
-                    pos = rows_at * span + offset[js][cols_at] + k
+                    pos = row * span + offset[js][ci] + k
                     pos_min = np.concatenate(
                         [pos_min, np.full(len(new), np.iinfo(np.int64).max)])
-                    hit = res[look] >= start
-                    np.minimum.at(pos_min, res[look][hit] - start, pos[hit])
+                    hit = got >= start
+                    np.minimum.at(pos_min, got[hit] - start, pos[hit])
             if depth > 1:
                 order = np.argsort(pos_min, kind="stable")
                 if (order != np.arange(len(order))).any():
                     self._renumber(per_id, cur, start, order)
+                    # a renumbered parent changes its children's keys
+                    keys = parent[start:n].astype(np.int64) * stride + code[start:n]
+                    order = np.argsort(keys)
+                    runs = _KeyIndex()
+                    runs.add(keys[order], (start + order).astype(np.int32))
             for j, col in enumerate(nbr, K - len(nbr)):
                 if len(col) < hi:
                     # while passes intern, rows only for this pass's sources keep
-                    # the key merge's peak low; after, rows for every known element
+                    # the key merges' peak low; after, rows for every known element
                     col.resize(hi if n > start else n, refcheck=False)
                 col[lo:hi] = cur[:, j]
-            if n > start:
-                lk = parent[start:n].astype(np.int64) * stride + code[start:n]
-                order = np.argsort(lk)
-                lk = lk[order]
-                at = np.searchsorted(keys, lk)
-                keys = np.insert(keys, at, lk)
-                kid = np.insert(kid, at, (start + order).astype(np.int32))
+            index.add(*runs.merged())
             lo = hi
         self.size = n
         for a in per_id:
             a.resize(n, refcheck=False)
         self.parent, self.code, self.wl, self.rel, self.maxfac = per_id
-        self._keys, self._kid = keys, kid
+        self._keys, self._kid = index.merged()
         self._adj = []
         while nbr:  # each column's neighbour array goes as its adjacency comes
             col = nbr.pop(0)
@@ -460,8 +559,8 @@ class BallTable:
         first syllable s has the inverse t^-1 s^-1, the child of its tail
         t's inverse, and its tail is the child of its parent's tail.  The
         trie is prefix-closed but not suffix-closed, so a tail can leave the
-        table while the inverse stays in; such elements `walk` their negated
-        syllables, read up the parent chain, instead."""
+        table while the inverse stays in; such elements spell their inverse
+        from e instead (`_walk_inverse`)."""
         if self._inv_perm is None:
             group = self.group
             neg = np.array(
@@ -480,13 +579,24 @@ class BallTable:
                     tail[ids] = self._child(tail[p], self.code[ids])
                 t = tail[ids]
                 inv[ids] = self._child(np.where(t >= 0, inv[t], -1), neg[head[ids]])
-                up = [ids[t < 0]]  # before the next level reads their inverses
-                for _ in range(1, r):
-                    up.append(self.parent[up[-1]])
-                got = self.walk(neg[self.code[np.stack(up, 1)]])[0]
-                inv[up[0]] = np.where(got < self.size, got, -1)
+                # before the next level reads their inverses
+                inv[ids[t < 0]] = self._walk_inverse(ids[t < 0], r, neg)
             self._inv_perm = inv
         return self._inv_perm
+
+    def _walk_inverse(self, ids: np.ndarray, r: int, neg: np.ndarray) -> np.ndarray:
+        """Ids of the inverses of ids, all of relative length r (-1 outside
+        the table), spelled from e by their negated syllables read up the
+        parent chain.  The table is prefix-closed, so a row whose walk
+        leaves it stays out and is dropped there."""
+        out = np.full(len(ids), -1, dtype=np.int64)
+        rows, at = np.arange(len(ids)), np.zeros(len(ids), dtype=np.int64)
+        for _ in range(r):
+            at = self._child(at, neg[self.code[ids]])
+            keep = at >= 0
+            rows, at, ids = rows[keep], at[keep], self.parent[ids[keep]]
+        out[rows] = at
+        return out
 
     def pull_back(self, x: np.ndarray) -> np.ndarray:
         """x composed with inversion: at id g, x at the id of g^-1, or 0

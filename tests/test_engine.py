@@ -550,15 +550,28 @@ def refuses(group, support, cap, cells, budget):
     return False
 
 
+def assert_key_index(table):
+    """The trie's key index: keys strictly increasing, each the
+    parent * stride + code of its id, and every id but e's once."""
+    keys, kid = table._keys, table._kid
+    assert (np.diff(keys) > 0).all()
+    assert np.array_equal(keys, table.parent[kid].astype(np.int64) * table._stride
+                          + table.code[kid])
+    assert np.array_equal(np.sort(kid), np.arange(1, table.size))
+
+
 def assert_pass_size_free(group, support, cap):
     """Passes of 1, 3 and 64 cells build the default table array for array
-    and, like it, refuse exactly the budgets below its size."""
+    and, like it, refuse exactly the budgets below its size; every one keeps
+    a sound key index."""
     base = BallTable(group, support, cap)
+    assert_key_index(base)
     budgets = (base.size, base.size - 1, base.size // 2, 1, 0)
     want = [b < base.size for b in budgets]
     for cells in (1, 3, 64):
         table = build_in_passes(group, support, cap, cells)
         assert table.size == base.size
+        assert_key_index(table)
         for name in TABLE_ARRAYS:
             got, ref = getattr(table, name), getattr(base, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), (cells, name)
@@ -620,10 +633,12 @@ def lazy_f2_cap12_memory():
 
 def test_build_transient_stays_small(lazy_f2_cap12_memory):
     """The cap-12 build's temporaries: peak minus what the table keeps
-    (about 16 MB, at an interning pass: its temporaries and the per-id
-    arrays' room for its new elements; 29 MB when one (M x K) neighbour
-    matrix lived until the adjacency was whole, 100 MB when passes were
-    2^18 sources)."""
+    (15.2 MB measured, where a pass's keys merge the key index's runs into
+    one of 0.9 M keys; the last interning pass, with its temporaries and
+    the per-id arrays' room for its new elements, reaches 12.7 MB.
+    15.9 MB when every interning pass inserted its keys into one sorted
+    array, 29 MB when one (M x K) neighbour matrix lived until the
+    adjacency was whole, 100 MB when passes were 2^18 sources)."""
     size, build_peak, retained, _, _ = lazy_f2_cap12_memory
     assert size > 10**6
     assert build_peak - retained < 32e6
@@ -638,7 +653,7 @@ def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
 
 def test_table_keeps_one_step_relation(lazy_f2_cap12_memory):
     """After its build and a step, the cap-12 table keeps its per-id arrays
-    (20 B per element), trie keys (12 B) and step adjacency (21 B): 53.4 B
+    (20 B per element), trie keys (12 B) and step adjacency (21 B): 53.3 B
     per element measured.  The build's neighbour arrays kept beside the
     adjacency would add 16 B."""
     size, _, _, _, kept = lazy_f2_cap12_memory
