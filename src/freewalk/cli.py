@@ -11,6 +11,7 @@ any other error, 2 when a memory budget was exhausted (partial results kept).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -122,23 +123,27 @@ def _budgets(cfg: dict, args) -> dict:
         raise ConfigError(f"memory_cap_mb: expected null or an int >= 0, got {cap_mb!r}")
     if cap_mb is not None and cap_mb < 0:
         raise ConfigError(f"memory_cap_mb: must be >= 0, got {cap_mb}")
-    # the (m, B) truncation: two ints, m >= 0 and B >= 1, from the flag's "m,B" or the config
-    value = budgets["truncation"]
-    flag = getattr(args, "truncation", None) is not None
-    try:
-        mB = budgets["truncation"] = [int(x) for x in value.split(",")] if flag else value
-        m, B = mB
-        ok = all(type(x) is int for x in mB) and m >= 0 and B >= 1
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"{'--truncation' if flag else 'truncation'}: expected m,B with ints "
-                          f"m >= 0 and B >= 1, got {value!r}")
+    # two-int pairs, each int at least its bound (None: any); --truncation gives "m,B";
+    # automaton C and m below 1 are left to the automaton build, whose error names them
+    flag, shown = getattr(args, "truncation", None) is not None, dict(budgets)
+    if flag:
+        with contextlib.suppress(ValueError):  # an unparsed string fails the check below
+            budgets["truncation"] = [int(x) for x in shown["truncation"].split(",")]
+    for key, least, names in (("truncation", (0, 1), "m,B"), ("sample_ball", (0, 1), "m,B"),
+                              ("automaton_mb", (None, 1), "m,B"), ("window", (1, 1), "lo,hi")):
+        if not (isinstance(pair := budgets[key], list) and len(pair) == 2 and all(
+                type(x) is int and (lo is None or x >= lo) for x, lo in zip(pair, least))):
+            bounds = " and ".join(n if lo is None else f"{n} >= {lo}"
+                                  for n, lo in zip(names.split(","), least))
+            raise ConfigError(f"{'--' if flag and key == 'truncation' else ''}{key}: expected "
+                              f"{names} with ints {bounds}, got {shown[key]!r}")
     for key, least in (("radius", 0), ("sphere_m", 0), ("triples", 0), ("depth", 0),
                        ("n_max", 0), ("series_order", 1), ("horizon", 1),
                        ("kernel_order", 1), ("h_ball", 1), ("sphere_b", 1)):
         if type(value := budgets.get(key, least)) is not int or value < least:
             raise ConfigError(f"{key}: expected an int >= {least}, got {value!r}")
+    if type(budgets["automaton_c"]) is not int:
+        raise ConfigError(f"automaton_c: expected an int, got {budgets['automaton_c']!r}")
     return budgets
 
 

@@ -21,7 +21,7 @@ bound hi, zero from hi on: level t lives within t support steps of e, and
 the breadth-first ids number those elements first, so a step, a pairing dot
 or a field update touches only the prefix [0, hi).  A caller may only zero
 entries of a yielded level in place; the next step starts from the edited
-level.  `return_bound` is the one pruning rule for return numbers.
+level.  `levels` holds the one pruning rule, and `reach_cap` its table cap.
 
 Exactness: the weights choose the number type of the levels.  An object
 array of Python ints gives Python-int levels, exact at any size; other
@@ -33,7 +33,7 @@ is exact, and combines the limb dots in Python ints.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -731,30 +731,29 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     return nw
 
 
-def return_bound(t: int, n_max: int, d_mu: int) -> int | None:
-    """Word-length bound on level t of a DP that only feeds returns to e by
-    step n_max: a state beyond (n_max - t) * d_mu cannot get back in time.
-    None (no pruning) while t <= n_max - t, where no state after t steps is
-    longer than t * d_mu anyway."""
-    return None if t <= n_max - t else (n_max - t) * d_mu
+def reach_cap(n: int, d_mu: int, radius: int = 0) -> int:
+    """Table cap of an n-step `levels` DP with horizon n: its largest level
+    bound, max_t min(t * d_mu, radius + (n - t) * d_mu), at least 0.  A step's
+    word length falls, then grows, so its syllables stay within both ends."""
+    return max(0, max(min(t * d_mu, radius + (n - t) * d_mu) for t in range(n + 1)))
 
 
-def levels(table: BallTable, weights: Iterable, n_steps: int,
-           bound: Callable[[int], int | None] | None = None
-           ) -> Iterator[tuple[np.ndarray, int]]:
+def levels(table: BallTable, weights: Iterable, n_steps: int, horizon: int | None = None,
+           radius: int = 0) -> Iterator[tuple[np.ndarray, int]]:
     """The levels (mu^{*t}, hi_t), t = 0..n_steps, of the walk from e over
     the table.
 
     Each level is a table-sized array that is zero from the id hi_t on:
-    hi_0 = 1, and hi_t = min(reach(hi_{t-1}), wl_end(bound(t))), since a
-    step only moves mass from [0, hi) into [0, reach(hi)) and a bound zeroes
+    hi_0 = 1, and hi_t = min(reach(hi_{t-1}), wl_end(b_t)), since a step
+    only moves mass from [0, hi) into [0, reach(hi)) and a bound b_t zeroes
     every id longer than it.  Each step reads only the prefix [0, hi).
     `weights` are the support weights in support order: an object array of
     Python ints gives Python-int levels, and any other weights are turned
-    into floats once.  Level t >= 1 is pruned to word length <= bound(t)
-    when a bound is given.  A caller may zero entries of a yielded level in
-    place, and the next step starts from the edited level; any other edit
-    breaks the bound.
+    into floats once.  Given a horizon (a reader of word length <= radius
+    up to that step), level t keeps b_t = radius + (horizon - t) * d_mu
+    where that is below t * d_mu: a step moves at most d_mu.  A caller may
+    zero entries of a yielded level in place, and the next step starts from
+    the edited level; any other edit breaks the bound.
     """
     exact = isinstance(weights, np.ndarray) and weights.dtype == object
     w = np.zeros(table.size, dtype=object if exact else float)  # object zeros are int 0
@@ -762,8 +761,10 @@ def levels(table: BallTable, weights: Iterable, n_steps: int,
     hi = 1
     yield w, hi
     cols = list(weights) if exact else [float(c) for c in weights]
+    d_mu = max((table.group.word_length(g) for g in table.support), default=0)
     for t in range(1, n_steps + 1):
-        b = None if bound is None else bound(t)
+        b = None if horizon is None else radius + (horizon - t) * d_mu
+        b = b if b is not None and b < t * d_mu else None
         w = _step(table, w[:hi], cols, b)
         hi = table.reach(hi) if b is None else min(table.reach(hi), table.wl_end(b))
         yield w, hi
@@ -799,11 +800,11 @@ def _exact_dots(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: int,
-                          d_mu: int, symmetric: bool) -> list[int]:
+                          symmetric: bool) -> list[int]:
     """Integer numerators of q_n = mu^{*n}(e), n = 0..n_max, for integerized
     weights (q_n = result[n] / D^n).
 
-    Runs the forward half of the `return_bound`-pruned DP and pairs the two
+    Runs the forward half of `levels` with horizon n_max and pairs the two
     halves through each split point; exact by the path-splitting identity.
     Each pairing dot takes the pulled-back level t with level t - 1 or t,
     over the prefix of the level it pairs with: the pulled-back level is
@@ -815,8 +816,7 @@ def pruned_power_sequence(table: BallTable, int_weights: Sequence[int], n_max: i
     weights = integer_weights(int_weights, half)
     fits = weights.dtype != object
     dots = [1] + [0] * n_max
-    for t, (w, hi) in enumerate(levels(table, weights, half,
-                                       lambda t: return_bound(t, n_max, d_mu))):
+    for t, (w, hi) in enumerate(levels(table, weights, half, horizon=n_max)):
         if t:
             side = w if symmetric else table.pull_back(w)
             for n, (b, h) in zip((2 * t - 1, 2 * t), ((prev, prev_hi), (w, hi))):

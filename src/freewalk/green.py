@@ -175,10 +175,13 @@ def _series_stats(terms: list[float]) -> SeriesValue:
 
 def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int,
                    radius: int) -> dict[GroupElement, list[float]]:
-    """Raw coefficient streams mu^{*n}(w) for several targets in one DP."""
+    """Raw coefficient streams mu^{*n}(w) for several targets in one DP,
+    pruned to the states that can still reach a target by step `order`."""
     table = measure.table(radius)
     tids = table.ids_of(targets)
-    cols = np.array([w[tids] for w, _ in engine.levels(table, measure.entries.values(), order)])
+    reach = int(table.wl[tids[tids >= 0]].max(initial=0))  # targets outside read 0
+    cols = np.array([w[tids] for w, _ in engine.levels(
+        table, measure.entries.values(), order, horizon=order, radius=reach)])
     cols[:, tids < 0] = 0.0
     return {w: col.tolist() for w, col in zip(targets, cols.T)}
 

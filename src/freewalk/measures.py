@@ -274,9 +274,8 @@ def _exact_power_sequence(measure: Measure, n_max: int) -> list[Fraction]:
     integerized weights, in float64 within `engine.exact_capacity` and in
     Python ints beyond it."""
     ints, denom = measure.integerized()
-    d_mu = max(1, measure.d_mu)
-    table = measure.table(((n_max + 1) // 2) * d_mu)
-    numerators = engine.pruned_power_sequence(table, ints, n_max, d_mu, measure.is_symmetric())
+    table = measure.table(engine.reach_cap(n_max, max(1, measure.d_mu)))
+    numerators = engine.pruned_power_sequence(table, ints, n_max, measure.is_symmetric())
     return [Fraction(num, denom**n) for n, num in enumerate(numerators)]
 
 
@@ -290,29 +289,24 @@ def _dict_power_sequence(measure: Measure, n_max: int) -> list[Fraction]:
 def return_sequence(measure: Measure, n_max: int) -> ReturnSequence:
     """Exact q_n = mu^{*n}(e) for n = 0..n_max.
 
-    States that cannot get back to e by step n_max are pruned
-    (`engine.return_bound`); the values are exact, from the table DP in
-    float64 within `engine.exact_capacity` and in Python ints beyond
-    (`_dict_power_sequence`).  Ball tables are bounded by the measure's
-    `max_table_elements`.
+    `engine.levels` with horizon n_max prunes the states that cannot get
+    back by then, on a table of cap `engine.reach_cap`; the values are exact,
+    in float64 within `engine.exact_capacity` and in Python ints beyond
+    (`_dict_power_sequence`).  Tables are bounded by `max_table_elements`.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    d_mu = max(1, measure.d_mu)
-    half_radius = ((n_max + 1) // 2) * d_mu
+    cap = engine.reach_cap(n_max, max(1, measure.d_mu))
 
     def compute() -> ReturnSequence:
         if measure.mode == FLOAT:
-            table = measure.table(half_radius)
             qs = [float(w[0]) for w, _ in engine.levels(
-                table, measure.entries.values(), n_max,
-                lambda t: engine.return_bound(t, n_max, d_mu))]
-            return ReturnSequence(tuple(qs), FLOAT, n_max, pruned_radius=half_radius)
+                measure.table(cap), measure.entries.values(), n_max, horizon=n_max)]
+            return ReturnSequence(tuple(qs), FLOAT, n_max, pruned_radius=cap)
         denom = measure.integerized()[1]
         fits = engine.exact_capacity(denom, (n_max + 1) // 2)
         vals = (_exact_power_sequence if fits else _dict_power_sequence)(measure, n_max)
-        return ReturnSequence(tuple(vals), EXACT, n_max, denominator=denom,
-                              pruned_radius=half_radius)
+        return ReturnSequence(tuple(vals), EXACT, n_max, denominator=denom, pruned_radius=cap)
 
     return measure.memo(("q", n_max), compute)
 
@@ -320,30 +314,24 @@ def return_sequence(measure: Measure, n_max: int) -> ReturnSequence:
 def distribution(measure: Measure, n: int, prune_radius: int | None = None) -> dict:
     """mu^{*n} restricted to the word ball of prune_radius.
 
-    The restriction is exact: intermediate states are pruned at the sharpest
-    sound radius prune_radius + (n - t) * d_mu, which every path ending
-    inside the ball respects.  The total is a sub-probability when the
-    radius bites and all of mu^{*n} when prune_radius >= n * d_mu.  Returns
-    a dict GroupElement -> nonzero weight (a Measure proper requires total
-    mass 1), from `engine.levels` on a ball table bounded by
-    `max_table_elements`; exact mode runs the integerized weights in
-    float64 or Python ints (`engine.integer_weights`).
+    The restriction is exact: `engine.levels` with horizon n prunes only the
+    states that cannot end inside the ball.  The total is a sub-probability
+    when the radius bites and all of mu^{*n} when prune_radius is None or
+    >= n * d_mu.  Returns a dict GroupElement -> nonzero weight (a Measure
+    proper requires total mass 1), on a table of cap `engine.reach_cap`
+    bounded by `max_table_elements`; exact mode runs the integerized
+    weights in float64 or Python ints (`engine.integer_weights`).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     d_mu = max(1, measure.d_mu)
     radius = n * d_mu if prune_radius is None else prune_radius
-
-    def bound(t: int) -> int:
-        return min(t * d_mu, radius + (n - t) * d_mu)
-
-    cap = max(bound(t) for t in range(n + 1)) if n else 0
-    table = measure.table(cap)
+    table = measure.table(engine.reach_cap(n, d_mu, radius))
     if measure.mode == EXACT:
         ints, denom = measure.integerized()
         weights, value = engine.integer_weights(ints, n), lambda x: Fraction(int(x), denom**n)
     else:
         weights, value = measure.entries.values(), float
-    for w, hi in engine.levels(table, weights, n, bound):
+    for w, hi in engine.levels(table, weights, n, horizon=n, radius=radius):
         pass  # only the last level is wanted
     return {table.element_of(int(i)): value(w[i]) for i in np.nonzero(w[:hi])[0]}

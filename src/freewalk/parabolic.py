@@ -380,7 +380,7 @@ def classify(measure: Measure, n_max: int = 24, order: int = 128,
     """
     from .measures import validate
 
-    report = validate(measure, depth=3)
+    report = validate(measure, depth=1)  # only admissible_to_depth is read
     if report.admissible_to_depth < 1:
         raise ValueError("measure is not admissible to depth 1; classification "
                          "needs a walk that can reach the whole group")

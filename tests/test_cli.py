@@ -486,6 +486,24 @@ def test_bad_truncation_budget_exits_one_with_manifest(tmp_path, capsys, value):
     assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
 
 
+@pytest.mark.parametrize("key,value,command", [
+    ("automaton_c", True, "automaton"), ("automaton_c", 2.0, "automaton"),
+    ("automaton_mb", [True, 3], "automaton"), ("automaton_mb", [4], "automaton"),
+    ("automaton_mb", [3, 0], "automaton"),
+    ("sample_ball", [True, True], "ancona"), ("sample_ball", [2.5, 3], "ancona"),
+    ("sample_ball", [3], "ancona"), ("sample_ball", [-1, 3], "ancona"),
+    ("window", [True, 20], "llt"), ("window", [10.5, 20], "llt"), ("window", "ab", "llt"),
+    ("window", [0, 20], "llt"),
+])
+def test_bad_budget_pairs_exit_one_naming_the_key(tmp_path, capsys, key, value, command):
+    path = write_config(tmp_path, budgets=dict(CONFIG["budgets"], **{key: value}))
+    out = tmp_path / "o"
+    assert main([command, path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: expected " in err and f"got {value!r}" in err
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
 def test_truncation_flag_overrides_a_bad_budget(tmp_path):
     path = write_config(tmp_path, budgets=dict(CONFIG["budgets"], truncation=[1]))
     out = tmp_path / "o"

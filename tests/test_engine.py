@@ -42,7 +42,6 @@ from freewalk.engine import (
     levels,
     pair_ids,
     pruned_power_sequence,
-    return_bound,
 )
 from freewalk.groups import (
     FINITE_CYCLIC,
@@ -56,6 +55,14 @@ from freewalk.measures import _dict_power_sequence
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src" / "freewalk"
+
+
+def return_bound(t: int, n_max: int, d_mu: int) -> int | None:
+    """Word-length bound on level t of a DP that only feeds returns to e by
+    step n_max: a state beyond (n_max - t) * d_mu cannot get back in time.
+    None (no pruning) while t <= n_max - t, where no state after t steps is
+    longer than t * d_mu anyway."""
+    return None if t <= n_max - t else (n_max - t) * d_mu
 
 
 def reference_table(group, support, cap):
@@ -898,7 +905,7 @@ def reference_power_sequence(table, int_weights, n_max, d_mu, symmetric):
 
 
 def assert_pairing_matches_reference(table, ints, n_max, d_mu, symmetric):
-    got = pruned_power_sequence(table, ints, n_max, d_mu, symmetric)
+    got = pruned_power_sequence(table, ints, n_max, symmetric)
     want = reference_power_sequence(table, ints, n_max, d_mu, symmetric)
     assert got == want and all(type(x) is int for x in got), n_max
 
@@ -1097,14 +1104,11 @@ def test_levels_vanish_beyond_their_bound_and_match_full_width_steps(table, weig
     for bit, unbounded and under the return bound, at odd n_max too (a
     bounded last step)."""
     n_top = 2 * (table.cap // d_mu)
-    runs = [(n_top, None)] + [
-        (n_max, lambda t, n_max=n_max: return_bound(t, n_max, d_mu))
-        for n_max in range(1, n_top + 1)
-    ]
-    for n_max, bound in runs:
-        n_steps = n_max if bound is None else (n_max + 1) // 2
+    for n_max, horizon in [(n_top, None)] + [(n, n) for n in range(1, n_top + 1)]:
+        n_steps = n_max if horizon is None else (n_max + 1) // 2
+        bound = None if horizon is None else lambda t: return_bound(t, horizon, d_mu)
         want = reference_levels(table, weights, n_steps, bound)
-        got = list(levels(table, weights, n_steps, bound))
+        got = list(levels(table, weights, n_steps, horizon=horizon))
         assert len(got) == len(want)
         for t, ((w, hi), ref) in enumerate(zip(got, want)):
             assert 0 < hi <= table.size and not w[hi:].any(), (n_max, t, hi)
@@ -1349,8 +1353,8 @@ def test_exact_distribution_runs_float64_levels_within_capacity(monkeypatch, wei
     seen = set()
     real = engine.levels
 
-    def spy(*args):
-        for w, hi in real(*args):
+    def spy(*args, **kwargs):
+        for w, hi in real(*args, **kwargs):
             seen.add(w.dtype)
             yield w, hi
 
@@ -1364,6 +1368,84 @@ def test_exact_distribution_runs_float64_levels_within_capacity(monkeypatch, wei
     assert seen == {np.dtype(dtype)}
 
 
+def test_reach_cap_is_the_largest_level_bound():
+    for d_mu in (1, 2, 3):
+        for n in range(12):
+            assert engine.reach_cap(n, d_mu) == (n // 2) * d_mu
+            for radius in range(n * d_mu, n * d_mu + 3):  # every level unpruned
+                assert engine.reach_cap(n, d_mu, radius) == n * d_mu
+            assert engine.reach_cap(n, d_mu, -n * d_mu - 1) == 0
+
+
+@pytest.mark.parametrize("weights,denom", [(None, None), (NS97, 97), (LONG_STEPS, 8)],
+                         ids=["f2-lazy", "f2-drift", "long-steps"])
+def test_odd_n_max_builds_only_the_reach_cap_table(weights, denom):
+    """return_sequence at odd n_max memoizes only the (n_max // 2) * d_mu
+    table, one d_mu below the cap the returns were computed on before, and
+    its q_n are `==` those of the same DP on that larger table, exact and
+    float."""
+    for n_max in (1, 3, 5, 7, 9):
+        for exact in (True, False):
+            measure = lazy_walk(free_group(2)) if weights is None else f2_walk(weights, denom)
+            measure = measure if exact else measure.as_float()
+            d_mu = measure.d_mu
+            seq = return_sequence(measure, n_max)
+            cap = (n_max // 2) * d_mu
+            assert [k for k in measure._memo if k[0] == "table"] == [("table", cap)]
+            assert seq.pruned_radius == cap
+            old = BallTable(measure.group, measure.support, cap + d_mu)
+            if exact:
+                ints, D = measure.integerized()
+                nums = pruned_power_sequence(old, ints, n_max, measure.is_symmetric())
+                want = [Fraction(q, D**n) for n, q in enumerate(nums)]
+            else:
+                want = [float(w[0]) for w, _ in
+                        levels(old, measure.entries.values(), n_max, horizon=n_max)]
+            assert list(seq.values) == want, (n_max, exact)
+
+
+def test_distribution_hands_no_bound_where_it_cannot_bite(monkeypatch):
+    """With prune_radius None or >= n * d_mu no level is pruned: `_step`
+    gets no bound, and the values stay the Fraction dict DP's; a radius
+    that bites still bounds some step."""
+    bounds = []
+    real = engine._step
+
+    def spy(table, w, col_weights, bound):
+        bounds.append(bound)
+        return real(table, w, col_weights, bound)
+
+    monkeypatch.setattr(engine, "_step", spy)
+    n = 4
+    for measure in (f2_walk(LONG_STEPS, 8), f2_walk(NS97, 97)):
+        d_mu = measure.d_mu
+        for radius in (None, n * d_mu, n * d_mu + 3):
+            del bounds[:]
+            assert distribution(measure, n, radius) == oracle_distribution(measure, n, radius)
+            assert bounds == [None] * n, radius
+        del bounds[:]
+        assert distribution(measure, n, 1) == oracle_distribution(measure, n, 1)
+        assert any(b is not None for b in bounds)
+
+
+def test_src_has_one_pruning_rule():
+    """No src module names `return_bound`, and no call of `levels` in src
+    passes a lambda: the pruning rule lives in `levels` alone."""
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {node.attr if isinstance(node, ast.Attribute) else
+                 node.name if isinstance(node, (ast.FunctionDef, ast.alias)) else node.id
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Attribute, ast.Name, ast.FunctionDef, ast.alias))}
+        assert "return_bound" not in names, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "levels"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "levels"):
+                passed = list(node.args) + [k.value for k in node.keywords]
+                assert not any(isinstance(a, ast.Lambda) for a in passed), path.name
+
+
 def test_object_levels_hold_python_ints():
     """Python-int weights give levels of Python ints, unbounded and under
     every return bound, and so does their pull-back; within float64
@@ -1372,16 +1454,13 @@ def test_object_levels_hold_python_ints():
         denom = math.lcm(*(Fraction(c).denominator for c in weights))
         ints = [int(Fraction(c) * denom) for c in weights]
         n_top = 2 * (table.cap // d_mu)
-        runs = [(n_top, None)] + [
-            ((n_max + 1) // 2, lambda t, n_max=n_max: return_bound(t, n_max, d_mu))
-            for n_max in range(1, n_top + 1)
-        ]
-        for n_steps, bound in runs:
-            got = levels(table, np.array(ints, dtype=object), n_steps, bound)
-            want = levels(table, ints, n_steps, bound)
+        runs = [(n_top, None)] + [((n + 1) // 2, n) for n in range(1, n_top + 1)]
+        for n_steps, horizon in runs:
+            got = levels(table, np.array(ints, dtype=object), n_steps, horizon=horizon)
+            want = levels(table, ints, n_steps, horizon=horizon)
             for t, ((w, hi), (ref, ref_hi)) in enumerate(zip(got, want)):
                 assert w.dtype == object and hi == ref_hi
-                assert all(type(x) is int for x in w), (t, bound)
-                assert all(type(x) is int for x in table.pull_back(w)), (t, bound)
+                assert all(type(x) is int for x in w), (t, horizon)
+                assert all(type(x) is int for x in table.pull_back(w)), (t, horizon)
                 if exact_capacity(sum(ints), t):
                     assert np.array_equal(w.astype(float), ref), t

@@ -354,12 +354,76 @@ def test_field_serves_pruned_return_weights(zz, monkeypatch):
     from freewalk.green import _field, pruned_return_weights
 
     order, radius = 12, 6
-    mu = lazy_walk(zz).as_float()
-    _field(mu, [0.3], order, radius)
+    makers = (lambda: lazy_walk(zz), lambda: drift_walk(zz), lambda: long_step_walk(zz))
+    mus = [make().as_float() for make in makers]
+    wants = [pruned_return_weights(make().as_float(), order, radius) for make in makers]
+    for mu in mus:
+        _field(mu, [0.3], order, radius)
 
     def no_dp(*args, **kwargs):
         raise AssertionError("pruned_return_weights ran a DP after the field")
 
-    want = pruned_return_weights(lazy_walk(zz).as_float(), order, radius)
     monkeypatch.setattr(engine, "_step", no_dp)
-    assert pruned_return_weights(mu, order, radius) == want
+    for mu, want in zip(mus, wants):
+        assert pruned_return_weights(mu, order, radius) == want
+
+
+def drift_walk(zz):
+    """A non-symmetric walk on the generators."""
+    a, b = zz.gen("a"), zz.gen("b")
+    return Measure(zz, {a: Fraction(1, 2), zz.inverse(a): Fraction(1, 4),
+                        b: Fraction(1, 8), zz.inverse(b): Fraction(1, 8)})
+
+
+def long_step_walk(zz):
+    """{e: 1/2, ab, BA, a^2, B: 1/8 each}: non-symmetric, d_mu = 2."""
+    from freewalk import measure_from_pairs
+
+    return measure_from_pairs(zz, [("e", "1/2"), ("1:(1)|2:(1)", "1/8"),
+                                   ("2:(-1)|1:(-1)", "1/8"), ("1:(2)", "1/8"),
+                                   ("2:(-1)", "1/8")])
+
+
+def test_target_pruning_keeps_green_values_and_steps_fewer_states(zz, monkeypatch):
+    # the Green series prune the states that reach no target by step
+    # `order`; every coefficient stays that of the unpruned loop below
+    import numpy as np
+
+    from freewalk import engine
+    from freewalk.green import _derivative_terms, _series_stats
+
+    def unpruned(mu, targets, order, radius):
+        table = mu.table(radius)
+        tids = table.ids_of(targets)
+        cols = np.array([w[tids] for w, _ in engine.levels(table, mu.entries.values(), order)])
+        cols[:, tids < 0] = 0.0
+        return [col.tolist() for col in cols.T]
+
+    stepped = []
+    real = engine._step
+
+    def count(table, w, col_weights, bound):
+        stepped.append(len(w))
+        return real(table, w, col_weights, bound)
+
+    monkeypatch.setattr(engine, "_step", count)
+    e, a, b = zz.identity, zz.gen("a"), zz.gen("b")
+    fewer = []
+    for mu in (lazy_walk(zz).as_float(), drift_walk(zz).as_float(),
+               long_step_walk(zz).as_float()):
+        for x, y in ((e, e), (e, a), (a, zz.multiply(b, b)), (zz.inverse(b), e)):
+            for order, radius in ((12, 6), (9, 8)):
+                del stepped[:]
+                got = green_value(mu, x, y, 0.4, order=order, radius=radius)
+                pruned = sum(stepped)
+                del stepped[:]
+                (coeffs,) = unpruned(mu, [zz.multiply(zz.inverse(x), y)], order, radius)
+                fewer.append(pruned < sum(stepped))
+                assert got == _series_stats(_derivative_terms(coeffs, 0.4))
+                gxy, gyx, gee = (series_derivative(c, 0.4) for c in unpruned(
+                    mu, [zz.multiply(zz.inverse(x), y), zz.multiply(zz.inverse(y), x), e],
+                    order, radius))
+                want = ((math.inf, math.inf) if gxy == 0 or gyx == 0 else
+                        (-math.log(gxy / gee), -math.log(gxy / gee) - math.log(gyx / gee)))
+                assert green_metrics(mu, x, y, 0.4, order=order, radius=radius) == want
+    assert any(fewer)
