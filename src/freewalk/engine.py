@@ -9,17 +9,27 @@ build, indexed by last syllable and support step, and interns the new
 ones through sorted key runs that merge geometrically, so no pass copies
 the whole key array.  Every random-walk computation is then a sequence of
 level steps over flat weight arrays.
-A step scales the level once per support column: each column's dense
-prefix (the ids whose products all stay in the table) is scaled with no
-gather, the rest of its sources are gathered, and both are added in order
-by `np.add.at`, so every element sums its incoming weight in support order.
+A step scales the level once per support column, so every element sums its
+incoming weight in support order, in one of two id layouts.  In the
+table's breadth-first ids each column's dense prefix (the ids whose
+products all stay in the table) is scaled with no gather, the rest of its
+sources are gathered, and both are added by `np.add.at`.  In block order
+(`BlockLayout`, built lazily once per table) ids are sorted by word length,
+last syllable and parent, so each column is a few hundred runs of
+consecutive ids onto consecutive ids, each one slice add.  Both add the
+same products in the same order: every level is the same bit for bit.
+`level_table` puts a DP in block order when the table has at least
+_BLOCK_MIN_IDS ids and some step reads the whole table (fields, absorbed
+profiles and Green pair series past the cap); return numbers, pairings and
+distributions stay in table ids.
 
 `levels` is the one level driver: every DP over a table (return numbers,
 Green fields, absorbed profiles, distributions) is a loop over the levels
 mu^{*t}, t = 0..n, that it yields.  Each level comes with an exclusive id
 bound hi, zero from hi on: level t lives within t support steps of e, and
-the breadth-first ids number those elements first, so a step, a pairing dot
-or a field update touches only the prefix [0, hi).  A caller may only zero
+both layouts number those elements first (the breadth-first ids to within
+an edge, block order to within a word length), so a step, a pairing dot or
+a field update touches only the prefix [0, hi).  A caller may only zero
 entries of a yielded level in place; the next step starts from the edited
 level.  `levels` holds the one pruning rule, and `reach_cap` its table cap.
 
@@ -33,6 +43,7 @@ is exact, and combines the limb dots in Python ints.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,11 +64,24 @@ _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
 # cells (source x syllable step) per builder pass; bounds the pass temporaries
 _PASS = 1 << 18
 _BLOCK = 1 << 16  # entries per block of an exact dot; bounds its temporaries
+_CHUNK = 1 << 15  # ids per run piece of a block step; bounds its one buffer
+# Tables of at least this many ids run whole-table DPs in block order
+# (`level_table`).  One full float step, best of 15 on a 2-vCPU VM,
+# breadth-first -> block order: lazy F2 at cap 9 (39,365 ids) 0.21 -> 0.33
+# ms, cap 10 (118,097) 0.82 -> 0.50 ms, cap 11 (354,293) 3.27 -> 1.26 ms,
+# cap 12 (1,062,881) 14.8 -> 3.95 ms; Z^2*Z/3 (configs/z2-z3-lazy.json) at
+# cap 7 (26,739) 0.20 -> 0.77 ms, cap 8 (102,371) 0.96 -> 1.04 ms, cap 9
+# (391,927) 5.59 -> 2.36 ms.  Below about 10^5 ids the per-run overhead
+# loses.
+_BLOCK_MIN_IDS = 1 << 17
 # Peak bytes per table element of a BallTable build, which ends with its step
 # adjacency, and one unbounded float64 step, under tracemalloc: 73.4 B on
 # lazy F2 at cap 12 (1,062,881 elements, five support columns), rounded up.
-# It does not cover Green fields, pair matrices, Python-int levels or more
-# support columns; the CLI turns --memory-cap into an element budget with it.
+# A block layout keeps 4 B more per element; its build peaks at 72.1 B and
+# a block step, with no column-sized temporary, at 73.6 B, so the constant
+# stays.  It does not cover Green fields, pair matrices, Python-int levels
+# or more support columns; the CLI turns --memory-cap into an element
+# budget with it.
 TABLE_BYTES_PER_ELEMENT = 75
 
 
@@ -237,7 +261,9 @@ class BallTable:
         self._len = np.array(
             [group.factor_word_length(*s) for s in self.syllables] + [0], dtype=np.int32
         )
+        self.d_mu = max((group.word_length(g) for g in self.support), default=0)
         self._cols = None
+        self._blocks: BlockLayout | None = None
         self._reach: dict[int, int] = {}  # prefix bound -> bound on its one-step image
         self._wl_end: dict[int, int] = {}  # word-length bound -> id bound
         self._inv_perm: np.ndarray | None = None
@@ -503,6 +529,12 @@ class BallTable:
             r = self._wl_end[b] = self.size - int(inside.argmax()) if inside.any() else 0
         return r
 
+    def blocks(self) -> BlockLayout:
+        """The table's block layout, built on the first call and kept."""
+        if self._blocks is None:
+            self._blocks = BlockLayout(self)
+        return self._blocks
+
     # -- element <-> id -------------------------------------------------------
 
     def _child(self, ids: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -617,6 +649,91 @@ class BallTable:
         return np.nonzero(mask)[0].astype(np.int32)
 
 
+class BlockLayout:
+    """A BallTable's ids renumbered in block order, for DPs that step the
+    whole table (`level_table`).
+
+    Block order is word-length major, and within one word length sorted by
+    (last syllable code, block id of the parent); block id 0 is e.  On a
+    free product an element's cone type is fixed by its last syllable, so
+    right multiplication by a support element sends long ranges of
+    consecutive block ids onto consecutive block ids: a stored support
+    column is a few dozen to a few hundred runs, not one index pair per
+    edge (lazy F2 at cap 11: 168 runs for 708,584 edges).  The ids of word
+    length <= b are a prefix, so a word-length bound cuts one slice.
+
+    Attributes
+    ----------
+    table : the BallTable; size, cap and d_mu are its own
+    pos : int32, the block id of each table id
+    runs : per stored support column (from _first() on), the lists
+        (src, tgt, length) of its pieces: block ids src + i go to tgt + i
+        for i < length, sources ascending.  A run longer than _CHUNK ids is
+        cut into pieces of at most _CHUNK, so one step buffer holds a piece.
+    """
+
+    def __init__(self, table: BallTable):
+        self.table = table
+        self.size, self.cap, self.d_mu = table.size, table.cap, table.d_mu
+        n = table.size
+        self._ends = np.cumsum(np.bincount(table.wl)).tolist()  # shell ends, by word length
+        self.pos = pos = self._block_ids(table, self._ends)
+        self.runs = []
+        tgt_of = np.empty(n, dtype=np.int32)  # block source -> block target, -1 for none
+        for d, tail, tgt in table.adjacency():
+            tgt_of.fill(-1)
+            tgt_of[pos[:d]] = pos[tgt[:d]]
+            tgt_of[pos[tail]] = pos[tgt[d:]]
+            on = tgt_of >= 0
+            joins = on[:-1] & (tgt_of[1:] == tgt_of[:-1] + 1)  # i + 1 extends i's run
+            start = np.flatnonzero(on & np.r_[True, ~joins])
+            length = np.flatnonzero(on & np.r_[~joins, True]) + 1 - start
+            del on, joins
+            cuts = -(-length // _CHUNK)
+            off = (np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts)) * _CHUNK
+            src = np.repeat(start, cuts) + off
+            self.runs.append((src.tolist(), tgt_of[src].tolist(),
+                              np.minimum(np.repeat(length, cuts) - off, _CHUNK).tolist()))
+
+    @staticmethod
+    def _block_ids(table: BallTable, ends: list[int]) -> np.ndarray:
+        """Block id of every table id: shell by shell (word length), sorted by
+        (code, block id of the parent); one argsort per shell."""
+        n = table.size
+        order = np.argsort(table.wl, kind="stable").astype(np.int32)  # block id -> table id
+        pos = np.empty(n, dtype=np.int32)
+        lo = 0
+        for hi in ends:
+            part = order[lo:hi]
+            if lo:  # the shell of word length 0 is e alone; parents lie in earlier shells
+                key = table.code[part].astype(np.int64)
+                key *= n
+                key += pos[table.parent[part]]  # (parent, code) keys are unique
+                key = np.argsort(key)
+                part[:] = part[key]
+            pos[part] = np.arange(lo, hi)
+            lo = hi
+        return pos
+
+    def _first(self) -> int:
+        return self.table._first()
+
+    def columns(self):
+        """The table's `columns()`, in table ids."""
+        return self.table.columns()
+
+    def wl_end(self, b: int) -> int:
+        """One past the last block id of word length <= b (0 if there is none)."""
+        ends = self._ends
+        return 0 if b < 0 else self.size if b >= len(ends) else ends[b]
+
+    def reach(self, h: int) -> int:
+        """Exclusive block-id bound on the ids [0, h) and their one-step
+        images: the end of the shell d_mu word lengths past the last of
+        them (word-length tight, not edge tight)."""
+        return self.wl_end(bisect_left(self._ends, h) + self.d_mu) if h > 0 else 0
+
+
 def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
     """Table ids of g_i^-1 g_j for all pairs of a prefix-closed element list
     (each element's syllable prefix is in the list); -1 where the product
@@ -693,41 +810,61 @@ def integer_weights(int_weights: Sequence[int], steps: int) -> np.ndarray:
     return np.array(int_weights, dtype=float if fits else object)
 
 
-def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np.ndarray:
-    """One level of the DP: nw[g s_j] += w[g] * col_weights[j] over the table.
+def _step(table: BallTable | BlockLayout, w: np.ndarray, col_weights,
+          bound: int | None) -> np.ndarray:
+    """One level of the DP: nw[g s_j] += w[g] * col_weights[j] over the table,
+    in its own ids or, on a `BlockLayout`, in block ids.
 
     w is the prefix [0, hi) of a level that is zero from hi = len(w) on (the
     whole level when hi = table.size); the new level is table-sized and zero
     from table.reach(hi) on.  Every target sums its contributions in
     support-column order, starting from 0: right multiplication by s_j is
-    injective, so a column hits each target at most once, and `np.add.at`
-    adds into nw in edge order.  The identity column (support element e,
-    first when present) is the identity map, so it starts the sum as
-    w * c_0.  Every other column reads the adjacency its build left: its dense
-    prefix scales w[:min(d, hi)] with no gather, then its tail's sources
-    below hi are gathered; the edges left out would add exact zeros.  A
-    bound only zeroes the targets beyond it, after the step.  No temporary
-    is larger than one column.
+    injective, so a column hits each target at most once.  The identity
+    column (support element e, first when present) is the identity map, so
+    it starts the sum as w * c_0.  On a BallTable every other column reads
+    the adjacency its build left: its dense prefix scales w[:min(d, hi)]
+    with no gather, then its tail's sources below hi are gathered, and
+    `np.add.at` adds both into nw in edge order.  On a BlockLayout each run
+    piece below hi adds w[src:src+l] * c_j into nw[tgt:tgt+l] through one
+    buffer of _CHUNK entries: the same products added in the same column
+    order, so both give the same level bit for bit.  The edges left out
+    would add exact zeros.  A bound only zeroes the targets beyond it, after
+    the step: in block ids those are one slice.
     """
     hi = len(w)
     first = table._first()
+    blocked = isinstance(table, BlockLayout)
     nw = np.zeros(table.size, dtype=w.dtype)
     if first:
         np.multiply(w, col_weights[0], out=nw[:hi])
-    for (d, tail, tgt), cj in zip(table.adjacency(), col_weights[first:]):
-        if cj == 0:
-            continue
-        n = min(d, hi)
-        np.add.at(nw, tgt[:n], w[:n] * cj)
-        if hi > d:
-            m = int(tail.searchsorted(hi))
-            v = w[tail[:m]]
-            v *= cj
-            np.add.at(nw, tgt[d:d + m], v)
+    if blocked:
+        buf = np.empty(min(hi, _CHUNK), dtype=w.dtype)
+        for (src, tgt, length), cj in zip(table.runs, col_weights[first:]):
+            if cj == 0:
+                continue
+            for s, g, n in zip(src[:bisect_left(src, hi)], tgt, length):
+                n = min(n, hi - s)
+                piece = buf[:n]
+                np.multiply(w[s:s + n], cj, out=piece)
+                nw[g:g + n] += piece
+    else:
+        for (d, tail, tgt), cj in zip(table.adjacency(), col_weights[first:]):
+            if cj == 0:
+                continue
+            n = min(d, hi)
+            np.add.at(nw, tgt[:n], w[:n] * cj)
+            if hi > d:
+                m = int(tail.searchsorted(hi))
+                v = w[tail[:m]]
+                v *= cj
+                np.add.at(nw, tgt[d:d + m], v)
     # the table cap already enforces any bound at least as large
     if bound is not None and bound < table.cap:
         top = table.reach(hi)
-        nw[:top][table.wl[:top] > bound] = 0  # an int, as in pull_back
+        if blocked:
+            nw[table.wl_end(bound):top] = 0  # an int, as in pull_back
+        else:
+            nw[:top][table.wl[:top] > bound] = 0
     return nw
 
 
@@ -738,10 +875,22 @@ def reach_cap(n: int, d_mu: int, radius: int = 0) -> int:
     return max(0, max(min(t * d_mu, radius + (n - t) * d_mu) for t in range(n + 1)))
 
 
-def levels(table: BallTable, weights: Iterable, n_steps: int, horizon: int | None = None,
-           radius: int = 0) -> Iterator[tuple[np.ndarray, int]]:
+def _level_bound(t: int, horizon: int | None, radius: int, d_mu: int) -> int | None:
+    """The word-length bound of level t, None when it cannot bite."""
+    b = None if horizon is None else radius + (horizon - t) * d_mu
+    return b if b is not None and b < t * d_mu else None
+
+
+def _next_hi(table: BallTable | BlockLayout, hi: int, b: int | None) -> int:
+    """The id bound of the level after one with id bound hi, under bound b."""
+    return table.reach(hi) if b is None else min(table.reach(hi), table.wl_end(b))
+
+
+def levels(table: BallTable | BlockLayout, weights: Iterable, n_steps: int,
+           horizon: int | None = None, radius: int = 0) -> Iterator[tuple[np.ndarray, int]]:
     """The levels (mu^{*t}, hi_t), t = 0..n_steps, of the walk from e over
-    the table.
+    the table, in its ids, or in block ids when handed its `BlockLayout`
+    (`level_table` chooses; id 0 is e in both).
 
     Each level is a table-sized array that is zero from the id hi_t on:
     hi_0 = 1, and hi_t = min(reach(hi_{t-1}), wl_end(b_t)), since a step
@@ -761,13 +910,33 @@ def levels(table: BallTable, weights: Iterable, n_steps: int, horizon: int | Non
     hi = 1
     yield w, hi
     cols = list(weights) if exact else [float(c) for c in weights]
-    d_mu = max((table.group.word_length(g) for g in table.support), default=0)
     for t in range(1, n_steps + 1):
-        b = None if horizon is None else radius + (horizon - t) * d_mu
-        b = b if b is not None and b < t * d_mu else None
+        b = _level_bound(t, horizon, radius, table.d_mu)
         w = _step(table, w[:hi], cols, b)
-        hi = table.reach(hi) if b is None else min(table.reach(hi), table.wl_end(b))
+        hi = _next_hi(table, hi, b)
         yield w, hi
+
+
+def level_table(table: BallTable, n_steps: int, horizon: int | None = None,
+                radius: int = 0) -> BallTable | BlockLayout:
+    """What `levels` should run this DP on: the table's `blocks()` when the
+    table has at least _BLOCK_MIN_IDS ids and some step of the DP reads the
+    whole table, else the table itself.  A DP run on the layout reads its
+    levels at block ids (`BlockLayout.pos`).
+
+    Fields, absorbed profiles and Green pair series ask: their orders run
+    past the cap.  Return numbers, pairings and distributions run on a
+    `reach_cap` table that their levels fill only in the last step or two,
+    where a layout, 6 to 16 breadth-first steps to build, cannot pay; they
+    do not ask and stay in table ids.
+    """
+    if table.size >= _BLOCK_MIN_IDS:
+        hi = 1
+        for t in range(1, n_steps + 1):
+            if hi == table.size:
+                return table.blocks()
+            hi = _next_hi(table, hi, _level_bound(t, horizon, radius, table.d_mu))
+    return table
 
 
 def _exact_dots(a: np.ndarray, b: np.ndarray) -> int:
@@ -834,21 +1003,31 @@ def green_field(table: BallTable, weights: Iterable, order: int,
     "last_levels": [(t, mu^{*t}) for the last three t]} computed in one DP
     pass; the e_series gives the (radius-truncated) return weights, and the
     last levels, kept once for every r, feed per-element tail estimates
-    through their terms (r ** t) * mu^{*t}.
+    through their terms (r ** t) * mu^{*t}.  A DP run in block ids
+    (`level_table`) puts its arrays back in table ids at the end, one at a
+    time through the one spare array.
     """
     rs = list(r_values)
+    view = level_table(table, order)
     acc = {r: np.zeros(table.size) for r in rs}
     e_series: list[float] = []
     last_levels: list[tuple[int, np.ndarray]] = []
-    scratch = np.empty(table.size)  # r^t mu^{*t} on the prefix, for every r and t
-    for t, (w, hi) in enumerate(levels(table, weights, order)):
+    spare = np.empty(table.size)  # r^t mu^{*t} on the prefix, for every r and t
+    for t, (w, hi) in enumerate(levels(view, weights, order)):
         e_series.append(float(w[0]))
-        term = scratch[:hi]
+        term = spare[:hi]
         for r in rs:
             np.multiply(w[:hi], r ** t, out=term)
             acc[r][:hi] += term
         if t >= order - 2:
             last_levels.append((t, w))
+    if view is not table:
+        for r in rs:  # mode="clip": with "raise", take buffers its output
+            np.take(acc[r], view.pos, out=spare, mode="clip")
+            acc[r], spare = spare, acc[r]
+        for i, (t, w) in enumerate(last_levels):
+            np.take(w, view.pos, out=spare, mode="clip")
+            last_levels[i], spare = (t, spare), w
     return {"final": acc, "e_series": e_series, "last_levels": last_levels}
 
 
@@ -860,10 +1039,12 @@ def absorbed_profile(table: BallTable, weights: Iterable, absorb_ids: np.ndarray
     step n >= 1 and recording it: profile[n - 1, i] is the mass absorbed at
     absorb_ids[i] at time n.
     """
+    view = level_table(table, horizon)
     absorb_ids = np.asarray(absorb_ids, dtype=np.int64)
+    at = absorb_ids if view is table else view.pos[absorb_ids]
     prof = np.zeros((horizon, len(absorb_ids)))
-    for t, (w, _) in enumerate(levels(table, weights, horizon)):
+    for t, (w, _) in enumerate(levels(view, weights, horizon)):
         if t:
-            prof[t - 1] = w[absorb_ids]
-            w[absorb_ids] = 0.0  # in place: the next step starts without it
+            prof[t - 1] = w[at]
+            w[at] = 0.0  # in place: the next step starts without it
     return prof

@@ -324,6 +324,8 @@ def distribution(measure: Measure, n: int, prune_radius: int | None = None) -> d
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if prune_radius is not None and prune_radius < 0:
+        raise ValueError(f"prune_radius must be >= 0, got {prune_radius}")
     d_mu = max(1, measure.d_mu)
     radius = n * d_mu if prune_radius is None else prune_radius
     table = measure.table(engine.reach_cap(n, d_mu, radius))

@@ -617,9 +617,10 @@ def test_pass_size_leaves_the_table_unchanged_on_random_products(case):
 
 
 def traced_lazy_f2(cap):
-    """tracemalloc over a lazy-F2 build at the cap, then one unbounded float
-    step from a table-sized level: (elements, build peak, retained after the
-    build, peak over everything, retained after the step)."""
+    """tracemalloc over a lazy-F2 build at the cap, one unbounded float step
+    from a table-sized level, the table's block layout and one such step in
+    block order: (elements, build peak, retained after the build, peak over
+    everything, retained after the block step)."""
     measure = lazy_walk(free_group(2))
     cols = [float(c) for c in measure.entries.values()]
     tracemalloc.start()
@@ -627,10 +628,12 @@ def traced_lazy_f2(cap):
         table = BallTable(measure.group, list(measure.entries), cap)
         retained, build_peak = tracemalloc.get_traced_memory()
         _step(table, np.ones(table.size), cols, None)
-        kept, step_peak = tracemalloc.get_traced_memory()
+        step_peak = tracemalloc.get_traced_memory()[1]
+        _step(table.blocks(), np.ones(table.size), cols, None)
+        kept, blocks_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return table.size, build_peak, retained, max(build_peak, step_peak), kept
+    return table.size, build_peak, retained, max(build_peak, step_peak, blocks_peak), kept
 
 
 @pytest.fixture(scope="module")
@@ -653,7 +656,8 @@ def test_build_transient_stays_small(lazy_f2_cap12_memory):
 
 def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
     """TABLE_BYTES_PER_ELEMENT is the measured peak per element of build,
-    adjacency and one float step, rounded up."""
+    adjacency and one float step, rounded up; the block layout's build and
+    its step stay below it."""
     size, _, _, peak, _ = lazy_f2_cap12_memory
     assert TABLE_BYTES_PER_ELEMENT - 10 < peak / size <= TABLE_BYTES_PER_ELEMENT
 
@@ -661,8 +665,9 @@ def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
 def test_table_keeps_one_step_relation(lazy_f2_cap12_memory):
     """After its build and a step, the cap-12 table keeps its per-id arrays
     (20 B per element), trie keys (12 B) and step adjacency (21 B): 53.3 B
-    per element measured.  The build's neighbour arrays kept beside the
-    adjacency would add 16 B."""
+    per element measured; its block layout adds its int32 block ids (4 B)
+    and a few hundred runs: 57.4 B.  The build's neighbour arrays kept
+    beside the adjacency would add 16 B."""
     size, _, _, _, kept = lazy_f2_cap12_memory
     assert kept / size < 60
 
@@ -718,9 +723,11 @@ def assert_step_matches_reference(table, weight_sets=()):
     None, with the given column weights and four random sets, on DP levels
     from e and on random weights with zeros; given only the prefix [0, hi)
     of a level that is zero from hi on, it returns the same table-sized
-    level.  Its (src, tgt) columns are the reference step matrix's."""
+    level.  So does the step on the table's block layout, in block ids.
+    Its (src, tgt) columns are the reference step matrix's."""
     nbr = reference_nbr(table)
     assert_columns_match_reference(table, nbr)
+    blocks = table.blocks()
     rng = np.random.default_rng(0)
     K = len(table.support)
     weight_sets = list(weight_sets) + [
@@ -742,11 +749,16 @@ def assert_step_matches_reference(table, weight_sets=()):
         levels.append(cut)
         for w in levels:
             hi = int(np.flatnonzero(w).max(initial=-1)) + 1
+            wb = to_blocks(blocks, w)
+            hb = int(np.flatnonzero(wb).max(initial=-1)) + 1
             for bound in [None, *range(table.cap + 1)]:
                 want = reference_step(table, nbr, w, cols, bound)
                 got = _step(table, w, cols, bound)
                 assert np.array_equal(got, want), (cols, bound)
                 assert np.array_equal(_step(table, w[:hi], cols, bound), got), (cols, bound, hi)
+                got = _step(blocks, wb[:hb], cols, bound)
+                assert np.array_equal(got[blocks.pos], want), (cols, bound, hb)
+                assert not got[blocks.reach(hb):].any(), (cols, bound, hb)
 
 
 def measure_weights(measure):
@@ -1053,22 +1065,27 @@ def test_level_driver_matches_the_callback_loop(measure):
         assert return_sequence(fmu, n_max).values == reference_float_returns(fmu, n_max)
 
 
-def test_green_field_keeps_each_level_once():
+def test_green_field_keeps_each_level_once(monkeypatch):
     """A field over three r keeps its three accumulators and its last three
     levels, shared by every r: six table-sized arrays, not one copy of the
-    last levels per r (twelve)."""
-    measure = driver_measures()[0]
-    table = measure.table(10)
-    green_field(table, measure.entries.values(), 9, [0.25])  # warm every table cache
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        field = green_field(table, measure.entries.values(), 9, [0.25, 0.5, 0.75])
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(field["last_levels"]) == 3
-    assert kept <= 6.5 * 8 * table.size
+    last levels per r (twelve); also when it runs in block order (two steps
+    read the whole table) and puts them back in table ids."""
+    for forced, order in [(False, 9), (True, 12)]:
+        if forced:
+            monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
+        measure = driver_measures()[0]
+        table = measure.table(10)
+        green_field(table, measure.entries.values(), order, [0.25])  # warm every table cache
+        assert (table._blocks is not None) == forced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            field = green_field(table, measure.entries.values(), order, [0.25, 0.5, 0.75])
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(field["last_levels"]) == 3
+        assert kept <= 6.5 * 8 * table.size, forced
 
 def reference_levels(table, weights, n_steps, bound=None):
     """Full-width levels from e: every step reads the whole table."""
@@ -1123,21 +1140,26 @@ def test_columns_match_the_nbr_construction(table, weights, d_mu):
 
 
 def test_no_dp_builds_the_columns(monkeypatch):
-    """The DPs step through the compact adjacency alone; `columns()` is
-    never built by them."""
+    """The DPs step through the compact adjacency alone, or through the
+    block layout built from it (every table forced into it, second round);
+    `columns()` is never built by them."""
     def refuse(table):
         raise AssertionError("a DP built the (src, tgt) columns")
 
     monkeypatch.setattr(BallTable, "columns", refuse)
-    for measure in driver_measures():
-        d_mu = max(1, measure.d_mu)
-        return_sequence(measure, 18)  # beyond float64 capacity for the /97 walk
-        return_sequence(measure, 8)
-        return_sequence(measure.as_float(), 8)
-        distribution(measure, 4)
-        table = measure.table(4 * d_mu)
-        green_field(table, measure.entries.values(), 9, [0.25, 0.5])
-        absorbed_profile(table, measure.entries.values(), table.subgroup_ids(1), 9)
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
+        for measure in driver_measures():
+            d_mu = max(1, measure.d_mu)
+            return_sequence(measure, 18)  # beyond float64 capacity for the /97 walk
+            return_sequence(measure, 8)
+            return_sequence(measure.as_float(), 8)
+            distribution(measure, 4)
+            table = measure.table(4 * d_mu)
+            green_field(table, measure.entries.values(), 9, [0.25, 0.5])
+            absorbed_profile(table, measure.entries.values(), table.subgroup_ids(1), 9)
+            assert (table._blocks is not None) == forced
 
 
 def step_references():
@@ -1464,3 +1486,228 @@ def test_object_levels_hold_python_ints():
                 assert all(type(x) is int for x in table.pull_back(w)), (t, horizon)
                 if exact_capacity(sum(ints), t):
                     assert np.array_equal(w.astype(float), ref), t
+
+
+# -- block order ---------------------------------------------------------------------
+
+
+def to_blocks(blocks, w):
+    """A level in table ids as the same level in block ids."""
+    out = np.empty_like(w)
+    out[blocks.pos] = w
+    return out
+
+
+def assert_blocks_match_reference(table, nbr):
+    """The block layout against the reference step matrix.  Block ids are a
+    permutation with e first, word-length major, and within one word length
+    sorted by (code, block id of the parent).  Each stored column's pieces,
+    expanded, are its edges in block ids, sources ascending; a piece holds
+    1.._CHUNK ids, and one that its successor extends holds _CHUNK.
+    wl_end(b) counts the ids of word length <= b, and reach(h) is the end
+    of the shell d_mu past block id h - 1, which bounds every target of a
+    source below h."""
+    blocks = table.blocks()
+    pos = blocks.pos
+    assert pos.dtype == np.int32 and pos[0] == 0
+    order = np.argsort(pos)
+    assert np.array_equal(pos[order], np.arange(table.size))
+    wl = table.wl[order]
+    assert (np.diff(wl) >= 0).all()
+    up = np.where(order > 0, pos[table.parent[order]], -1)
+    key = table.code[order].astype(np.int64) * table.size + up
+    same = wl[1:] == wl[:-1]
+    assert (key[1:][same] > key[:-1][same]).all()
+    first = table._first()
+    assert len(blocks.runs) == nbr.shape[1] - first
+    top = np.full(table.size, -1)
+    for (src, tgt, length), col in zip(blocks.runs, nbr.T[first:]):
+        assert all(1 <= n <= engine._CHUNK for n in length)
+        for i in range(len(src) - 1):
+            if src[i] + length[i] == src[i + 1] and tgt[i] + length[i] == tgt[i + 1]:
+                assert length[i] == engine._CHUNK, i
+        got = [(s + i, g + i) for s, g, n in zip(src, tgt, length) for i in range(n)]
+        ok = col >= 0
+        assert got == sorted(zip(pos[ok].tolist(), pos[col[ok]].tolist()))
+        np.maximum.at(top, pos[ok], pos[col[ok]])
+    for b in range(-1, table.cap + 2):
+        assert blocks.wl_end(b) == int((table.wl <= b).sum()), b
+    top = np.maximum.accumulate(top)
+    for h in range(1, table.size + 1):
+        assert blocks.reach(h) == blocks.wl_end(int(wl[h - 1]) + table.d_mu), h
+        assert blocks.reach(h) >= max(h, top[h - 1] + 1), h
+
+
+@pytest.mark.parametrize("table,weights,d_mu", prefix_tables(),
+                         ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "f2-drift", "z3-z5-z",
+                              "ab-BA"])
+def test_block_runs_match_the_nbr_construction(table, weights, d_mu):
+    assert_blocks_match_reference(table, reference_nbr(table))
+
+
+@pytest.mark.parametrize("make_group,texts,cap", [
+    (free_group, MULTI_F2, 6),
+    (free_group, list(LONG_STEPS), 8),
+])
+def test_block_runs_match_the_nbr_construction_on_multi_syllable_supports(make_group, texts,
+                                                                          cap):
+    group = make_group()
+    table = BallTable(group, _parse(group, texts), cap)
+    assert_blocks_match_reference(table, reference_nbr(table))
+
+
+def assert_same_levels(table, weights, n_steps, horizon=None, radius=0):
+    """levels on the block layout are levels on the table, in block ids, bit
+    for bit (Python ints included), and zero from their hi on."""
+    blocks = table.blocks()
+    pairs = zip(levels(table, weights, n_steps, horizon, radius),
+                levels(blocks, weights, n_steps, horizon, radius))
+    for t, ((w, hi), (wb, hb)) in enumerate(pairs):
+        assert wb.dtype == w.dtype and np.array_equal(wb[blocks.pos], w), (t, horizon, radius)
+        assert not wb[hb:].any(), (t, horizon, radius)
+
+
+def readers(table, weights, order, absorb):
+    """The engine's whole-table readers on one table."""
+    field = green_field(table, weights, order, [0.25, 0.5])
+    return ({r: a.tolist() for r, a in field["final"].items()}, field["e_series"],
+            [(t, w.tolist()) for t, w in field["last_levels"]],
+            absorbed_profile(table, weights, absorb, order).tolist())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_products())
+def test_block_order_equals_table_order_on_random_products(case):
+    """On random products: the runs are the reference edges, levels are the
+    same in block ids, exact and float, unbounded and bounded, and the
+    forced layout leaves every whole-table reader `==`."""
+    group, support, cap = case
+    table = BallTable(group, support, cap)
+    assert_blocks_match_reference(table, reference_nbr(table))
+    ints = [1 + k % 3 for k in range(len(support))]
+    n = 2 * cap + 2
+    for weights in (ints, np.array(ints, dtype=object)):
+        for horizon, radius in [(None, 0), (n, 0), (n, 1), (n - 1, 2)]:
+            assert_same_levels(table, weights, n, horizon, radius)
+    absorb = table.subgroup_ids(1)
+    want = readers(table, ints, n, absorb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK_MIN_IDS", 0)
+        assert readers(table, ints, n, absorb) == want
+
+
+def block_walks():
+    """Measure makers: the three configs, MULTI_F2 with weights 1..4 over 10,
+    and the d_mu = 2 walk {e: 1/2, ab, BA, a^2, B: 1/8 each}."""
+    def config(name):
+        cfg = load_config(str(CONFIGS / f"{name}.json"))
+        return lambda: build_measure(cfg, build_group(cfg), "exact")
+
+    def multi():
+        return measure_from_pairs(free_group(2), [(g, Fraction(k + 1, 10))
+                                                  for k, g in enumerate(MULTI_F2)])
+
+    return [config("f2-lazy"), config("f2-simple"), config("z2-z3-lazy"), multi,
+            lambda: f2_walk(LONG_STEPS, 8)]
+
+
+def prefix_ns(measure):
+    """An odd and an even n whose DPs stay on tables of cap <= 8."""
+    top = 8 // max(1, measure.d_mu)
+    return top - 1, top
+
+
+def every_reader(measure, order):
+    """Every reader of `levels` on a fresh measure: on its cap-6 table,
+    which DPs of this order outgrow, fields, absorbed profiles, Green pair
+    series and pruned return weights (whole-table DPs), and the pairing,
+    symmetric or not; float return numbers and exact and float
+    distributions (prefix DPs)."""
+    from freewalk import green
+
+    fmu = measure.as_float()
+    cap = 6
+    table = measure.table(cap)
+    out = [readers(table, measure.entries.values(), order, table.subgroup_ids(1))]
+    targets = [table.element_of(i) for i in range(0, table.size, max(1, table.size // 9))]
+    out.append(green._target_series(fmu, targets, order, cap))
+    out.append(green.pruned_return_weights(fmu, order, cap))
+    for n in prefix_ns(measure):
+        out.append(return_sequence(fmu, n).values)
+        for mu in (measure, fmu):
+            out.append([distribution(mu, n, radius) for radius in (None, 1)])
+    ints = measure.integerized()[0]
+    for symmetric in {measure.is_symmetric(), False}:
+        out.append(pruned_power_sequence(table, ints, 2 * order, symmetric))
+    return out, table
+
+
+@pytest.mark.parametrize("make", block_walks(),
+                         ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "multi-f2", "long-steps"])
+def test_forced_block_order_leaves_every_reader_equal(monkeypatch, make):
+    """With every table in block order (and runs cut into pieces of at most
+    five ids), every reader of `levels` gives `==` results; the whole-table
+    DPs did run on a layout."""
+    want, table = every_reader(make(), 12)
+    assert table._blocks is None
+    monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
+    monkeypatch.setattr(engine, "_CHUNK", 5)
+    got, table = every_reader(make(), 12)
+    assert table._blocks is not None
+    assert max(n for _, _, length in table._blocks.runs for n in length) == 5
+    assert got == want
+
+
+def test_prefix_dps_build_no_layout(monkeypatch):
+    """Return numbers, distributions and pairings run on their `reach_cap`
+    table in table ids, even where a table of any size would get a layout
+    and a step of theirs reads the whole table (float returns at odd n)."""
+    monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
+    for make in (lambda: lazy_walk(free_group(2)), lambda: f2_walk(NS97, 97),
+                 lambda: f2_walk(LONG_STEPS, 8)):
+        for n in prefix_ns(make()):
+            for measure in (make(), make().as_float()):
+                return_sequence(measure, n)
+                distribution(measure, n)
+                distribution(measure, n, 1)
+                d_mu = max(1, measure.d_mu)
+                table = measure.table(engine.reach_cap(n, d_mu))
+                pruned_power_sequence(table, make().integerized()[0], n, False)
+                tables = [v for k, v in measure._memo.items() if k[0] == "table"]
+                assert tables and all(t._blocks is None for t in tables)
+
+
+def test_whole_table_dps_share_one_layout():
+    """On the cap-11 lazy-F2 table (354,293 ids): float return numbers and a
+    field that never reads the whole table build no layout; a field of a
+    larger order builds one, and a second field, an absorbed profile and
+    Green pair series reuse it; the field equals the table-order field."""
+    from freewalk import green
+
+    built = []
+    real = engine.BlockLayout.__init__
+
+    def spy(self, table):
+        built.append(table)
+        real(self, table)
+
+    mu = lazy_walk(free_group(2)).as_float()
+    weights = mu.entries.values()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.BlockLayout, "__init__", spy)
+        return_sequence(mu, 23)  # its cap-11 table; steps 12 and 13 read all of it
+        table = mu.table(11)
+        assert table.size >= engine._BLOCK_MIN_IDS and built == []
+        green_field(table, weights, 11, [0.5])
+        assert built == []
+        got = green_field(table, weights, 13, [0.5])
+        green_field(table, weights, 14, [0.25])
+        absorbed_profile(table, weights, table.subgroup_ids(1), 13)
+        green._target_series(mu, [mu.group.identity], 24, 11)
+        assert built == [table]
+        mp.setattr(engine, "_BLOCK_MIN_IDS", table.size + 1)
+        want = green_field(table, weights, 13, [0.5])
+    assert np.array_equal(got["final"][0.5], want["final"][0.5])
+    assert got["e_series"] == want["e_series"]
+    assert all(t == u and np.array_equal(w, v)
+               for (t, w), (u, v) in zip(got["last_levels"], want["last_levels"], strict=True))

@@ -252,6 +252,14 @@ def test_distribution(zz, walk):
     assert pruned == {zz.identity: Fraction(1, 4)}
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_distribution_refuses_a_negative_prune_radius(walk, n):
+    # the word ball of a negative radius is empty: no mu^{*n} restricts to it
+    for mu in (walk, walk.as_float()):
+        with pytest.raises(ValueError, match="prune_radius must be >= 0, got -1"):
+            distribution(mu, n, prune_radius=-1)
+
+
 def test_distribution_float_close(zz, walk):
     exact = distribution(walk, 4)
     approx = distribution(walk.as_float(), 4)
