@@ -4,7 +4,6 @@ Run:  python demos/01_groups_and_normal_forms.py
 """
 
 from freewalk import FactorSpec, free_group, free_product
-from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN
 
 # The free group F2 presented as Z * Z
 F2 = free_group(2)
@@ -18,7 +17,7 @@ rel, wl = F2.lengths(word)
 print(f"{F2.render(word)}: relative length {rel}, word length {wl}")
 
 # A mixed product: Z^2 * Z/3
-G = free_product(FactorSpec(FREE_ABELIAN, rank=2), FactorSpec(FINITE_CYCLIC, order=3))
+G = free_product(FactorSpec((0, 0)), FactorSpec((3,)))
 h = G.parse("1:(3,-4)|2:(1)")
 print(f"{G.render(h)}: lengths {G.lengths(h)}")
 

@@ -4,7 +4,6 @@ Run:  python demos/05_automaton.py   (about 1.5 seconds)
 """
 
 from freewalk import FactorSpec, free_group, free_product
-from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN
 from freewalk.automaton import (
     canonical_automaton,
     cone_types,
@@ -40,7 +39,7 @@ print("accepted paths =", report["counts"]["accepted"],
       "= ball size =", report["counts"]["ball"])
 
 # a free product with a torsion factor works the same way
-G = free_product(FactorSpec(FREE_ABELIAN, rank=2), FactorSpec(FINITE_CYCLIC, order=3))
+G = free_product(FactorSpec((0, 0)), FactorSpec((3,)))
 gg = canonical_automaton(G, C=3, m=3, B=2)
 print(f"\nZ^2 * Z/3: {len(gg.cone_types)} cone types, "
       f"{len(gg.vertices)} canonical states, "

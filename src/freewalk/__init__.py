@@ -6,8 +6,6 @@ triangle/multiplicativity audits, and weak Tauberian checks.
 """
 
 from .groups import (
-    FREE_ABELIAN,
-    FINITE_CYCLIC,
     ComponentRecord,
     FactorElement,
     FactorSpec,
@@ -37,8 +35,6 @@ from .measures import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FREE_ABELIAN",
-    "FINITE_CYCLIC",
     "ComponentRecord",
     "FactorElement",
     "FactorSpec",

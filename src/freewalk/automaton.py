@@ -24,19 +24,21 @@ factors.  Two constructions are provided:
   the reduced one.  The P-sets are still computed faithfully and exposed.
 
 Edges come in bundles: one symbolic edge per (state, factor, coordinate
-class), since factors may be infinite.  Far coordinates collapse to one
-class per factor because the letter order is coordinate-lexicographic and
-therefore translation-invariant; the construction cross-checks this with
-sentinel probes.  The bundles are the only copy of the transitions: the
-graph derives its stepping index from them.
+class), since factors may be infinite.  On a factor with a free coordinate,
+far letters collapse to one class per vector of cyclic residues, because the
+letter order is coordinate-lexicographic and therefore invariant under
+translation along a free coordinate; the construction cross-checks this
+with sentinel probes.  The bundles are the only copy of the transitions:
+the graph derives its stepping index from them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .groups import FINITE_CYCLIC, FactorElement, FreeProduct, GroupElement
+from .groups import FactorElement, FreeProduct, GroupElement
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ class Bundle:
     predicate: tuple
     # ("all",) any nonidentity element of the factor
     # ("coords", (coords, ...)) explicit coordinate tuples
-    # ("far", threshold) word length above the threshold
+    # ("far", threshold, *residues) word length above the threshold, with
+    #   these residues on the cyclic coordinates (on a factor with a free one)
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,11 @@ class AutomatonGraph:
     _moves: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the stepping index: (state, factor, coords | "all" | "far") -> target
+        # the stepping index: (state, factor, coords | ("all",) | ("far", *residues)) -> target
         self._moves = {}
         for b in self.bundles:
-            keys = b.predicate[1] if b.predicate[0] == "coords" else b.predicate[:1]
+            tag = b.predicate[0]
+            keys = b.predicate[1] if tag == "coords" else [(tag,) + b.predicate[2:]]
             for key in keys:
                 self._moves[(b.source, b.factor, key)] = b.target
 
@@ -94,11 +98,12 @@ class AutomatonGraph:
         if not any(coords):
             return None
         moves = self._moves
-        if (state, k, "all") in moves:
-            return moves[(state, k, "all")]
-        if (grp.factor(k).kind != FINITE_CYCLIC
-                and grp.factor_word_length(k, coords) > self.window):
-            return moves.get((state, k, "far"))
+        if (state, k, ("all",)) in moves:
+            return moves[(state, k, ("all",))]
+        spec = grp.factor(k)
+        if not spec.finite and grp.factor_word_length(k, coords) > self.window:
+            residues = tuple(c for c, m in zip(coords, spec.moduli) if m)
+            return moves.get((state, k, ("far",) + residues))
         return moves.get((state, k, coords))
 
     def accept(self, letters: Sequence[FactorElement]) -> bool:
@@ -246,20 +251,21 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
     by_last = {t.last_factor: t for t in types}
     window = 2 * C + 1
 
-    def far_letters(k: int) -> list[FactorElement]:
-        spec = group.factor(k)
-        if spec.kind == FINITE_CYCLIC:
-            return []
-        probes = []
-        for mag in (window + 1, window + 3):
-            for sign in (1, -1):
-                coords = [0] * spec.rank
-                coords[0] = sign * mag
-                probes.append(group.syllable(k, coords))
-                if spec.rank > 1:
-                    coords = [0] * spec.rank
-                    coords[-1] = sign * mag
-                    probes.append(group.syllable(k, coords))
+    def far_letters(k: int) -> dict[tuple, list[FactorElement]]:
+        """Sentinel letters beyond the window by their cyclic residues: for
+        each residue vector, +-(window + 1) and +-(window + 3) on the first
+        and on the last free coordinate.  A finite factor has none."""
+        moduli = group.factor(k).moduli
+        free = [i for i, m in enumerate(moduli) if not m]
+        probes: dict[tuple, list[FactorElement]] = {}
+        for base in itertools.product(*(range(m or 1) for m in moduli)) if free else ():
+            residues = tuple(c for c, m in zip(base, moduli) if m)
+            for mag in (window + 1, window + 3):
+                for sign in (1, -1):
+                    for i in dict.fromkeys((free[0], free[-1])):
+                        coords = list(base)
+                        coords[i] = sign * mag
+                        probes.setdefault(residues, []).append(group.syllable(k, coords))
         return probes
 
     index: dict[tuple, int] = {}
@@ -296,20 +302,21 @@ def _build(group: FreeProduct, kind: str, C: int, m: int, B: int) -> AutomatonGr
                         "single-syllable competitor offset in the transition "
                         "factor: far-class stabilization does not apply"
                     )
-            spec_k = group.factor(k)
-            letter_reach = spec_k.order if spec_k.kind == FINITE_CYCLIC else window
+            spec = group.factor(k)  # a finite factor lists every letter: reach its diameter
+            letter_reach = sum(m // 2 for m in spec.moduli) if spec.finite else window
             classes: dict[frozenset, list] = {}  # coords in letter order
             for fe in group.factor_elements(k, letter_reach):
                 classes.setdefault(pset_transition(group, C, pset, fe), []).append(fe.coords)
-            far = {pset_transition(group, C, pset, fe) for fe in far_letters(k)}
-            if len(far) > 1:
+            fars = {res: {pset_transition(group, C, pset, fe) for fe in probes}
+                    for res, probes in far_letters(k).items()}
+            if any(len(far) > 1 for far in fars.values()):
                 raise AssertionError("far sentinel probes disagree; "
                                      "window too small for this alphabet order")
             for new_pset, coords_list in sorted(classes.items(), key=lambda kv: kv[1]):
                 j = vertex(target_type, new_pset)
                 bundles.append(Bundle(v, j, k, ("coords", tuple(coords_list))))
-            if far:
-                bundles.append(Bundle(v, vertex(target_type, far.pop()), k, ("far", window)))
+            for res, far in fars.items():
+                bundles.append(Bundle(v, vertex(target_type, far.pop()), k, ("far", window, *res)))
 
     return AutomatonGraph(
         group=group,
@@ -425,7 +432,8 @@ def export_dot(auto: AutomatonGraph) -> str:
         if b.predicate[0] == "all":
             label = f"H{b.factor} \\\\ {{e}}"
         elif b.predicate[0] == "far":
-            label = f"H{b.factor}: |coords| > {b.predicate[1]}"
+            label = f"H{b.factor}: |coords| > {b.predicate[1]}" + (
+                f", residues {b.predicate[2:]}" if len(b.predicate) > 2 else "")
         else:
             shown = ",".join(str(c) for c in b.predicate[1][:4])
             more = "..." if len(b.predicate[1]) > 4 else ""

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .engine import TABLE_BYTES_PER_ELEMENT, BudgetExceededError
-from .groups import FINITE_CYCLIC, FREE_ABELIAN, FactorSpec, FreeProduct
+from .groups import FactorSpec, FreeProduct
 from .measures import Measure, default_radius, measure_from_pairs, return_sequence, validate
 from . import green as green_mod
 from . import parabolic as parabolic_mod
@@ -75,17 +75,30 @@ def load_config(path: str) -> dict:
 
 
 def build_group(cfg: dict) -> FreeProduct:
+    """Factor i is {"moduli": [...]}, one modulus per coordinate and 0 for a
+    free one, or a kind as shorthand: {"kind": "free-abelian", "rank": d} is
+    d zeros and {"kind": "finite-cyclic", "order": m} is [m]."""
     factors = []
     for i, f in enumerate(cfg["group"], start=1):
-        kind = f.get("kind")
-        if kind == FREE_ABELIAN:
-            factors.append(FactorSpec(kind, rank=int(f.get("rank", 1)),
-                                      gens=tuple(f.get("gens", ()))))
-        elif kind == FINITE_CYCLIC:
-            factors.append(FactorSpec(kind, order=int(f.get("order", 0)),
-                                      gens=tuple(f.get("gens", ()))))
+        def int_at_least(key, least, default=None):
+            if type(value := f.get(key, default)) is not int or value < least:
+                raise ConfigError(f"group[{i}].{key}: expected an int >= {least}, got {value!r}")
+            return value
+
+        kind, moduli = f.get("kind"), f.get("moduli")
+        if kind is None and moduli is not None:
+            if not (isinstance(moduli, list) and moduli and all(
+                    type(m) is int and (m == 0 or m >= 2) for m in moduli)):
+                raise ConfigError(f"group[{i}].moduli: expected a nonempty list of ints, "
+                                  f"each 0 or >= 2, got {moduli!r}")
+        elif kind == "free-abelian" and moduli is None:
+            moduli = [0] * int_at_least("rank", 1, default=1)
+        elif kind == "finite-cyclic" and moduli is None:
+            moduli = [int_at_least("order", 2)]
         else:
-            raise ConfigError(f"group[{i}]: unknown factor kind {kind!r}")
+            raise ConfigError(f"group[{i}]: expected moduli or a known factor kind, "
+                              f"got kind {kind!r} and moduli {moduli!r}")
+        factors.append(FactorSpec(tuple(moduli), gens=tuple(f.get("gens", ()))))
     try:
         return FreeProduct(factors)
     except ValueError as exc:
@@ -154,7 +167,8 @@ def _r_fractions(cfg: dict, args) -> list[float]:
     elif "fractions" in grid:
         fractions = [float(x) for x in grid["fractions"]]
     elif {"start", "stop", "count"} <= set(grid):
-        n = int(grid["count"])
+        if type(n := grid["count"]) is not int or n < 1:
+            raise ConfigError(f"r_grid: count: expected an int >= 1, got {n!r}")
         step = (float(grid["stop"]) - float(grid["start"])) / max(n - 1, 1)
         fractions = [float(grid["start"]) + i * step for i in range(n)]
     else:

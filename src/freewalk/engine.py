@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import FINITE_CYCLIC, FactorElement, FreeProduct, GroupElement
+from .groups import FactorElement, FreeProduct, GroupElement
 
 _FLOAT_BITS = 53  # float64 holds every integer below 2^53 exactly
 _FLOAT_EXACT_LIMIT = 2.0**_FLOAT_BITS
@@ -121,9 +121,9 @@ def _merge_rows(group: FreeProduct, codes: dict, slots, ys) -> np.ndarray:
     a + ys[i] in `codes`, _ZERO if it cancels, _OUT if it is missing; _OUT
     elsewhere.
 
-    Per factor, one coordinate-array sum (mod m on Z/m) forms every a + y,
-    and one sort of the sums together with the factor's coded syllables
-    finds their codes: no syllable is added in Python.
+    Per factor, one coordinate-array sum (mod m on a cyclic coordinate) forms
+    every a + y, and one sort of the sums together with the factor's coded
+    syllables finds their codes: no syllable is added in Python.
     """
     rows = np.full((len(ys), len(slots)), _OUT, dtype=np.int32)
     for f in {y.factor for y in ys}:
@@ -134,8 +134,8 @@ def _merge_rows(group: FreeProduct, codes: dict, slots, ys) -> np.ndarray:
         y, a, keys = (np.array(x, dtype=np.int64).reshape(-1, spec.dim) for x in (
             [ys[i].coords for i in yi], [slots[c].coords for c in ai], [k for k, _ in known]))
         total = (y[:, None] + a).reshape(-1, spec.dim)
-        if spec.kind == FINITE_CYCLIC:
-            total %= spec.order
+        mod = np.array(spec.moduli)
+        np.remainder(total, mod, out=total, where=mod > 0)
         both = np.concatenate([keys, total])
         order = np.lexsort(both.T)
         ranked = both[order]

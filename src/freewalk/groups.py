@@ -1,12 +1,14 @@
 """Free products of finitely generated abelian groups.
 
-The group is Gamma = H_1 * ... * H_N where each factor H_k is either Z^d
-(free abelian) or Z/m (finite cyclic).  Elements are kept in syllable
-normal form: an alternating sequence of nonidentity factor elements, which
-is the unique reduced spelling in a free product.  Two metrics matter:
-the word metric d for the standard generators of the factors, and the
-relative metric d^ for the enlarged generating set S u H_1 u ... u H_N,
-which simply counts syllables.
+The group is Gamma = H_1 * ... * H_N where each factor H_k is
+Z^a x Z/m_1 x ... x Z/m_b, held as one modulus per coordinate: 0 for a
+free coordinate, m >= 2 for a cyclic one (Z^d is (0,) * d, Z/m is (m,)).
+Elements are kept in syllable normal form: an alternating sequence of
+nonidentity factor elements, which is the unique reduced spelling in a free
+product.  Two metrics matter: the word metric d for the standard generators
+of the factors (|c| on a free coordinate, min(r, m - r) on a cyclic one),
+and the relative metric d^ for the enlarged generating set
+S u H_1 u ... u H_N, which simply counts syllables.
 """
 
 from __future__ import annotations
@@ -14,33 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-FREE_ABELIAN = "free-abelian"
-FINITE_CYCLIC = "finite-cyclic"
-
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One free factor: Z^rank or Z/order."""
+    """One free factor: one modulus per coordinate, 0 for a free one."""
 
-    kind: str
-    rank: int = 1
-    order: int = 0
+    moduli: tuple[int, ...]
     gens: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind == FREE_ABELIAN:
-            if self.rank < 1:
-                raise ValueError(f"free-abelian rank must be >= 1, got {self.rank}")
-        elif self.kind == FINITE_CYCLIC:
-            if self.order < 2:
-                raise ValueError(f"finite-cyclic order must be >= 2, got {self.order}")
-        else:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+        if not self.moduli or any(type(m) is not int or m < 0 or m == 1 for m in self.moduli):
+            raise ValueError(f"moduli must be nonempty ints, each 0 or >= 2, got {self.moduli}")
 
     @property
     def dim(self) -> int:
-        """Number of stored coordinates (1 for cyclic factors)."""
-        return self.rank if self.kind == FREE_ABELIAN else 1
+        return len(self.moduli)
+
+    @property
+    def finite(self) -> bool:
+        """Whether the factor has no free coordinate."""
+        return all(self.moduli)
 
 
 class FactorElement(NamedTuple):
@@ -101,8 +96,8 @@ class FreeProduct:
             gens = spec.gens
             if not gens:
                 base = chr(ord("a") + idx - 1)
-                if spec.kind == FREE_ABELIAN and spec.rank > 1:
-                    gens = tuple(f"{base}{i+1}" for i in range(spec.rank))
+                if spec.dim > 1:
+                    gens = tuple(f"{base}{i+1}" for i in range(spec.dim))
                 else:
                     gens = (base,)
             if len(gens) != spec.dim:
@@ -113,7 +108,7 @@ class FreeProduct:
                 if g in used_names:
                     raise ValueError(f"duplicate generator name {g!r}")
                 used_names.add(g)
-            named.append(FactorSpec(spec.kind, spec.rank, spec.order, gens))
+            named.append(FactorSpec(tuple(spec.moduli), gens))
         self.factors: tuple[FactorSpec, ...] = tuple(named)
         self.identity = GroupElement(())
         self._factor_balls: dict[tuple[int, int], tuple[FactorElement, ...]] = {}
@@ -130,10 +125,7 @@ class FreeProduct:
     # -- factor arithmetic -------------------------------------------------
 
     def _reduce_coords(self, k: int, coords: Sequence[int]) -> tuple[int, ...]:
-        spec = self.factor(k)
-        if spec.kind == FINITE_CYCLIC:
-            return ((coords[0] % spec.order),)
-        return tuple(int(c) for c in coords)
+        return tuple([c % m if m else int(c) for c, m in zip(coords, self.factor(k).moduli)])
 
     def factor_add(self, k: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return self._reduce_coords(k, [x + y for x, y in zip(a, b)])
@@ -142,34 +134,29 @@ class FreeProduct:
         return self._reduce_coords(k, [-x for x in a])
 
     def factor_word_length(self, k: int, coords: Sequence[int]) -> int:
-        spec = self.factor(k)
-        if spec.kind == FINITE_CYCLIC:
-            r = coords[0] % spec.order
-            return min(r, spec.order - r)
-        return sum(abs(c) for c in coords)
+        return sum([min(c % m, -c % m) if m else abs(c)
+                    for c, m in zip(coords, self.factor(k).moduli)])
 
     def factor_elements(self, k: int, max_word: int) -> tuple[FactorElement, ...]:
         """Nonidentity elements of H_k with word length <= max_word, in
         coordinate-lexicographic order, listed once per (k, max_word)."""
         if (k, max_word) in self._factor_balls:
             return self._factor_balls[(k, max_word)]
-        spec = self.factor(k)
+        moduli = self.factor(k).moduli
         out: list[FactorElement] = []
 
-        def rec(prefix: tuple[int, ...], remaining: int, dims_left: int):
+        def rec(prefix: tuple[int, ...], remaining: int):
             # each coordinate ascends within its prefix: lexicographic order
-            if dims_left == 0:
+            if len(prefix) == len(moduli):
                 if any(prefix):
                     out.append(FactorElement(k, prefix))
                 return
-            for c in range(-remaining, remaining + 1):
-                rec(prefix + (c,), remaining - abs(c), dims_left - 1)
+            m = moduli[len(prefix)]
+            for c in range(m) if m else range(-remaining, remaining + 1):
+                if (wl := min(c, m - c) if m else abs(c)) <= remaining:
+                    rec(prefix + (c,), remaining - wl)
 
-        if spec.kind == FINITE_CYCLIC:
-            out += [FactorElement(k, (r,)) for r in range(1, spec.order)
-                    if min(r, spec.order - r) <= max_word]
-        else:
-            rec((), max_word, spec.rank)
+        rec((), max_word)
         # setdefault is atomic: threads racing on one key all get one tuple
         return self._factor_balls.setdefault((k, max_word), tuple(out))
 
@@ -245,27 +232,18 @@ class FreeProduct:
         return RelativePath(tuple(vertices), diff.syllables)
 
     def _factor_geodesic_steps(self, syl: FactorElement) -> list[FactorElement]:
-        """Unit generator steps spelling one syllable.
-
-        Z^d: staircase order, coordinate 1 first.  Z/m: shorter direction,
-        positive on ties.
-        """
+        """Unit generator steps spelling one syllable: staircase order,
+        coordinate 1 first, each coordinate by its signed shortest
+        representative (positive on ties)."""
         k, coords = syl
-        spec = self.factor(k)
+        moduli = self.factor(k).moduli
         steps = []
-        if spec.kind == FINITE_CYCLIC:
-            r = coords[0] % spec.order
-            if r <= spec.order - r:
-                steps.extend(FactorElement(k, (1,)) for _ in range(r))
-            else:
-                steps.extend(
-                    FactorElement(k, (spec.order - 1,)) for _ in range(spec.order - r)
-                )
-            return steps
-        for i, c in enumerate(coords):
-            unit = [0] * spec.rank
+        for i, (c, m) in enumerate(zip(coords, moduli)):
+            if m:
+                c = c % m if 2 * (c % m) <= m else c % m - m
+            unit = [0] * len(moduli)
             unit[i] = 1 if c > 0 else -1
-            steps.extend(FactorElement(k, tuple(unit)) for _ in range(abs(c)))
+            steps.extend([FactorElement(k, self._reduce_coords(k, unit))] * abs(c))
         return steps
 
     def lift_path(self, p: RelativePath) -> LiftedPath:
@@ -410,7 +388,7 @@ def free_product(*factors: FactorSpec) -> FreeProduct:
 
 def free_group(rank: int = 2) -> FreeProduct:
     """F_n presented as Z * Z * ... * Z (one letter per factor)."""
-    return FreeProduct([FactorSpec(FREE_ABELIAN, rank=1) for _ in range(rank)])
+    return FreeProduct([FactorSpec((0,)) for _ in range(rank)])
 
 
 def word_ball(group: FreeProduct, C: int) -> tuple[GroupElement, ...]:

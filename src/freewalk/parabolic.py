@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine
-from .groups import FINITE_CYCLIC, GroupElement
+from .groups import GroupElement
 from .measures import Measure, default_radius
 from .green import (_field_arrays, _root_growth, pruned_return_weights, series_derivative,
                     spectral_radius)
@@ -170,61 +170,58 @@ def _kernel_power_series(measure: Measure, kernel: ReturnKernel, order: int,
     """p^{(n)}(e, e) for n = 0..order, states truncated to the factor ball.
 
     A level lives in a flat float64 buffer in which every kernel move is one
-    contiguous slice.  On Z/m the level is followed by a copy of itself, so a
-    cyclic shift reads one slice of the pair.  On Z^d the window carries a
-    zero pad as wide as the largest kept offset p, and one more outer row on
-    each side for the inner-axis part of a shift read from the outermost pad
-    rows; the inner pad cells are zeroed again after each step.
+    contiguous slice.  A cyclic axis is kept whole, the level followed by a
+    copy of itself, so a cyclic shift reads one slice of the pair.  A free
+    axis is windowed to h_ball with a zero pad as wide as the largest kept
+    offset p.  The outer axis is the first free one (a unit axis when there
+    is none) and has one more row on each side for the inner-axis part of a
+    shift read from the outermost pad rows.  After each step the inner pads
+    are zeroed and the copies refreshed.
     Step t computes only the outer rows within min(h_ball, t p, (order - t) p)
     of the centre: rows further out hold no mass yet, or can no longer reach
-    the centre by step `order`.  Each cell sums the same products in the same
-    move order as adding every move into zeros: the weights are > 0 and the
+    the centre by step `order`.  Moves are taken in nu order, stably sorted
+    by their cyclic residues, and each cell sums the same products in that
+    order as adding every move into zeros: the weights are > 0 and the
     levels >= 0, so the first product alone is that sum.
     """
-    spec = measure.group.factor(kernel.factor)
-    # moves are (off, w): the move adds w * old[i - off] to new[i]
-    if spec.kind == FINITE_CYCLIC:
-        m = spec.order
-        mover = np.zeros(m)
-        for sigma, w in kernel.nu.items():
-            shift = sigma.syllables[0].coords[0] if sigma.syllables else 0
-            mover[shift % m] += w
-        # the shift by s adds w vec[(i - s) % m] to new[i], read from the copy at m + i - s
-        moves = [(s - m, mover[s]) for s in range(m) if mover[s]]
-        size, center = 2 * m, 0
+    moduli = measure.group.factor(kernel.factor).moduli
+    free = [i for i, m in enumerate(moduli) if not m]
+    kept = []  # (off, w): the move adds w * old[i - off] to new[i]
+    for sigma, w in kernel.nu.items():
+        off = sigma.syllables[0].coords if sigma.syllables else (0,) * len(moduli)
+        if all(abs(off[i]) <= 2 * h_ball for i in free):  # a nonempty window on every free axis
+            kept.append((off, w))
+    kept.sort(key=lambda move: [c for c, m in zip(move[0], moduli) if m])
+    p = max((abs(off[i]) for off, _ in kept for i in free), default=0)
+    width = 2 * (h_ball + p) + 1
+    axes = free[1:] + [i for i, m in enumerate(moduli) if m]  # the inner axes
+    shape = tuple(2 * moduli[i] or width for i in axes)
+    strides = [math.prod(shape[j + 1:]) for j in range(len(axes))]
+    row = math.prod(shape)
+    mid = p + 1 + (h_ball if free else 0)  # the centre's outer row
+    size = (2 * mid + 1) * row
+    center = mid * row + sum((h_ball + p) * s for i, s in zip(axes, strides) if not moduli[i])
+    # a cyclic shift by c reads the copy at m + i - c
+    moves = [((off[free[0]] * row if free else 0)
+              + sum((off[i] - moduli[i]) * s for i, s in zip(axes, strides)), w)
+             for off, w in kept]
+    fixes = []  # (cells, source): pads are zeroed, copies refreshed from their level
+    for j, i in enumerate(axes, start=1):
+        at, m = (slice(None),) * j, moduli[i]
+        if m:
+            fixes.append((at + (slice(m, 2 * m),), at + (slice(0, m),)))
+        elif p:
+            fixes += [(at + (slice(0, p),), None), (at + (slice(width - p, width),), None)]
 
-        def span(t):
-            return 0, m
+    def span(t):
+        reach = min(h_ball, t * p, (order - t) * p)
+        return (mid - reach) * row, (mid + reach + 1) * row
 
-        def fix(buf, lo, hi):
-            buf[m:] = buf[:m]
-    else:
-        d = spec.rank
-        kept = []
-        for sigma, w in kernel.nu.items():
-            off = sigma.syllables[0].coords if sigma.syllables else (0,) * d
-            if all(abs(c) <= 2 * h_ball for c in off):  # a nonempty window on every axis
-                kept.append((off, w))
-        p = max((abs(c) for off, _ in kept for c in off), default=0)
-        inner = 2 * (h_ball + p) + 1
-        shape = (inner + 2,) + (inner,) * (d - 1)
-        strides = [inner ** (d - 1 - i) for i in range(d)]
-        row = strides[0]
-        size = shape[0] * row
-        mid = p + 1 + h_ball  # the centre's outer row
-        center = mid * row + sum((h_ball + p) * s for s in strides[1:])
-        moves = [(sum(c * s for c, s in zip(off, strides)), w) for off, w in kept]
-        pads = [(slice(None),) * i + (sl,) for i in range(1, d)
-                for sl in ((slice(0, p), slice(inner - p, inner)) if p else ())]
+    def fix(buf, lo, hi):
+        grid = buf[lo:hi].reshape((-1,) + shape)
+        for cells, source in fixes:
+            grid[cells] = 0.0 if source is None else grid[source]
 
-        def span(t):
-            reach = min(h_ball, t * p, (order - t) * p)
-            return (mid - reach) * row, (mid + reach + 1) * row
-
-        def fix(buf, lo, hi):
-            grid = buf[lo:hi].reshape((-1,) + shape[1:])
-            for pad in pads:
-                grid[pad] = 0.0
     series = [1.0]
     if not moves:
         return series + [0.0] * order

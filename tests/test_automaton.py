@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 from pathlib import Path
 from typing import Iterable
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from freewalk import FactorSpec, automaton, free_group, free_product
 from freewalk.cli import build_group, load_config, main
 from freewalk.groups import (
-    FINITE_CYCLIC, FREE_ABELIAN, FactorElement, FreeProduct, GroupElement, word_ball,
+    FactorElement, FreeProduct, GroupElement, word_ball,
 )
 from freewalk.automaton import (
     AutomatonGraph,
@@ -36,7 +37,7 @@ def zz():
 @pytest.fixture(scope="module")
 def z2z3():
     return free_product(
-        FactorSpec(FREE_ABELIAN, rank=2), FactorSpec(FINITE_CYCLIC, order=3)
+        FactorSpec((0, 0)), FactorSpec((3,))
     )
 
 
@@ -48,7 +49,7 @@ def zzz():
 @pytest.fixture(scope="module")
 def z3z4():
     return free_product(
-        FactorSpec(FINITE_CYCLIC, order=3), FactorSpec(FINITE_CYCLIC, order=4)
+        FactorSpec((3,)), FactorSpec((4,))
     )
 
 
@@ -268,7 +269,7 @@ def test_language_equals_the_stepwise_walk_on_shipped_configs(path):
 
 
 def test_language_equals_the_stepwise_walk_on_z4_z2():
-    group = free_product(FactorSpec(FINITE_CYCLIC, order=4), FactorSpec(FREE_ABELIAN, rank=2))
+    group = free_product(FactorSpec((4,)), FactorSpec((0, 0)))
     for auto in (reduced_automaton(group, 2, 3, 2), canonical_automaton(group, 2, 3, 2)):
         assert list(auto.language(3, 2)) == stepwise_language(auto, 3, 2)
 
@@ -391,12 +392,39 @@ def test_verify_normalizes_letters_that_are_not_reduced(z2z3):
 def small_groups(draw):
     specs = [
         draw(st.one_of(
-            st.builds(lambda d: FactorSpec(FREE_ABELIAN, rank=d), st.integers(1, 2)),
-            st.builds(lambda m: FactorSpec(FINITE_CYCLIC, order=m), st.integers(2, 5)),
+            st.builds(lambda d: FactorSpec((0,) * d), st.integers(1, 2)),
+            st.builds(lambda m: FactorSpec((m,)), st.integers(2, 5)),
+            st.sampled_from([FactorSpec((0, 2)), FactorSpec((2, 2)), FactorSpec((3, 0))]),
         ))
         for _ in range(draw(st.integers(1, 3)))
     ]
     return free_product(*specs)
+
+
+@pytest.mark.parametrize("moduli,C,m,B", [
+    (((0, 2), (3,)), 1, 2, 5),  # (Z x Z/2) * Z/3
+    (((5, 0), (0,)), 1, 2, 5),  # (Z/5 x Z) * Z
+    (((0, 3), (0,)), 1, 2, 4),  # (Z x Z/3) * Z
+    (((2, 2), (3,)), 1, 3, 2),  # (Z/2)^2 * Z/3: finite factors, no far letters
+])
+def test_canonical_automaton_steps_far_letters_of_mixed_factors(moduli, C, m, B):
+    """B is above the window 2C + 1, so far letters are stepped at every
+    residue, those next to the wrap (0 and m - 1) among them, and each one
+    reaches the vertex of the P-set the alphabet oracle gives for it."""
+    group = free_product(*(FactorSpec(mod) for mod in moduli))
+    auto = canonical_automaton(group, C, m, B)
+    far = [b.predicate[2:] for b in auto.bundles if b.predicate[0] == "far"]
+    assert set(far) == {res for mod in moduli if 0 in mod
+                        for res in itertools.product(*(range(q) for q in mod if q))}
+    for v in auto.vertices:
+        for k in auto.cone_types[v.cone_type].extension_factors:
+            for fe in group.factor_elements(k, B):
+                killed, want = pset_transition(GroupAlphabet(group, C), frozenset(v.pset),
+                                               GroupElement((fe,)), (fe.factor, fe.coords))
+                assert not killed and set(auto.vertices[auto.step(v.index, fe)].pset) == want
+    report = verify_structure(auto, m, B)
+    assert report["ok"], report["checks"]
+    assert report["counts"]["accepted"] == report["counts"]["ball"]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -493,10 +521,11 @@ def reduced_sequences(group, m, B):
 
 
 ORACLE_GROUPS = {
-    "z/4-z^2": (free_product(FactorSpec(FINITE_CYCLIC, order=4), FactorSpec(FREE_ABELIAN, rank=2)),
+    "z/4-z^2": (free_product(FactorSpec((4,)), FactorSpec((0, 0))),
               (3, 2)),
-    "z^3-z/2": (free_product(FactorSpec(FREE_ABELIAN, rank=3), FactorSpec(FINITE_CYCLIC, order=2)),
+    "z^3-z/2": (free_product(FactorSpec((0, 0, 0)), FactorSpec((2,))),
               (2, 2)),
+    "zxz/2-z/3": (free_product(FactorSpec((0, 2)), FactorSpec((3,))), (2, 2)),
 }
 for _path in CONFIGS:
     _cfg = load_config(str(_path))

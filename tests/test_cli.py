@@ -81,6 +81,65 @@ def test_all_commands_produce_artifacts(config_path, tmp_path):
             assert (out / f).exists(), f"{cmd}: missing {f}"
 
 
+MIXED_GROUP = [  # (Z x Z/2) * Z/3, its first factor by moduli and its second by kind
+    {"moduli": [0, 2], "gens": ["a", "t"]},
+    {"kind": "finite-cyclic", "order": 3, "gens": ["c"]},
+]
+MIXED_LAZY = [["e", "1/2"], ["1:(1,0)", "1/10"], ["1:(-1,0)", "1/10"], ["1:(0,1)", "1/10"],
+              ["2:(1)", "1/10"], ["2:(2)", "1/10"]]
+
+
+def test_all_commands_run_on_a_mixed_factor(tmp_path):
+    path = write_config(tmp_path, group=MIXED_GROUP, measure=MIXED_LAZY)
+    for cmd in cli.COMMANDS:
+        assert main([cmd, path, "--out", str(tmp_path / cmd)]) == 0, cmd
+    assert json.loads((tmp_path / "automaton" / "structure.json").read_text())["ok"]
+
+
+def test_moduli_and_kind_give_the_same_group():
+    by_kind = cli.build_group({"group": [{"kind": "free-abelian", "rank": 2},
+                                         {"kind": "finite-cyclic", "order": 3}]})
+    by_moduli = cli.build_group({"group": [{"moduli": [0, 0]}, {"moduli": [3]}]})
+    assert by_kind.factors == by_moduli.factors
+    assert [spec.moduli for spec in by_kind.factors] == [(0, 0), (3,)]
+
+
+@pytest.mark.parametrize("factor,message", [
+    ({"kind": "free-abelian", "rank": 1.5}, "group[2].rank: expected an int >= 1, got 1.5"),
+    ({"kind": "free-abelian", "rank": True}, "group[2].rank: expected an int >= 1, got True"),
+    ({"kind": "free-abelian", "rank": 0}, "group[2].rank: expected an int >= 1, got 0"),
+    ({"kind": "finite-cyclic", "order": 3.7}, "group[2].order: expected an int >= 2, got 3.7"),
+    ({"kind": "finite-cyclic", "order": True}, "group[2].order: expected an int >= 2, got True"),
+    ({"kind": "finite-cyclic"}, "group[2].order: expected an int >= 2, got None"),
+    ({"moduli": [0, 1]}, "group[2].moduli: expected a nonempty list of ints, each 0 or >= 2"),
+    ({"moduli": [0, True]}, "group[2].moduli: expected a nonempty list of ints"),
+    ({"moduli": [2.0]}, "group[2].moduli: expected a nonempty list of ints"),
+    ({"moduli": [-2]}, "group[2].moduli: expected a nonempty list of ints"),
+    ({"moduli": []}, "group[2].moduli: expected a nonempty list of ints"),
+    ({"moduli": 2}, "group[2].moduli: expected a nonempty list of ints"),
+    ({"kind": "finite-cyclic", "order": 3, "moduli": [3]}, "group[2]: expected moduli or a known"),
+    ({"kind": "cyclic", "order": 3}, "group[2]: expected moduli or a known factor kind"),
+])
+def test_bad_factor_field_exits_one_with_manifest(tmp_path, capsys, factor, message):
+    """rank 1.5 and true once ran as Z^1, and order 3.7 as Z/3."""
+    path = write_config(tmp_path, group=[CONFIG["group"][0], dict(factor, gens=["b"])])
+    out = tmp_path / "o"
+    assert main(["validate", path, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3", -1])
+def test_r_grid_count_must_be_a_positive_int(tmp_path, capsys, count):
+    """count 2.5 once resolved 2 r values and count true 1."""
+    path = write_config(tmp_path, r_grid={"start": 0.2, "stop": 0.8, "count": count})
+    out = tmp_path / "o"
+    assert main(["green", path, "--out", str(out)]) == 1
+    assert (f"config error: r_grid: count: expected an int >= 1, got {count!r}"
+            in capsys.readouterr().err)
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
+
+
 def test_automaton_export_dot(config_path, tmp_path):
     out = tmp_path / "auto"
     assert run("automaton", config_path, out, "--export-dot") == 0

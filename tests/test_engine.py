@@ -44,8 +44,6 @@ from freewalk.engine import (
     pruned_power_sequence,
 )
 from freewalk.groups import (
-    FINITE_CYCLIC,
-    FREE_ABELIAN,
     FactorElement,
     FactorSpec,
     GroupElement,
@@ -153,8 +151,8 @@ def _parse(group, texts):
 
 
 def z3_z5_z():
-    return free_product(FactorSpec(FREE_ABELIAN, rank=3), FactorSpec(FINITE_CYCLIC, order=5),
-                        FactorSpec(FREE_ABELIAN, rank=1))
+    return free_product(FactorSpec((0, 0, 0)), FactorSpec((5,)),
+                        FactorSpec((0,)))
 
 
 MULTI_F2 = ["1:(1)|2:(1)", "2:(-1)|1:(-1)", "1:(-1)", "2:(1)|1:(2)|2:(-1)"]
@@ -172,6 +170,39 @@ def test_builder_matches_reference_on_configs(name, cap):
     assert_matches_reference(group, list(measure.entries), cap)
 
 
+def growth_series_spheres(group, cap):
+    """|S_n|, n = 0..cap, of the word metric from the factors' sphere sizes
+    (counted from `factor_elements`) by 1/S - 1 = sum_k (1/S_k - 1), the
+    growth series of a free product (de la Harpe, ch. VI)."""
+    def inverse(series):  # of an integer power series with constant term 1
+        inv = [1] + [0] * cap
+        for n in range(1, cap + 1):
+            inv[n] = -sum(series[j] * inv[n - j] for j in range(1, n + 1))
+        return inv
+
+    reciprocal = [1] + [0] * cap
+    for k in range(1, group.num_factors + 1):
+        ball = [1 + len(group.factor_elements(k, n)) for n in range(cap + 1)]
+        inv = inverse([1] + [b - a for a, b in zip(ball, ball[1:])])
+        reciprocal = [r + i for r, i in zip(reciprocal, [0] + inv[1:])]
+    return inverse(reciprocal)
+
+
+MIXED = {"z-z2--z3": ((0, 2), (3,)), "z2^2--z3": ((2, 2), (3,))}
+
+
+@pytest.mark.parametrize("name", ["f2-lazy", "f2-simple", "z2-z3-lazy", *MIXED])
+def test_ball_sizes_equal_the_growth_series(name):
+    if name in MIXED:
+        group = free_product(*(FactorSpec(moduli) for moduli in MIXED[name]))
+    else:
+        group = build_group(load_config(str(CONFIGS / f"{name}.json")))
+    support = list(lazy_walk(group).entries)
+    spheres = growth_series_spheres(group, 8)
+    for cap in (0, 1, 2, 4, 6, 8):
+        assert BallTable(group, support, cap).size == sum(spheres[:cap + 1]), cap
+
+
 @pytest.mark.parametrize("make_group,texts,cap", [
     (free_group, MULTI_F2, 6),
     (free_group, ODD_F2, 9),
@@ -186,8 +217,9 @@ def test_builder_matches_reference_on_multi_syllable_supports(make_group, texts,
 def small_products(draw):
     specs = [
         draw(st.one_of(
-            st.builds(lambda d: FactorSpec(FREE_ABELIAN, rank=d), st.integers(1, 2)),
-            st.builds(lambda m: FactorSpec(FINITE_CYCLIC, order=m), st.integers(2, 5)),
+            st.builds(lambda d: FactorSpec((0,) * d), st.integers(1, 2)),
+            st.builds(lambda m: FactorSpec((m,)), st.integers(2, 5)),
+            st.sampled_from([FactorSpec((0, 2)), FactorSpec((2, 2)), FactorSpec((3, 0))]),
         ))
         for _ in range(draw(st.integers(1, 3)))
     ]

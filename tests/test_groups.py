@@ -1,7 +1,10 @@
 """Normal forms, metrics, geodesics, lifts and ball enumeration."""
 
+import ast
+import dataclasses
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,10 @@ from hypothesis import strategies as st
 
 from freewalk import FactorSpec, FreeProduct, free_group, free_product
 from freewalk.groups import (
-    FINITE_CYCLIC, FREE_ABELIAN, FactorElement, GroupElement, word_ball,
+    FactorElement, GroupElement, word_ball,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "freewalk"
 
 
 @pytest.fixture(scope="module")
@@ -21,17 +26,19 @@ def zz():
 @pytest.fixture(scope="module")
 def z2z3():
     return free_product(
-        FactorSpec(FREE_ABELIAN, rank=2), FactorSpec(FINITE_CYCLIC, order=3)
+        FactorSpec((0, 0)), FactorSpec((3,))
     )
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        FactorSpec(FREE_ABELIAN, rank=0)
+        FactorSpec(())
     with pytest.raises(ValueError):
-        FactorSpec(FINITE_CYCLIC, order=1)
+        FactorSpec((1,))
     with pytest.raises(ValueError):
-        FactorSpec("weird")
+        FactorSpec((-2,))
+    with pytest.raises(ValueError):
+        FactorSpec((0, 2.5))
     with pytest.raises(ValueError):
         FreeProduct([])
 
@@ -149,7 +156,7 @@ def test_lift_staircase_rank2(z2z3):
 
 
 def test_lift_cyclic_short_direction():
-    grp = free_product(FactorSpec(FREE_ABELIAN), FactorSpec(FINITE_CYCLIC, order=5))
+    grp = free_product(FactorSpec((0,)), FactorSpec((5,)))
     # residue 3 out of 5: shorter as two backward steps
     p = grp.relative_geodesic(grp.identity, grp.element([(2, 3)]))
     lifted = grp.lift_path(p)
@@ -355,8 +362,10 @@ def ball_size(group, m, B, C):
 LISTED = 3000  # the largest ball a draw lists: m or C shrinks until it fits
 
 products = st.lists(
-    st.one_of(st.builds(lambda d: FactorSpec(FREE_ABELIAN, rank=d), st.integers(1, 3)),
-              st.builds(lambda n: FactorSpec(FINITE_CYCLIC, order=n), st.integers(2, 7))),
+    st.one_of(st.builds(lambda d: FactorSpec((0,) * d), st.integers(1, 3)),
+              st.builds(lambda n: FactorSpec((n,)), st.integers(2, 7)),
+              st.lists(st.sampled_from((0, 2, 3)), min_size=2, max_size=3)  # mixed moduli
+              .map(lambda moduli: FactorSpec(tuple(moduli)))),
     min_size=1, max_size=3).map(lambda specs: free_product(*specs))
 
 
@@ -409,3 +418,65 @@ def test_factor_elements_are_listed_once_per_group(z2z3):
         assert isinstance(ball, tuple) and z2z3.factor_elements(k, r) is ball
         assert list(ball) == sorted(ball) and len(set(ball)) == len(ball)
     assert len(z2z3.factor_elements(1, 3)) == 24 and z2z3.factor_elements(1, 0) == ()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(products.flatmap(lambda g: st.tuples(st.just(g), raw_syllables(g), raw_syllables(g),
+                                            raw_syllables(g))))
+def test_normal_form_laws_on_random_products(case):
+    group, raw_a, raw_b, raw_c = case
+    a, b, c = (group.normalize(raw) for raw in (raw_a, raw_b, raw_c))
+    for g in (a, b, c):
+        assert all(s.factor != t.factor for s, t in zip(g.syllables, g.syllables[1:]))
+        for k, coords in g.syllables:
+            moduli = group.factor(k).moduli
+            assert any(coords) and all(0 <= x < m for x, m in zip(coords, moduli) if m)
+        assert group.normalize(g.syllables) == g
+        assert group.multiply(g, group.inverse(g)) == group.identity == \
+            group.multiply(group.inverse(g), g)
+        assert group.word_length(group.inverse(g)) == group.word_length(g)
+        lifted = group.lift_path(group.relative_geodesic(group.identity, g))
+        assert lifted.vertices[-1] == g
+        assert len(lifted.vertices) - 1 == group.word_length(g)
+        assert all(group.word_length(group.multiply(group.inverse(u), v)) == 1
+                   for u, v in zip(lifted.vertices, lifted.vertices[1:]))
+    assert group.normalize(raw_a + raw_b) == group.multiply(a, b)
+    assert group.multiply(group.multiply(a, b), c) == group.multiply(a, group.multiply(b, c))
+
+
+def test_mixed_factor_arithmetic():
+    grp = free_product(FactorSpec((0, 2)), FactorSpec((3,)))  # (Z x Z/2) * Z/3
+    assert [spec.gens for spec in grp.factors] == [("a1", "a2"), ("b",)]
+    assert grp.gen("a2", 3) == grp.element([(1, (0, 1))])
+    assert grp.factor_neg(1, (-3, 1)) == (3, 1) and grp.factor_word_length(1, (-3, 1)) == 4
+    assert [fe.coords for fe in grp.factor_elements(1, 1)] == [(-1, 0), (0, 1), (1, 0)]
+    assert len(grp.factor_elements(1, 2)) == 7 and not grp.factors[0].finite
+    g = grp.element([(1, (-2, 1)), (2, (2,))])
+    lifted = grp.lift_path(grp.relative_geodesic(grp.identity, g))
+    assert [grp.render(v) for v in lifted.vertices] == [
+        "e", "1:(-1,0)", "1:(-2,0)", "1:(-2,1)", "1:(-2,1)|2:(2)"]
+    assert lifted.flags == (True, False, False, True, True)
+    klein = free_product(FactorSpec((2, 2)), FactorSpec((3,)))  # (Z/2)^2 * Z/3
+    assert klein.factors[0].finite and len(klein.factor_elements(1, 5)) == 3
+    assert klein.word_length(klein.element([(1, (1, 1)), (2, (1,))])) == 3
+
+
+SPEC_NAMES = {"FREE_ABELIAN", "FINITE_CYCLIC"}
+SPEC_STRINGS = {"free-abelian", "finite-cyclic"}
+
+
+def test_no_module_but_the_cli_knows_a_factor_kind():
+    """Every factor is a modulus vector: only the config reader maps the kind
+    shorthand to moduli, and nothing reads a kind, rank or order off a factor."""
+    assert [f.name for f in dataclasses.fields(FactorSpec)] == ["moduli", "gens"]
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.name != "cli.py":
+                assert not (isinstance(node, ast.Name) and node.id in SPEC_NAMES), path.name
+                assert not (isinstance(node, ast.Constant) and node.value in SPEC_STRINGS), \
+                    path.name
+                assert not (isinstance(node, ast.alias) and node.name in SPEC_NAMES), path.name
+            if isinstance(node, ast.Attribute) and node.attr in ("kind", "rank", "order"):
+                # the one such attribute is the automaton's own kind, reduced or canonical
+                assert ast.unparse(node) == "auto.kind", (path.name, ast.unparse(node))

@@ -11,10 +11,12 @@ import pytest
 
 from freewalk import (
     BudgetExceededError,
+    FactorSpec,
     Measure,
     convolve,
     distribution,
     free_group,
+    free_product,
     lazy_walk,
     measure_from_pairs,
     return_sequence,
@@ -145,6 +147,20 @@ def test_return_sequence_lazy_matches_brute_force(lazy):
     q = return_sequence(lazy, 5).values
     oracle = brute_force_returns(lazy, 5)
     assert list(q[:6]) == oracle
+
+
+@pytest.mark.parametrize("moduli", [((0, 2), (3,)), ((2, 2), (3,)), ((3, 0), (0,))])
+def test_return_sequence_matches_brute_force_on_mixed_factors(moduli):
+    # (Z x Z/2) * Z/3, (Z/2)^2 * Z/3 and (Z/3 x Z) * Z: lazy, and non-symmetric
+    grp = free_product(*(FactorSpec(m) for m in moduli))
+    drift = measure_from_pairs(grp, [
+        ("e", "1/4"), ("1:(1,1)", "1/4"), ("2:(1)", "1/8"), ("1:(1,0)|2:(2)", "1/4"),
+        ("2:(-1)", "1/8")])
+    for mu in (lazy_walk(grp), drift):
+        want = brute_force_returns(mu, 5)
+        assert list(return_sequence(mu, 5).values[:6]) == want
+        assert list(return_sequence(mu.as_float(), 5).values[:6]) == pytest.approx(
+            [float(q) for q in want], rel=1e-12)
 
 
 def drift_beyond_capacity(zz):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from freewalk import (free_group, free_product, lazy_walk, measure_from_pairs, simple_walk,
                       FactorSpec)
-from freewalk.groups import FINITE_CYCLIC, FREE_ABELIAN, GroupElement
+from freewalk.groups import GroupElement
 from freewalk.cli import build_group, build_measure, load_config
 from freewalk.engine import pair_ids
 from freewalk.green import _field_arrays, resolve_r, spectral_radius
@@ -165,7 +165,7 @@ def test_kernel_radius_above_one_at_spectral(zz, lazy):
 
 
 def test_kernel_power_series_on_cyclic_factor():
-    grp = free_product(FactorSpec(FREE_ABELIAN), FactorSpec(FINITE_CYCLIC, order=3))
+    grp = free_product(FactorSpec((0,)), FactorSpec((3,)))
     walk = lazy_walk(grp)
     series = kernel_power_series(walk, 2, 0.4, order=32, horizon=24,
                                  exploration_radius=8)
@@ -196,7 +196,7 @@ def gathered_cyclic_powers(kernel, m, order):
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_cyclic_kernel_powers_equal_the_gathered_shifts(m):
     # the slice moves add the same products in the same shift order
-    grp = free_product(FactorSpec(FREE_ABELIAN), FactorSpec(FINITE_CYCLIC, order=m))
+    grp = free_product(FactorSpec((0,)), FactorSpec((m,)))
     skewed = measure_from_pairs(grp, [(grp.parse(x), Fraction(w)) for x, w in (
         ("e", "1/2"), ("1:(1)", "1/8"), ("1:(-1)", "1/8"), ("2:(1)", "3/16"),
         ("2:(2)", "1/16"))])
@@ -210,31 +210,31 @@ def test_cyclic_kernel_powers_equal_the_gathered_shifts(m):
 def slice_move_powers(measure, kernel, order, h_ball):
     """Reference: p^(n)(e, e) on the factor window, each step adding every
     kernel move into a zeroed level over the whole window, one window slice
-    per move (two per cyclic shift)."""
-    spec = measure.group.factor(kernel.factor)
+    per move and per wrap of each cyclic axis.  A free axis is the window
+    |c| <= h_ball, a cyclic one all its residues; the moves are taken in nu
+    order, stably sorted by their cyclic residues."""
+    moduli = measure.group.factor(kernel.factor).moduli
+    width = 2 * h_ball + 1
+    shape = tuple(m or width for m in moduli)
+    center = tuple(0 if m else h_ball for m in moduli)
+    kept = []
+    for sigma, w in kernel.nu.items():
+        off = sigma.syllables[0].coords if sigma.syllables else (0,) * len(moduli)
+        if all(m or abs(c) <= 2 * h_ball for c, m in zip(off, moduli)):
+            kept.append((off, w))
+    kept.sort(key=lambda move: [c for c, m in zip(move[0], moduli) if m])
     moves = []  # (src, dst, w): the window a move shifts and where it lands
-    if spec.kind == FINITE_CYCLIC:
-        m = spec.order
-        shape, center = (m,), (0,)
-        mover = np.zeros(m)
-        for sigma, w in kernel.nu.items():
-            shift = sigma.syllables[0].coords[0] if sigma.syllables else 0
-            mover[shift % m] += w
-        for s in range(m):
-            if mover[s]:
-                moves.append(((slice(0, m - s),), (slice(s, m),), mover[s]))
-                if s:
-                    moves.append(((slice(m - s, m),), (slice(0, s),), mover[s]))
-    else:
-        d = spec.rank
-        width = 2 * h_ball + 1
-        shape, center = (width,) * d, (h_ball,) * d
-        for sigma, w in kernel.nu.items():
-            off = sigma.syllables[0].coords if sigma.syllables else (0,) * d
-            if all(abs(c) <= 2 * h_ball for c in off):
-                spans = [(max(0, -c), min(width, width - c), c) for c in off]
-                moves.append((tuple(slice(lo, hi) for lo, hi, _ in spans),
-                              tuple(slice(lo + c, hi + c) for lo, hi, c in spans), w))
+    for off, w in kept:
+        pieces = []  # per axis, the (src, dst) slices of the shift
+        for c, m in zip(off, moduli):
+            if m:
+                pieces.append([(slice(0, m - c), slice(c, m))]
+                              + ([(slice(m - c, m), slice(0, c))] if c else []))
+            else:
+                lo, hi = max(0, -c), min(width, width - c)
+                pieces.append([(slice(lo, hi), slice(lo + c, hi + c))])
+        for piece in itertools.product(*pieces):
+            moves.append((tuple(src for src, _ in piece), tuple(dst for _, dst in piece), w))
     vec = np.zeros(shape)
     vec[center] = 1.0
     series = [1.0]
@@ -249,18 +249,18 @@ def slice_move_powers(measure, kernel, order, h_ball):
 
 @st.composite
 def factor_kernels(draw):
-    """A measure on Z^d * Z (d = 1, 2, 3) or Z/m * Z, a kernel on its first
-    factor with positive weights on arbitrary offsets (the identity among
-    them or not, diagonal ones, some beyond 2 h_ball), h_ball and an order."""
-    d = draw(st.integers(0, 3))  # 0: the factor is Z/m
+    """A measure on H * Z with H = Z^d (d = 1, 2, 3), Z/m or a mixed product
+    of two or three Z and Z/m, a kernel on H with positive weights on
+    arbitrary offsets (the identity among them or not, diagonal ones, some
+    beyond 2 h_ball), h_ball and an order."""
+    moduli = draw(st.one_of(
+        st.integers(1, 3).map(lambda d: (0,) * d),
+        st.integers(2, 7).map(lambda m: (m,)),
+        st.lists(st.sampled_from((0, 2, 3, 5)), min_size=2, max_size=3).map(tuple)))
     h_ball = draw(st.integers(0, 5))
-    if d:
-        spec, dims, reach = FactorSpec(FREE_ABELIAN, rank=d), d, 2 * h_ball + 1
-    else:
-        spec = FactorSpec(FINITE_CYCLIC, order=draw(st.integers(2, 7)))
-        dims, reach = 1, spec.order - 1
-    grp = free_product(spec, FactorSpec(FREE_ABELIAN))
-    offsets = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * dims), max_size=6))
+    grp = free_product(FactorSpec(moduli), FactorSpec((0,)))
+    reach = [m - 1 if m else 2 * h_ball + 1 for m in moduli]
+    offsets = draw(st.lists(st.tuples(*[st.integers(-r, r) for r in reach]), max_size=6))
     nu = {}
     for off in offsets:
         syl = grp.syllable(1, off)
@@ -284,7 +284,7 @@ def test_kernel_powers_equal_the_slice_moves_on_random_kernels(case):
 def test_kernel_powers_equal_the_slice_moves_inside_and_past_the_window(order):
     # the Z^2 kernel of the shipped z2-z3-lazy walk moves one L1 ring per
     # step: below 2 h_ball steps the cone never fills the window
-    grp = free_product(FactorSpec(FREE_ABELIAN, rank=2), FactorSpec(FINITE_CYCLIC, order=3))
+    grp = free_product(FactorSpec((0, 0)), FactorSpec((3,)))
     mu = lazy_walk(grp)
     kern = first_return_kernel(mu, 1, 0.9, horizon=24, exploration_radius=8)
     assert _kernel_power_series(mu, kern, order, 32) == slice_move_powers(mu, kern, order, 32)
@@ -355,8 +355,8 @@ def moment_cases(draw):
     each), a factor, r, a ladder and a radius."""
     specs = [
         draw(st.one_of(
-            st.builds(lambda d: FactorSpec(FREE_ABELIAN, rank=d), st.integers(1, 2)),
-            st.builds(lambda m: FactorSpec(FINITE_CYCLIC, order=m), st.integers(2, 6)),
+            st.builds(lambda d: FactorSpec((0,) * d), st.integers(1, 2)),
+            st.builds(lambda m: FactorSpec((m,)), st.integers(2, 6)),
         ))
         for _ in range(draw(st.integers(1, 3)))
     ]
