@@ -77,7 +77,9 @@ def load_config(path: str) -> dict:
 def build_group(cfg: dict) -> FreeProduct:
     """Factor i is {"moduli": [...]}, one modulus per coordinate and 0 for a
     free one, or a kind as shorthand: {"kind": "free-abelian", "rank": d} is
-    d zeros and {"kind": "finite-cyclic", "order": m} is [m]."""
+    d zeros and {"kind": "finite-cyclic", "order": m} is [m].  Each form may
+    add "gens", a list of generator names; a key its form does not read is
+    refused."""
     factors = []
     for i, f in enumerate(cfg["group"], start=1):
         def int_at_least(key, least, default=None):
@@ -91,14 +93,24 @@ def build_group(cfg: dict) -> FreeProduct:
                     type(m) is int and (m == 0 or m >= 2) for m in moduli)):
                 raise ConfigError(f"group[{i}].moduli: expected a nonempty list of ints, "
                                   f"each 0 or >= 2, got {moduli!r}")
+            reads = ("moduli", "gens")
         elif kind == "free-abelian" and moduli is None:
             moduli = [0] * int_at_least("rank", 1, default=1)
+            reads = ("kind", "rank", "gens")
         elif kind == "finite-cyclic" and moduli is None:
             moduli = [int_at_least("order", 2)]
+            reads = ("kind", "order", "gens")
         else:
             raise ConfigError(f"group[{i}]: expected moduli or a known factor kind, "
                               f"got kind {kind!r} and moduli {moduli!r}")
-        factors.append(FactorSpec(tuple(moduli), gens=tuple(f.get("gens", ()))))
+        for key in f:
+            if key not in reads:
+                raise ConfigError(f"group[{i}].{key}: not a key of a "
+                                  f"{kind or 'moduli'} factor, which reads {', '.join(reads)}")
+        gens = f.get("gens", [])
+        if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
+            raise ConfigError(f"group[{i}].gens: expected a list of strings, got {gens!r}")
+        factors.append(FactorSpec(tuple(moduli), gens=tuple(gens)))
     try:
         return FreeProduct(factors)
     except ValueError as exc:
@@ -180,8 +192,17 @@ def _r_fractions(cfg: dict, args) -> list[float]:
 
 
 def _resolve_r(ctx):
+    """The estimate of R and the r values of the grid's fractions of it.
+    A fraction whose r lies above the estimate's certified upper bound on R,
+    where G(e, e | r) diverges, is refused."""
     est = green_mod.spectral_radius(ctx["measure"], ctx["budgets"]["n_max"])
-    return est, [frac * est.point for frac in ctx["fractions"]]
+    rs = [frac * est.point for frac in ctx["fractions"]]
+    for frac, r in zip(ctx["fractions"], rs):
+        if r > est.certified_upper:
+            raise ConfigError(f"r_grid: fraction {frac} gives r = {r!r}, above the certified "
+                              f"upper bound {est.certified_upper!r} on R "
+                              f"(n_max {ctx['budgets']['n_max']})")
+    return est, rs
 
 
 def _write_json(path: Path, obj) -> None:

@@ -3,35 +3,37 @@
 This is the workhorse behind exact convolution powers, Green evaluations
 and first-return kernels.  Elements reachable from e inside a word-radius
 cap are interned once into a trie of (parent id, syllable code) rows,
-grown breadth first in passes bounded in cells, ending with the compact
-step adjacency.  A pass reads every product off one small table per
-build, indexed by last syllable and support step, and interns the new
-ones through sorted key runs that merge geometrically, so no pass copies
-the whole key array.  Every random-walk computation is then a sequence of
-level steps over flat weight arrays.
-A step scales the level once per support column, so every element sums its
-incoming weight in support order, in one of two id layouts.  In the
-table's breadth-first ids each column's dense prefix (the ids whose
-products all stay in the table) is scaled with no gather, the rest of its
-sources are gathered, and both are added by `np.add.at`.  In block order
-(`BlockLayout`, built lazily once per table) ids are sorted by word length,
-last syllable and parent, so each column is a few hundred runs of
-consecutive ids onto consecutive ids, each one slice add.  Both add the
-same products in the same order: every level is the same bit for bit.
-`level_table` puts a DP in block order when the table has at least
-_BLOCK_MIN_IDS ids and some step reads the whole table (fields, absorbed
-profiles and Green pair series past the cap); return numbers, pairings and
-distributions stay in table ids.
+grown breadth first one generation at a time, ending with the compact
+step adjacency.  A generation steps its sources support column by support
+column, syllable by syllable, reading every product off one small table
+per build, indexed by last syllable, and interns the new ones through
+sorted key runs that merge geometrically, so no step copies the whole key
+array.  Every random-walk computation is then a sequence of level steps
+over flat weight arrays.
+
+Ids are numbered generation by generation, and within one by support
+column, syllable depth and source id.  On a free product an element's
+cone type is fixed by its last syllable, so right multiplication by a
+support element sends long ranges of consecutive ids onto consecutive
+ids: a stored support column is a few dozen runs (lazy F2 at cap 11: 32
+runs for 177,146 edges), derived once by the build.  A step scales the
+level once per support column, so every element sums its incoming weight
+in support order, by one of two paths.  On a table whose columns average
+at least _RUN_EDGES edges per run piece, each piece is one slice add; on
+any other table each column's dense prefix (the ids whose products all
+stay in the table) is scaled with no gather, the rest of its sources are
+gathered, and both are added by `np.add.at`.  Both add the same products
+in the same order: every level is the same bit for bit.
 
 `levels` is the one level driver: every DP over a table (return numbers,
 Green fields, absorbed profiles, distributions) is a loop over the levels
 mu^{*t}, t = 0..n, that it yields.  Each level comes with an exclusive id
 bound hi, zero from hi on: level t lives within t support steps of e, and
-both layouts number those elements first (the breadth-first ids to within
-an edge, block order to within a word length), so a step, a pairing dot or
-a field update touches only the prefix [0, hi).  A caller may only zero
-entries of a yielded level in place; the next step starts from the edited
-level.  `levels` holds the one pruning rule, and `reach_cap` its table cap.
+the breadth-first ids number those elements first (to within an edge),
+so a step, a pairing dot or a field update touches only the prefix
+[0, hi).  A caller may only zero entries of a yielded level in place; the
+next step starts from the edited level.  `levels` holds the one pruning
+rule, and `reach_cap` its table cap.
 
 Exactness: the weights choose the number type of the levels.  An object
 array of Python ints gives Python-int levels, exact at any size; other
@@ -61,27 +63,26 @@ class BudgetExceededError(RuntimeError):
 _INT32_MAX = np.iinfo(np.int32).max
 _ZERO = -2  # merge row value: the two syllables cancel
 _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
-# cells (source x syllable step) per builder pass; bounds the pass temporaries
+# cells (source x syllable step) per builder chunk; bounds the chunk temporaries
 _PASS = 1 << 18
 _BLOCK = 1 << 16  # entries per block of an exact dot; bounds its temporaries
-_CHUNK = 1 << 15  # ids per run piece of a block step; bounds its one buffer
-# Tables of at least this many ids run whole-table DPs in block order
-# (`level_table`).  One full float step, best of 15 on a 2-vCPU VM,
-# breadth-first -> block order: lazy F2 at cap 9 (39,365 ids) 0.21 -> 0.33
-# ms, cap 10 (118,097) 0.82 -> 0.50 ms, cap 11 (354,293) 3.27 -> 1.26 ms,
-# cap 12 (1,062,881) 14.8 -> 3.95 ms; Z^2*Z/3 (configs/z2-z3-lazy.json) at
-# cap 7 (26,739) 0.20 -> 0.77 ms, cap 8 (102,371) 0.96 -> 1.04 ms, cap 9
-# (391,927) 5.59 -> 2.36 ms.  Below about 10^5 ids the per-run overhead
-# loses.
-_BLOCK_MIN_IDS = 1 << 17
+_CHUNK = 1 << 15  # ids per run piece; bounds the one buffer of a runs step
+# Tables whose stored columns average at least this many edges per run
+# piece step by runs, the others by `np.add.at`.  One full float step,
+# median of 41 interleaved on a 2-vCPU VM, np.add.at -> runs: lazy F2 at cap
+# 9 (757 edges per piece) 0.36 -> 0.48 ms, cap 10 (2,036) 1.08 -> 0.74 ms,
+# cap 11 (5,210) 3.31 -> 1.59 ms; Z^2*Z/3 (configs/z2-z3-lazy.json) at cap 7
+# (189) 0.22 -> 0.94 ms, cap 8 (561) 0.73 -> 1.27 ms, cap 9 (1,681) 3.48 ->
+# 2.54 ms.  The d_mu = 2 walk {e, ab, BA, a^2, B} breaks into runs of about
+# four edges at every cap.
+_RUN_EDGES = 1 << 10  # at least 1
 # Peak bytes per table element of a BallTable build, which ends with its step
-# adjacency, and one unbounded float64 step, under tracemalloc: 73.4 B on
-# lazy F2 at cap 12 (1,062,881 elements, five support columns), rounded up.
-# A block layout keeps 4 B more per element; its build peaks at 72.1 B and
-# a block step, with no column-sized temporary, at 73.6 B, so the constant
-# stays.  It does not cover Green fields, pair matrices, Python-int levels
-# or more support columns; the CLI turns --memory-cap into an element
-# budget with it.
+# adjacency and runs, and one unbounded float64 step, under tracemalloc, on
+# lazy F2 at cap 12 (1,062,881 elements, five support columns): the build
+# peaks at 66.0 B, a runs step, with no column-sized temporary, at 68.3 B,
+# and an np.add.at step at 73.3 B, rounded up.  It does not cover Green
+# fields, pair matrices, Python-int levels or more support columns; the CLI
+# turns --memory-cap into an element budget with it.
 TABLE_BYTES_PER_ELEMENT = 75
 
 
@@ -182,6 +183,26 @@ def _merge_runs(a, b):
     return keys, kid
 
 
+def _runs(col: np.ndarray, most: int) -> tuple[np.ndarray, ...] | None:
+    """The run pieces (src, tgt, length) of a neighbour array, whose entry i
+    is the target of source i or -1, as int arrays: ids src + i go to
+    tgt + i for i < length, sources ascending.  A run longer than _CHUNK ids
+    is cut into pieces of at most _CHUNK, so one step buffer holds a piece.
+    None, before any per-run array exists, when there are more than `most`
+    runs."""
+    on = col >= 0
+    joins = on[:-1] & (col[1:] == col[:-1] + 1)  # i + 1 extends i's run
+    start = on & np.r_[True, ~joins]
+    if np.count_nonzero(start) > most:
+        return None
+    start = np.flatnonzero(start)
+    length = np.flatnonzero(on & np.r_[~joins, True]) + 1 - start
+    cuts = -(-length // _CHUNK)
+    off = (np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts)) * _CHUNK
+    src = np.repeat(start, cuts) + off
+    return src, col[src], np.minimum(np.repeat(length, cuts) - off, _CHUNK)
+
+
 class _KeyIndex:
     """Trie keys and their ids as sorted runs with disjoint keys, oldest
     first.
@@ -229,9 +250,11 @@ class BallTable:
     The table is a trie over syllable normal forms: every element but the
     identity is its parent (itself without its last syllable) times one
     syllable of a finite alphabet, and parents have smaller ids.  Ids follow
-    the breadth-first discovery order: sources by id, then support index,
-    then syllable index inside a multi-syllable step, whose intermediate
-    products are interned too.
+    breadth-first generations: generation g + 1 is what the support steps
+    from generation g's elements discover, intermediate products of a
+    multi-syllable step included, and within it ids go by support column,
+    then syllable depth, then source id, each element at its first
+    discovery.
 
     Attributes
     ----------
@@ -242,10 +265,15 @@ class BallTable:
         len(syllables))
     wl, rel, maxfac : per-id int32 arrays (word length, relative length,
         max factor word length over syllables)
+    runs : per stored support column (from _first() on), the lists
+        (src, tgt, length) of its run pieces: ids src + i go to tgt + i for
+        i < length, sources ascending, each piece at most _CHUNK ids; None
+        when the columns average fewer than _RUN_EDGES edges per piece, and
+        the table steps by `np.add.at`.
 
     The step relation g -> g * support_j is held once, as the compact
-    `adjacency` that the build ends with; the (src, tgt) `columns` are
-    derived from it only when asked for.
+    `adjacency` that the build ends with, beside its runs; the (src, tgt)
+    `columns` are derived from it only when asked for.
     """
 
     def __init__(self, group: FreeProduct, support: Sequence[GroupElement], cap: int,
@@ -263,7 +291,6 @@ class BallTable:
         )
         self.d_mu = max((group.word_length(g) for g in self.support), default=0)
         self._cols = None
-        self._blocks: BlockLayout | None = None
         self._reach: dict[int, int] = {}  # prefix bound -> bound on its one-step image
         self._wl_end: dict[int, int] = {}  # word-length bound -> id bound
         self._inv_perm: np.ndarray | None = None
@@ -273,79 +300,75 @@ class BallTable:
     # -- construction -------------------------------------------------------
 
     def _products(self):
-        """The product step as small tables, one per syllable depth k.
+        """The product step as small tables, one list per support column
+        with one (factor, syl, merge, fit, cancel) per syllable of its step.
 
-        Depth k's (js, syl, merge, fit, cancel) covers the support columns
-        js whose step has a k-th syllable.  Row r, column i is the product
-        of an element whose last syllable has code r (the empty code for e,
-        len(syllables) + 1 for a dead cell) with column js[i]'s k-th
-        syllable y: `merge` when y joins the last syllable, so the
-        product's parent is the element's parent, else the element; `syl`
-        the product's last code, _ZERO when y cancels the last syllable
-        (`cancel`: the product is the parent) and _OUT beyond the alphabet;
-        `fit` the largest word length of an element whose product stays in
-        the cap, -1 when none does.
+        Entry k of column j holds the factor of the step's k-th syllable y
+        and arrays indexed by the code of an element's last syllable (the
+        empty code for e, len(syllables) + 1 for a dead cell) that describe
+        the product with y: `merge`
+        when y joins the last syllable, so the product's parent is the
+        element's parent, else the element; `syl` the product's last code,
+        _ZERO when y cancels the last syllable (`cancel`: the product is the
+        parent) and _OUT beyond the alphabet; `fit` the largest word length
+        of an element whose product stays in the cap, -1 when none does.
         """
         ys = [s for g in self.support for s in g.syllables]
         rows = _merge_rows(self.group, self._code, list(self.syllables) + [None], ys)
         rows = np.vstack([rows.T, np.full((1, len(ys)), _OUT, dtype=np.int32)])
         # per row, the last syllable's factor and length; the empty code and
         # the dead row have factor 0, so they merge with nothing
-        fac = np.r_[self._fac, 0][:, None]
+        fac = np.r_[self._fac, 0]
         slen = np.r_[self._len, 0].astype(np.int64)  # so that cap - grow cannot wrap
         cap = min(self.cap, _INT32_MAX)  # word lengths are int32: no larger cap matters
-        ycol = np.cumsum([0] + [len(g.syllables) for g in self.support])
-        tables = []
-        for k in range(max(np.diff(ycol), default=0)):
-            js = [j for j, g in enumerate(self.support) if len(g.syllables) > k]
-            at = ycol[js] + k
-            y = [ys[i] for i in at]
-            yfac = np.array([s.factor for s in y], dtype=np.int32)
-            ycode = np.array([self._code.get(s, -1) for s in y], dtype=np.int32)
-            ylen = np.array([self.group.factor_word_length(*s) for s in y], dtype=np.int32)
-            merge = fac == yfac
-            syl = np.where(merge, rows[:, at], ycode).astype(np.int32)
-            grow = np.where(merge, slen[np.maximum(syl, 0)] - slen[:, None], ylen)
-            fit = np.where(syl >= 0, np.minimum(cap - grow, _INT32_MAX), -1).astype(np.int32)
-            fit[-1] = -1  # dead cells
-            tables.append((js, syl, merge, fit, syl == _ZERO))
+        tables, at = [], 0
+        for g in self.support:
+            steps = []
+            for y in g.syllables:
+                merge = fac == y.factor
+                syl = np.where(merge, rows[:, at], self._code.get(y, -1)).astype(np.int32)
+                grow = np.where(merge, slen[np.maximum(syl, 0)] - slen,
+                                self.group.factor_word_length(*y))
+                fit = np.where(syl >= 0, np.minimum(cap - grow, _INT32_MAX), -1).astype(np.int32)
+                fit[-1] = -1  # dead cells
+                steps.append((y.factor, syl, merge, fit, syl == _ZERO))
+                at += 1
+            tables.append(steps)
         return tables
 
     def _build(self, max_elements):
-        """Grow the trie breadth first, expanding sources in passes of about
-        _PASS cells (one cell is one source times one syllable step).
+        """Grow the trie breadth first, one generation at a time.
 
-        A pass runs the support steps syllable by syllable over all its
-        sources at once, reading each product off the `_products` table of
-        its last syllable and the step: a pop to the parent, or a
+        A generation's sources are the ids [lo, top) known when it starts.
+        It runs the support columns in order, each step syllable by
+        syllable, over chunks of at most _PASS of its sources (one cell is
+        one source times one syllable step), reading each product off the
+        `_products` table of its last syllable: a pop to the parent, or a
         (parent, code) key that is looked up among the known elements or
-        interned.  At the first syllable the cells are the pass's sources
+        interned.  At the first syllable the cells are the sources
         themselves, so their codes, parents and word lengths are slices.
-        New elements are numbered by their first discovery; their keys come
-        out of the pass's sort already sorted (a pass that renumbers its
-        new elements sorts their keys again) and join a `_KeyIndex` of
-        sorted runs, and a pass that interns nothing adds none.  The ids do
-        not depend on the pass size.  The per-id arrays get room for the
-        pass's new elements before it starts and are trimmed to the table at
-        the end.  One neighbour array per stored support column j holds the
-        ids of element_i * support_j (-1 beyond the cap) until the build
-        ends by turning it into that column of the step adjacency and
-        dropping it.
+        New elements are numbered by their first discovery in that order
+        (generation, column, syllable depth, source), so the ids do not
+        depend on the chunk size.  A product's last syllable lies in the
+        factor of its step syllable, so keys are indexed per factor: a
+        chunk's keys come out of its sort already sorted and join its
+        factor's `_KeyIndex` of sorted runs, the only one it searches; the
+        build ends by merging them into one.  The per-id arrays get room for
+        a chunk's new elements before it starts and are trimmed to the table
+        at the end.  One neighbour array per stored support column j holds
+        the ids of element_i * support_j (-1 beyond the cap), and the
+        partial products of its step while the generation runs, until the
+        build ends by deriving that column's runs and its part of the step
+        adjacency and dropping it.
         """
         stride, slen = self._stride, self._len
-        products = self._products()
-        K, depth = len(self.support), len(products)
-        # discovery position of (support j, syllable k) within one source
-        offset = np.cumsum([0] + [len(g.syllables) for g in self.support])
-        span = int(offset[-1])
-        per_pass = max(1, _PASS // max(1, span))  # sources per pass
-
+        products = self._products()[self._first():]
         parent = np.full(1, -1, dtype=np.int32)
         code = np.full(1, stride - 1, dtype=np.int32)
         wl, rel, maxfac = (np.zeros(1, dtype=np.int32) for _ in range(3))
         per_id = (parent, code, wl, rel, maxfac)
-        nbr = [np.empty(0, dtype=np.int32) for _ in range(self._first(), K)]
-        index = _KeyIndex()
+        nbr = [np.empty(0, dtype=np.int32) for _ in products]
+        index = {f: _KeyIndex() for f in range(1, self.group.num_factors + 1)}
 
         def check_budget(count):
             if max_elements is not None and count > max_elements:
@@ -354,96 +377,80 @@ class BallTable:
         check_budget(1)
         n, lo = 1, 0
         while lo < n:
-            hi, start = min(n, lo + per_pass), n
-            room = n + (hi - lo) * span  # each cell interns at most one element
-            if len(parent) < room:
-                # grown here, before the pass's temporaries exist: grown among
-                # them, the arrays were copied past them and left heap holes
-                for a in per_id:
-                    a.resize(room, refcheck=False)
-            cur = np.repeat(np.arange(lo, hi, dtype=np.int32)[:, None], K, axis=1)
-            runs = _KeyIndex()  # this pass's new elements
-            pos_min = np.empty(0, dtype=np.int64)  # first discovery of each new element
-            for k, (js, syl, merge, fit, cancel) in enumerate(products):
-                nc = len(js)
-                if k == 0:  # every cell is alive, a source: per-source slices
-                    last, up = code[lo:hi], parent[lo:hi]
-                    fl = np.flatnonzero(wl[lo:hi, None] <= np.take(fit, last, axis=0))
-                    pop = np.flatnonzero(np.take(cancel, last, axis=0))
-                    res = np.full((hi - lo, nc), -1, dtype=np.int32)
-                    res.flat[pop] = up[pop // nc]
-                    row, ci = np.divmod(fl, nc)
-                    kind, at, up = last[row] * nc + ci, row + lo, up[row]
-                else:
-                    at = cur[:, js]
-                    kind = code[at]
-                    kind[at < 0] = stride  # the dead row; as wl >= 0, no dead cell fits
-                    kind = kind * nc + np.arange(nc)
-                    fl = np.flatnonzero(wl[at] <= np.take(fit, kind))
-                    pop = np.flatnonzero(np.take(cancel, kind))
-                    res = np.full_like(at, -1)
-                    res.flat[pop] = parent[at.flat[pop]]
-                    row, ci = np.divmod(fl, nc)
-                    kind, at = kind.flat[fl], at.flat[fl]
-                    up = parent[at]
-                # the cells to look up (fl), in discovery order, and their keys
-                key = np.multiply(np.where(np.take(merge, kind), up, at), stride, dtype=np.int64)
-                key += np.take(syl, kind)
-                del pop, kind, at, up
-                uq, first, inv = np.unique(key, return_index=True, return_inverse=True)
-                del key
-                got = np.maximum(index.find(uq), runs.find(uq))
-                fresh = got < 0
-                new = np.flatnonzero(fresh)
-                new = new[np.argsort(first[new], kind="stable")]
-                check_budget(n + len(new))
-                got[new] = np.arange(n, n + len(new))
-                p, s = np.divmod(uq[new], stride)
-                added = slice(n, n + len(new))
-                parent[added] = p
-                code[added] = s
-                wl[added] = wl[p] + slen[s]
-                rel[added] = rel[p] + 1
-                maxfac[added] = np.maximum(maxfac[p], slen[s])
-                n += len(new)
-                if len(new):
-                    runs.add(uq[fresh], got[fresh].astype(np.int32))
-                got = got[inv]
-                res.flat[fl] = got
-                cur[:, js] = res
-                if depth > 1:
-                    # stage by stage is not discovery order: keep each new
-                    # element's first (source, support, syllable) position
-                    pos = row * span + offset[js][ci] + k
-                    pos_min = np.concatenate(
-                        [pos_min, np.full(len(new), np.iinfo(np.int64).max)])
-                    hit = got >= start
-                    np.minimum.at(pos_min, got[hit] - start, pos[hit])
-            if depth > 1:
-                order = np.argsort(pos_min, kind="stable")
-                if (order != np.arange(len(order))).any():
-                    self._renumber(per_id, cur, start, order)
-                    # a renumbered parent changes its children's keys
-                    keys = parent[start:n].astype(np.int64) * stride + code[start:n]
-                    order = np.argsort(keys)
-                    runs = _KeyIndex()
-                    runs.add(keys[order], (start + order).astype(np.int32))
-            for j, col in enumerate(nbr, K - len(nbr)):
-                if len(col) < hi:
-                    # while passes intern, rows only for this pass's sources keep
-                    # the key merges' peak low; after, rows for every known element
-                    col.resize(hi if n > start else n, refcheck=False)
-                col[lo:hi] = cur[:, j]
-            index.add(*runs.merged())
-            lo = hi
+            top = n
+            for col, steps in zip(nbr, products):
+                col.resize(top, refcheck=False)
+                if not steps:  # the identity, where it is not support element 0
+                    col[lo:top] = np.arange(lo, top)
+                for k, (f, syl, merge, fit, cancel) in enumerate(steps):
+                    for a in range(lo, top, _PASS):
+                        b = min(top, a + _PASS)
+                        if len(parent) < n + b - a:  # each cell interns at most one element
+                            # grown here, before the chunk's temporaries exist:
+                            # grown among them, the arrays were copied past them
+                            # and left heap holes
+                            for arr in per_id:
+                                arr.resize(n + b - a, refcheck=False)
+                        if k == 0:  # every cell is alive, a source: slices
+                            last, up = code[a:b], parent[a:b]
+                            fl = np.flatnonzero(wl[a:b] <= fit[last])
+                            pop = np.flatnonzero(cancel[last])
+                            res = np.full(b - a, -1, dtype=np.int32)
+                            res[pop] = up[pop]
+                            last, at, up = last[fl], fl + a, up[fl]
+                        else:
+                            at = col[a:b]
+                            last = code[at]
+                            last[at < 0] = stride  # the dead row; as wl >= 0, no dead cell fits
+                            fl = np.flatnonzero(wl[at] <= fit[last])
+                            pop = np.flatnonzero(cancel[last])
+                            res = np.full(b - a, -1, dtype=np.int32)
+                            res[pop] = parent[at[pop]]
+                            last, at = last[fl], at[fl]
+                            up = parent[at]
+                        # the cells to look up (fl), in discovery order, and their keys
+                        key = np.multiply(np.where(merge[last], up, at), stride, dtype=np.int64)
+                        key += syl[last]
+                        del pop, last, at, up
+                        uq, first, inv = np.unique(key, return_index=True, return_inverse=True)
+                        del key
+                        got = index[f].find(uq)
+                        fresh = got < 0
+                        new = np.flatnonzero(fresh)
+                        new = new[np.argsort(first[new])]
+                        check_budget(n + len(new))
+                        got[new] = np.arange(n, n + len(new))
+                        p, s = np.divmod(uq[new], stride)
+                        added = slice(n, n + len(new))
+                        parent[added] = p
+                        code[added] = s
+                        wl[added] = wl[p] + slen[s]
+                        rel[added] = rel[p] + 1
+                        maxfac[added] = np.maximum(maxfac[p], slen[s])
+                        n += len(new)
+                        index[f].add(uq[fresh], got[fresh].astype(np.int32))
+                        res[fl] = got[inv]
+                        col[a:b] = res
+            lo = top
         self.size = n
-        for a in per_id:
-            a.resize(n, refcheck=False)
+        for arr in per_id:
+            arr.resize(n, refcheck=False)
         self.parent, self.code, self.wl, self.rel, self.maxfac = per_id
-        self._keys, self._kid = index.merged()
-        self._adj = []
-        while nbr:  # each column's neighbour array goes as its adjacency comes
+        whole = _KeyIndex()
+        while index:
+            whole.add(*index.popitem()[1].merged())
+        self._keys, self._kid = whole.merged()
+        self._adj, runs, pieces = [], [], 0
+        most = len(nbr) * n // _RUN_EDGES  # more pieces cannot average _RUN_EDGES edges
+        while nbr:  # each column's neighbour array goes as its runs and adjacency come
             col = nbr.pop(0)
+            if runs is not None:
+                got = _runs(col, most - pieces)
+                if got is None:
+                    runs = None
+                else:
+                    runs.append(got)
+                    pieces += len(got[0])
             out = col < 0
             d = int(out.argmax()) if out.any() else n
             tail = d + np.flatnonzero(col[d:] >= 0)
@@ -451,21 +458,10 @@ class BallTable:
             tgt[:d] = col[:d]
             tgt[d:] = col[tail]
             self._adj.append((d, tail, tgt))
-
-    @staticmethod
-    def _renumber(per_id, cur, start, order):
-        """Renumber the pass's new elements (ids from `start`) so that
-        new id start + r goes to the element order[r]."""
-        end = start + len(order)
-        new_id = np.empty(len(order), dtype=np.int64)
-        new_id[order] = np.arange(start, end)
-        for a in per_id:
-            a[start:end] = a[start:end][order]
-        parent = per_id[0][start:end]
-        moved = parent >= start
-        parent[moved] = new_id[parent[moved] - start]
-        moved = cur >= start
-        cur[moved] = new_id[cur[moved] - start]
+        edges = sum(len(tgt) for _, _, tgt in self._adj)
+        self.runs = None
+        if runs is not None and pieces * _RUN_EDGES <= edges:
+            self.runs = [tuple(a.tolist() for a in piece) for piece in runs]
 
     def _first(self) -> int:
         """1 when support element 0 is the identity (its column is the
@@ -481,8 +477,8 @@ class BallTable:
         d is the first id whose product leaves the table; `tail` holds the
         sources from d on, and `tgt` (int64) the targets of all sources in
         order.  On a breadth-first table d covers the inner ball, so only the
-        outer shell stores its source ids.  The build leaves it, the table's
-        only copy of the step relation.
+        outer shell stores its source ids.  The build leaves it; a table's
+        `runs`, when it has them, hold the same relation.
         """
         return self._adj
 
@@ -528,12 +524,6 @@ class BallTable:
             inside = self.wl[::-1] <= b
             r = self._wl_end[b] = self.size - int(inside.argmax()) if inside.any() else 0
         return r
-
-    def blocks(self) -> BlockLayout:
-        """The table's block layout, built on the first call and kept."""
-        if self._blocks is None:
-            self._blocks = BlockLayout(self)
-        return self._blocks
 
     # -- element <-> id -------------------------------------------------------
 
@@ -649,91 +639,6 @@ class BallTable:
         return np.nonzero(mask)[0].astype(np.int32)
 
 
-class BlockLayout:
-    """A BallTable's ids renumbered in block order, for DPs that step the
-    whole table (`level_table`).
-
-    Block order is word-length major, and within one word length sorted by
-    (last syllable code, block id of the parent); block id 0 is e.  On a
-    free product an element's cone type is fixed by its last syllable, so
-    right multiplication by a support element sends long ranges of
-    consecutive block ids onto consecutive block ids: a stored support
-    column is a few dozen to a few hundred runs, not one index pair per
-    edge (lazy F2 at cap 11: 168 runs for 708,584 edges).  The ids of word
-    length <= b are a prefix, so a word-length bound cuts one slice.
-
-    Attributes
-    ----------
-    table : the BallTable; size, cap and d_mu are its own
-    pos : int32, the block id of each table id
-    runs : per stored support column (from _first() on), the lists
-        (src, tgt, length) of its pieces: block ids src + i go to tgt + i
-        for i < length, sources ascending.  A run longer than _CHUNK ids is
-        cut into pieces of at most _CHUNK, so one step buffer holds a piece.
-    """
-
-    def __init__(self, table: BallTable):
-        self.table = table
-        self.size, self.cap, self.d_mu = table.size, table.cap, table.d_mu
-        n = table.size
-        self._ends = np.cumsum(np.bincount(table.wl)).tolist()  # shell ends, by word length
-        self.pos = pos = self._block_ids(table, self._ends)
-        self.runs = []
-        tgt_of = np.empty(n, dtype=np.int32)  # block source -> block target, -1 for none
-        for d, tail, tgt in table.adjacency():
-            tgt_of.fill(-1)
-            tgt_of[pos[:d]] = pos[tgt[:d]]
-            tgt_of[pos[tail]] = pos[tgt[d:]]
-            on = tgt_of >= 0
-            joins = on[:-1] & (tgt_of[1:] == tgt_of[:-1] + 1)  # i + 1 extends i's run
-            start = np.flatnonzero(on & np.r_[True, ~joins])
-            length = np.flatnonzero(on & np.r_[~joins, True]) + 1 - start
-            del on, joins
-            cuts = -(-length // _CHUNK)
-            off = (np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts)) * _CHUNK
-            src = np.repeat(start, cuts) + off
-            self.runs.append((src.tolist(), tgt_of[src].tolist(),
-                              np.minimum(np.repeat(length, cuts) - off, _CHUNK).tolist()))
-
-    @staticmethod
-    def _block_ids(table: BallTable, ends: list[int]) -> np.ndarray:
-        """Block id of every table id: shell by shell (word length), sorted by
-        (code, block id of the parent); one argsort per shell."""
-        n = table.size
-        order = np.argsort(table.wl, kind="stable").astype(np.int32)  # block id -> table id
-        pos = np.empty(n, dtype=np.int32)
-        lo = 0
-        for hi in ends:
-            part = order[lo:hi]
-            if lo:  # the shell of word length 0 is e alone; parents lie in earlier shells
-                key = table.code[part].astype(np.int64)
-                key *= n
-                key += pos[table.parent[part]]  # (parent, code) keys are unique
-                key = np.argsort(key)
-                part[:] = part[key]
-            pos[part] = np.arange(lo, hi)
-            lo = hi
-        return pos
-
-    def _first(self) -> int:
-        return self.table._first()
-
-    def columns(self):
-        """The table's `columns()`, in table ids."""
-        return self.table.columns()
-
-    def wl_end(self, b: int) -> int:
-        """One past the last block id of word length <= b (0 if there is none)."""
-        ends = self._ends
-        return 0 if b < 0 else self.size if b >= len(ends) else ends[b]
-
-    def reach(self, h: int) -> int:
-        """Exclusive block-id bound on the ids [0, h) and their one-step
-        images: the end of the shell d_mu word lengths past the last of
-        them (word-length tight, not edge tight)."""
-        return self.wl_end(bisect_left(self._ends, h) + self.d_mu) if h > 0 else 0
-
-
 def pair_ids(table: BallTable, elems: Sequence[GroupElement]) -> np.ndarray:
     """Table ids of g_i^-1 g_j for all pairs of a prefix-closed element list
     (each element's syllable prefix is in the list); -1 where the product
@@ -810,10 +715,8 @@ def integer_weights(int_weights: Sequence[int], steps: int) -> np.ndarray:
     return np.array(int_weights, dtype=float if fits else object)
 
 
-def _step(table: BallTable | BlockLayout, w: np.ndarray, col_weights,
-          bound: int | None) -> np.ndarray:
-    """One level of the DP: nw[g s_j] += w[g] * col_weights[j] over the table,
-    in its own ids or, on a `BlockLayout`, in block ids.
+def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np.ndarray:
+    """One level of the DP: nw[g s_j] += w[g] * col_weights[j] over the table.
 
     w is the prefix [0, hi) of a level that is zero from hi = len(w) on (the
     whole level when hi = table.size); the new level is table-sized and zero
@@ -821,23 +724,22 @@ def _step(table: BallTable | BlockLayout, w: np.ndarray, col_weights,
     support-column order, starting from 0: right multiplication by s_j is
     injective, so a column hits each target at most once.  The identity
     column (support element e, first when present) is the identity map, so
-    it starts the sum as w * c_0.  On a BallTable every other column reads
-    the adjacency its build left: its dense prefix scales w[:min(d, hi)]
-    with no gather, then its tail's sources below hi are gathered, and
-    `np.add.at` adds both into nw in edge order.  On a BlockLayout each run
-    piece below hi adds w[src:src+l] * c_j into nw[tgt:tgt+l] through one
-    buffer of _CHUNK entries: the same products added in the same column
-    order, so both give the same level bit for bit.  The edges left out
-    would add exact zeros.  A bound only zeroes the targets beyond it, after
-    the step: in block ids those are one slice.
+    it starts the sum as w * c_0.  On a table with `runs` every other
+    column adds, piece by piece below hi, w[src:src+l] * c_j into
+    nw[tgt:tgt+l] through one buffer of _CHUNK entries.  On any other table
+    each column reads the adjacency its build left: its dense prefix scales
+    w[:min(d, hi)] with no gather, then its tail's sources below hi are
+    gathered, and `np.add.at` adds both into nw in edge order.  Both add the
+    same products in the same column order, so both give the same level bit
+    for bit; the edges left out would add exact zeros.  A bound only zeroes
+    the targets beyond it, after the step.
     """
     hi = len(w)
     first = table._first()
-    blocked = isinstance(table, BlockLayout)
     nw = np.zeros(table.size, dtype=w.dtype)
     if first:
         np.multiply(w, col_weights[0], out=nw[:hi])
-    if blocked:
+    if table.runs is not None:
         buf = np.empty(min(hi, _CHUNK), dtype=w.dtype)
         for (src, tgt, length), cj in zip(table.runs, col_weights[first:]):
             if cj == 0:
@@ -861,10 +763,7 @@ def _step(table: BallTable | BlockLayout, w: np.ndarray, col_weights,
     # the table cap already enforces any bound at least as large
     if bound is not None and bound < table.cap:
         top = table.reach(hi)
-        if blocked:
-            nw[table.wl_end(bound):top] = 0  # an int, as in pull_back
-        else:
-            nw[:top][table.wl[:top] > bound] = 0
+        nw[:top][table.wl[:top] > bound] = 0  # an int, as in pull_back
     return nw
 
 
@@ -881,16 +780,15 @@ def _level_bound(t: int, horizon: int | None, radius: int, d_mu: int) -> int | N
     return b if b is not None and b < t * d_mu else None
 
 
-def _next_hi(table: BallTable | BlockLayout, hi: int, b: int | None) -> int:
+def _next_hi(table: BallTable, hi: int, b: int | None) -> int:
     """The id bound of the level after one with id bound hi, under bound b."""
     return table.reach(hi) if b is None else min(table.reach(hi), table.wl_end(b))
 
 
-def levels(table: BallTable | BlockLayout, weights: Iterable, n_steps: int,
-           horizon: int | None = None, radius: int = 0) -> Iterator[tuple[np.ndarray, int]]:
+def levels(table: BallTable, weights: Iterable, n_steps: int, horizon: int | None = None,
+           radius: int = 0) -> Iterator[tuple[np.ndarray, int]]:
     """The levels (mu^{*t}, hi_t), t = 0..n_steps, of the walk from e over
-    the table, in its ids, or in block ids when handed its `BlockLayout`
-    (`level_table` chooses; id 0 is e in both).
+    the table, in its ids.
 
     Each level is a table-sized array that is zero from the id hi_t on:
     hi_0 = 1, and hi_t = min(reach(hi_{t-1}), wl_end(b_t)), since a step
@@ -915,28 +813,6 @@ def levels(table: BallTable | BlockLayout, weights: Iterable, n_steps: int,
         w = _step(table, w[:hi], cols, b)
         hi = _next_hi(table, hi, b)
         yield w, hi
-
-
-def level_table(table: BallTable, n_steps: int, horizon: int | None = None,
-                radius: int = 0) -> BallTable | BlockLayout:
-    """What `levels` should run this DP on: the table's `blocks()` when the
-    table has at least _BLOCK_MIN_IDS ids and some step of the DP reads the
-    whole table, else the table itself.  A DP run on the layout reads its
-    levels at block ids (`BlockLayout.pos`).
-
-    Fields, absorbed profiles and Green pair series ask: their orders run
-    past the cap.  Return numbers, pairings and distributions run on a
-    `reach_cap` table that their levels fill only in the last step or two,
-    where a layout, 6 to 16 breadth-first steps to build, cannot pay; they
-    do not ask and stay in table ids.
-    """
-    if table.size >= _BLOCK_MIN_IDS:
-        hi = 1
-        for t in range(1, n_steps + 1):
-            if hi == table.size:
-                return table.blocks()
-            hi = _next_hi(table, hi, _level_bound(t, horizon, radius, table.d_mu))
-    return table
 
 
 def _exact_dots(a: np.ndarray, b: np.ndarray) -> int:
@@ -1003,17 +879,14 @@ def green_field(table: BallTable, weights: Iterable, order: int,
     "last_levels": [(t, mu^{*t}) for the last three t]} computed in one DP
     pass; the e_series gives the (radius-truncated) return weights, and the
     last levels, kept once for every r, feed per-element tail estimates
-    through their terms (r ** t) * mu^{*t}.  A DP run in block ids
-    (`level_table`) puts its arrays back in table ids at the end, one at a
-    time through the one spare array.
+    through their terms (r ** t) * mu^{*t}.
     """
     rs = list(r_values)
-    view = level_table(table, order)
     acc = {r: np.zeros(table.size) for r in rs}
     e_series: list[float] = []
     last_levels: list[tuple[int, np.ndarray]] = []
     spare = np.empty(table.size)  # r^t mu^{*t} on the prefix, for every r and t
-    for t, (w, hi) in enumerate(levels(view, weights, order)):
+    for t, (w, hi) in enumerate(levels(table, weights, order)):
         e_series.append(float(w[0]))
         term = spare[:hi]
         for r in rs:
@@ -1021,13 +894,6 @@ def green_field(table: BallTable, weights: Iterable, order: int,
             acc[r][:hi] += term
         if t >= order - 2:
             last_levels.append((t, w))
-    if view is not table:
-        for r in rs:  # mode="clip": with "raise", take buffers its output
-            np.take(acc[r], view.pos, out=spare, mode="clip")
-            acc[r], spare = spare, acc[r]
-        for i, (t, w) in enumerate(last_levels):
-            np.take(w, view.pos, out=spare, mode="clip")
-            last_levels[i], spare = (t, spare), w
     return {"final": acc, "e_series": e_series, "last_levels": last_levels}
 
 
@@ -1039,12 +905,10 @@ def absorbed_profile(table: BallTable, weights: Iterable, absorb_ids: np.ndarray
     step n >= 1 and recording it: profile[n - 1, i] is the mass absorbed at
     absorb_ids[i] at time n.
     """
-    view = level_table(table, horizon)
     absorb_ids = np.asarray(absorb_ids, dtype=np.int64)
-    at = absorb_ids if view is table else view.pos[absorb_ids]
     prof = np.zeros((horizon, len(absorb_ids)))
-    for t, (w, _) in enumerate(levels(view, weights, horizon)):
+    for t, (w, _) in enumerate(levels(table, weights, horizon)):
         if t:
-            prof[t - 1] = w[at]
-            w[at] = 0.0  # in place: the next step starts without it
+            prof[t - 1] = w[absorb_ids]
+            w[absorb_ids] = 0.0  # in place: the next step starts without it
     return prof

@@ -180,10 +180,8 @@ def _target_series(measure: Measure, targets: Sequence[GroupElement], order: int
     table = measure.table(radius)
     tids = table.ids_of(targets)
     reach = int(table.wl[tids[tids >= 0]].max(initial=0))  # targets outside read 0
-    view = engine.level_table(table, order, horizon=order, radius=reach)
-    at = tids if view is table else view.pos[tids]
-    cols = np.array([w[at] for w, _ in engine.levels(
-        view, measure.entries.values(), order, horizon=order, radius=reach)])
+    cols = np.array([w[tids] for w, _ in engine.levels(
+        table, measure.entries.values(), order, horizon=order, radius=reach)])
     cols[:, tids < 0] = 0.0
     return {w: col.tolist() for w, col in zip(targets, cols.T)}
 

@@ -119,10 +119,20 @@ def test_moduli_and_kind_give_the_same_group():
     ({"moduli": 2}, "group[2].moduli: expected a nonempty list of ints"),
     ({"kind": "finite-cyclic", "order": 3, "moduli": [3]}, "group[2]: expected moduli or a known"),
     ({"kind": "cyclic", "order": 3}, "group[2]: expected moduli or a known factor kind"),
+    ({"kind": "free-abelian", "rnak": 2},
+     "group[2].rnak: not a key of a free-abelian factor, which reads kind, rank, gens"),
+    ({"kind": "finite-cyclic", "order": 3, "rank": 2},
+     "group[2].rank: not a key of a finite-cyclic factor, which reads kind, order, gens"),
+    ({"moduli": [3], "order": 3},
+     "group[2].order: not a key of a moduli factor, which reads moduli, gens"),
+    ({"kind": "free-abelian", "gens": "b"}, "group[2].gens: expected a list of strings, got 'b'"),
+    ({"moduli": [0], "gens": [1]}, "group[2].gens: expected a list of strings, got [1]"),
 ])
 def test_bad_factor_field_exits_one_with_manifest(tmp_path, capsys, factor, message):
-    """rank 1.5 and true once ran as Z^1, and order 3.7 as Z/3."""
-    path = write_config(tmp_path, group=[CONFIG["group"][0], dict(factor, gens=["b"])])
+    """rank 1.5 and true once ran as Z^1, and order 3.7 as Z/3; so did a
+    misspelt rank, as Z^1, and an order with a rank, as Z/3, and gens given
+    as a string was split into letters."""
+    path = write_config(tmp_path, group=[CONFIG["group"][0], dict({"gens": ["b"]}, **factor)])
     out = tmp_path / "o"
     assert main(["validate", path, "--out", str(out)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
@@ -500,7 +510,22 @@ def test_negative_or_non_finite_r_grid_exits_one_with_manifest(tmp_path, capsys,
 
 
 def test_r_grid_fraction_above_one_is_allowed(config_path, tmp_path):
-    assert run("green", config_path, tmp_path / "o", "--r-grid", "1.25") == 0
+    """r = 1.2 R-hat stays below the certified upper bound on R at n_max 12
+    (1.3241 against R-hat = 1.0778, a fraction of 1.2285)."""
+    assert run("green", config_path, tmp_path / "o", "--r-grid", "1.2") == 0
+
+
+@pytest.mark.parametrize("cmd", ["green", "identities", "parabolic", "ancona"])
+def test_r_grid_fraction_above_the_certified_bound_exits_one(config_path, tmp_path, capsys,
+                                                             cmd):
+    """r = 1.25 R-hat lies above the certified upper bound on R at n_max 12,
+    where G(e, e | r) diverges: refused, naming the fraction and the bound."""
+    out = tmp_path / "o"
+    assert run(cmd, config_path, out, "--r-grid", "0.5,1.25") == 1
+    err = capsys.readouterr().err
+    assert "config error: r_grid: fraction 1.25 gives r = " in err
+    assert "above the certified upper bound 1.324" in err and "(n_max 12)" in err
+    assert json.loads((out / "manifest.json").read_text())["exit_status"] == 1
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -1,10 +1,10 @@
-"""BallTable against an independent queue-BFS builder and against itself
-built in passes of other sizes, the trie lookups and inversion, the step
-adjacency, `reach` and `subgroup_ids` against the queue-BFS step matrix,
-the DP step against the column-by-column bincount kernel, the exact pairing
-against Python big ints, the level driver against the callback loop it
-replaced, every exact DP against the Fraction dict DP it replaced, and the
-build's memory."""
+"""BallTable against an independent breadth-first builder and against
+itself built in chunks of other sizes, the trie lookups and inversion, the
+step adjacency, its runs, `reach` and `subgroup_ids` against the reference
+step matrix, both DP step paths against the column-by-column bincount
+kernel and each other, the exact pairing against Python big ints, the
+level driver against the callback loop it replaced, every exact DP against
+the Fraction dict DP it replaced, and the build's memory."""
 
 import ast
 import math
@@ -64,27 +64,34 @@ def return_bound(t: int, n_max: int, d_mu: int) -> int | None:
 
 
 def reference_table(group, support, cap):
-    """Queue BFS over normal forms, one syllable at a time; every
-    intermediate product inside the cap is interned when first met."""
+    """Breadth-first generations over normal forms, one syllable at a time:
+    generation g + 1 is what the support steps from generation g's elements
+    discover, numbered by support column, then syllable depth, then source;
+    every intermediate product inside the cap is interned when first met."""
     ids = {group.identity: 0}
     elems = [group.identity]
     nbr = []
-    i = 0
-    while i < len(elems):
-        row = []
+    lo = 0
+    while lo < len(elems):
+        top = len(elems)
+        rows = [[] for _ in range(lo, top)]
         for g in support:
-            cur = elems[i]
+            cur = elems[lo:top]  # each source's partial product, None once beyond the cap
             for syl in g.syllables:
-                cur = group.multiply(cur, GroupElement((syl,)))
-                if group.word_length(cur) > cap:
-                    cur = None
-                    break
-                if cur not in ids:
-                    ids[cur] = len(elems)
-                    elems.append(cur)
-            row.append(-1 if cur is None else ids[cur])
-        nbr.append(row)
-        i += 1
+                for i, x in enumerate(cur):
+                    if x is None:
+                        continue
+                    x = group.multiply(x, GroupElement((syl,)))
+                    if group.word_length(x) > cap:
+                        x = None
+                    elif x not in ids:
+                        ids[x] = len(elems)
+                        elems.append(x)
+                    cur[i] = x
+            for row, x in zip(rows, cur):
+                row.append(-1 if x is None else ids[x])
+        nbr.extend(rows)
+        lo = top
     arrays = {
         "nbr": np.array(nbr, dtype=np.int64).reshape(len(elems), len(support)),
         "wl": [group.word_length(g) for g in elems],
@@ -96,7 +103,7 @@ def reference_table(group, support, cap):
 
 
 def reference_nbr(table):
-    """The queue-BFS step matrix of the table's support and cap: nbr[i, j]
+    """The reference step matrix of the table's support and cap: nbr[i, j]
     is the id of element_i * support_j, or -1 beyond the cap.  Its ids are
     the table's, as `assert_matches_reference` checks."""
     return reference_table(table.group, table.support, table.cap)[1]["nbr"]
@@ -649,10 +656,10 @@ def test_pass_size_leaves_the_table_unchanged_on_random_products(case):
 
 
 def traced_lazy_f2(cap):
-    """tracemalloc over a lazy-F2 build at the cap, one unbounded float step
-    from a table-sized level, the table's block layout and one such step in
-    block order: (elements, build peak, retained after the build, peak over
-    everything, retained after the block step)."""
+    """tracemalloc over a lazy-F2 build at the cap and one unbounded float
+    step from a table-sized level, which steps by runs: (elements, build
+    peak, retained after the build, peak over both, retained after the
+    step)."""
     measure = lazy_walk(free_group(2))
     cols = [float(c) for c in measure.entries.values()]
     tracemalloc.start()
@@ -660,12 +667,11 @@ def traced_lazy_f2(cap):
         table = BallTable(measure.group, list(measure.entries), cap)
         retained, build_peak = tracemalloc.get_traced_memory()
         _step(table, np.ones(table.size), cols, None)
-        step_peak = tracemalloc.get_traced_memory()[1]
-        _step(table.blocks(), np.ones(table.size), cols, None)
-        kept, blocks_peak = tracemalloc.get_traced_memory()
+        kept, step_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return table.size, build_peak, retained, max(build_peak, step_peak, blocks_peak), kept
+    assert table.runs is not None
+    return table.size, build_peak, retained, max(build_peak, step_peak), kept
 
 
 @pytest.fixture(scope="module")
@@ -675,9 +681,8 @@ def lazy_f2_cap12_memory():
 
 def test_build_transient_stays_small(lazy_f2_cap12_memory):
     """The cap-12 build's temporaries: peak minus what the table keeps
-    (15.2 MB measured, where a pass's keys merge the key index's runs into
-    one of 0.9 M keys; the last interning pass, with its temporaries and
-    the per-id arrays' room for its new elements, reaches 12.7 MB.
+    (14.8 MB measured, at the key index's last merge, of the two factors'
+    keys into one run of 1.06 M keys, beside the four neighbour arrays;
     15.9 MB when every interning pass inserted its keys into one sorted
     array, 29 MB when one (M x K) neighbour matrix lived until the
     adjacency was whole, 100 MB when passes were 2^18 sources)."""
@@ -688,18 +693,17 @@ def test_build_transient_stays_small(lazy_f2_cap12_memory):
 
 def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
     """TABLE_BYTES_PER_ELEMENT is the measured peak per element of build,
-    adjacency and one float step, rounded up; the block layout's build and
-    its step stay below it."""
+    adjacency, runs and one float step, rounded up (68.3 B measured on the
+    runs step, 73.3 B on an np.add.at step)."""
     size, _, _, peak, _ = lazy_f2_cap12_memory
     assert TABLE_BYTES_PER_ELEMENT - 10 < peak / size <= TABLE_BYTES_PER_ELEMENT
 
 
 def test_table_keeps_one_step_relation(lazy_f2_cap12_memory):
     """After its build and a step, the cap-12 table keeps its per-id arrays
-    (20 B per element), trie keys (12 B) and step adjacency (21 B): 53.3 B
-    per element measured; its block layout adds its int32 block ids (4 B)
-    and a few hundred runs: 57.4 B.  The build's neighbour arrays kept
-    beside the adjacency would add 16 B."""
+    (20 B per element), trie keys (12 B), step adjacency (21 B) and a few
+    hundred run pieces: 52.0 B per element measured.  The build's neighbour
+    arrays kept beside the adjacency would add 16 B."""
     size, _, _, _, kept = lazy_f2_cap12_memory
     assert kept / size < 60
 
@@ -750,16 +754,30 @@ def assert_columns_match_reference(table, nbr):
         assert np.array_equal(src, ref_src) and np.array_equal(tgt, ref_tgt)
 
 
+def on_path(path, make):
+    """What make() returns, every table it builds stepping by `path`,
+    "runs" or "add.at", whatever the runs of its columns average."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_RUN_EDGES", 1 if path == "runs" else 1 << 62)
+        return make()
+
+
+def both_paths(table):
+    """The table built again once per step path, runs first."""
+    return [on_path(path, lambda: BallTable(table.group, table.support, table.cap))
+            for path in ("runs", "add.at")]
+
+
 def assert_step_matches_reference(table, weight_sets=()):
-    """_step equals the reference bit for bit, for every bound 0..cap and
-    None, with the given column weights and four random sets, on DP levels
-    from e and on random weights with zeros; given only the prefix [0, hi)
-    of a level that is zero from hi on, it returns the same table-sized
-    level.  So does the step on the table's block layout, in block ids.
-    Its (src, tgt) columns are the reference step matrix's."""
+    """_step equals the reference bit for bit on either step path, for
+    every bound 0..cap and None, with the given column weights and four
+    random sets, on DP levels from e and on random weights with zeros;
+    given only the prefix [0, hi) of a level that is zero from hi on, it
+    returns the same table-sized level, zero from reach(hi) on.  Its
+    (src, tgt) columns are the reference step matrix's."""
     nbr = reference_nbr(table)
     assert_columns_match_reference(table, nbr)
-    blocks = table.blocks()
+    tables = both_paths(table)
     rng = np.random.default_rng(0)
     K = len(table.support)
     weight_sets = list(weight_sets) + [
@@ -781,16 +799,13 @@ def assert_step_matches_reference(table, weight_sets=()):
         levels.append(cut)
         for w in levels:
             hi = int(np.flatnonzero(w).max(initial=-1)) + 1
-            wb = to_blocks(blocks, w)
-            hb = int(np.flatnonzero(wb).max(initial=-1)) + 1
             for bound in [None, *range(table.cap + 1)]:
                 want = reference_step(table, nbr, w, cols, bound)
-                got = _step(table, w, cols, bound)
-                assert np.array_equal(got, want), (cols, bound)
-                assert np.array_equal(_step(table, w[:hi], cols, bound), got), (cols, bound, hi)
-                got = _step(blocks, wb[:hb], cols, bound)
-                assert np.array_equal(got[blocks.pos], want), (cols, bound, hb)
-                assert not got[blocks.reach(hb):].any(), (cols, bound, hb)
+                for t in tables:
+                    got = _step(t, w, cols, bound)
+                    assert np.array_equal(got, want), (cols, bound)
+                    assert np.array_equal(_step(t, w[:hi], cols, bound), got), (cols, bound, hi)
+                    assert not got[t.reach(hi):].any(), (cols, bound, hi)
 
 
 def measure_weights(measure):
@@ -1097,18 +1112,15 @@ def test_level_driver_matches_the_callback_loop(measure):
         assert return_sequence(fmu, n_max).values == reference_float_returns(fmu, n_max)
 
 
-def test_green_field_keeps_each_level_once(monkeypatch):
+def test_green_field_keeps_each_level_once():
     """A field over three r keeps its three accumulators and its last three
     levels, shared by every r: six table-sized arrays, not one copy of the
-    last levels per r (twelve); also when it runs in block order (two steps
-    read the whole table) and puts them back in table ids."""
-    for forced, order in [(False, 9), (True, 12)]:
-        if forced:
-            monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
+    last levels per r (twelve); on either step path."""
+    for path, order in [("add.at", 9), ("runs", 12)]:
         measure = driver_measures()[0]
-        table = measure.table(10)
+        table = on_path(path, lambda: measure.table(10))
+        assert (table.runs is not None) == (path == "runs")
         green_field(table, measure.entries.values(), order, [0.25])  # warm every table cache
-        assert (table._blocks is not None) == forced
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1117,7 +1129,8 @@ def test_green_field_keeps_each_level_once(monkeypatch):
         finally:
             tracemalloc.stop()
         assert len(field["last_levels"]) == 3
-        assert kept <= 6.5 * 8 * table.size, forced
+        assert kept <= 6.5 * 8 * table.size, path
+
 
 def reference_levels(table, weights, n_steps, bound=None):
     """Full-width levels from e: every step reads the whole table."""
@@ -1172,16 +1185,12 @@ def test_columns_match_the_nbr_construction(table, weights, d_mu):
 
 
 def test_no_dp_builds_the_columns(monkeypatch):
-    """The DPs step through the compact adjacency alone, or through the
-    block layout built from it (every table forced into it, second round);
-    `columns()` is never built by them."""
+    """The DPs step through the runs or the compact adjacency alone, on
+    either step path; `columns()` is never built by them."""
     def refuse(table):
         raise AssertionError("a DP built the (src, tgt) columns")
 
-    monkeypatch.setattr(BallTable, "columns", refuse)
-    for forced in (False, True):
-        if forced:
-            monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
+    def every_dp():
         for measure in driver_measures():
             d_mu = max(1, measure.d_mu)
             return_sequence(measure, 18)  # beyond float64 capacity for the /97 walk
@@ -1191,7 +1200,12 @@ def test_no_dp_builds_the_columns(monkeypatch):
             table = measure.table(4 * d_mu)
             green_field(table, measure.entries.values(), 9, [0.25, 0.5])
             absorbed_profile(table, measure.entries.values(), table.subgroup_ids(1), 9)
-            assert (table._blocks is not None) == forced
+            yield table
+
+    monkeypatch.setattr(BallTable, "columns", refuse)
+    for path in ("runs", "add.at"):
+        tables = on_path(path, lambda: list(every_dp()))
+        assert all((t.runs is not None) == (path == "runs") for t in tables), path
 
 
 def step_references():
@@ -1520,61 +1534,41 @@ def test_object_levels_hold_python_ints():
                     assert np.array_equal(w.astype(float), ref), t
 
 
-# -- block order ---------------------------------------------------------------------
+# -- the two step paths ------------------------------------------------------------
 
 
-def to_blocks(blocks, w):
-    """A level in table ids as the same level in block ids."""
-    out = np.empty_like(w)
-    out[blocks.pos] = w
-    return out
-
-
-def assert_blocks_match_reference(table, nbr):
-    """The block layout against the reference step matrix.  Block ids are a
-    permutation with e first, word-length major, and within one word length
-    sorted by (code, block id of the parent).  Each stored column's pieces,
-    expanded, are its edges in block ids, sources ascending; a piece holds
-    1.._CHUNK ids, and one that its successor extends holds _CHUNK.
-    wl_end(b) counts the ids of word length <= b, and reach(h) is the end
-    of the shell d_mu past block id h - 1, which bounds every target of a
-    source below h."""
-    blocks = table.blocks()
-    pos = blocks.pos
-    assert pos.dtype == np.int32 and pos[0] == 0
-    order = np.argsort(pos)
-    assert np.array_equal(pos[order], np.arange(table.size))
-    wl = table.wl[order]
-    assert (np.diff(wl) >= 0).all()
-    up = np.where(order > 0, pos[table.parent[order]], -1)
-    key = table.code[order].astype(np.int64) * table.size + up
-    same = wl[1:] == wl[:-1]
-    assert (key[1:][same] > key[:-1][same]).all()
+def assert_runs_match_reference(table, nbr):
+    """The runs of a table on the runs path against the reference step
+    matrix: each stored column's pieces, expanded, are its edges in table
+    ids, sources ascending; a piece holds 1.._CHUNK ids, and one that its
+    successor extends holds _CHUNK."""
     first = table._first()
-    assert len(blocks.runs) == nbr.shape[1] - first
-    top = np.full(table.size, -1)
-    for (src, tgt, length), col in zip(blocks.runs, nbr.T[first:]):
+    assert len(table.runs) == nbr.shape[1] - first
+    for (src, tgt, length), col in zip(table.runs, nbr.T[first:]):
         assert all(1 <= n <= engine._CHUNK for n in length)
         for i in range(len(src) - 1):
             if src[i] + length[i] == src[i + 1] and tgt[i] + length[i] == tgt[i + 1]:
                 assert length[i] == engine._CHUNK, i
         got = [(s + i, g + i) for s, g, n in zip(src, tgt, length) for i in range(n)]
-        ok = col >= 0
-        assert got == sorted(zip(pos[ok].tolist(), pos[col[ok]].tolist()))
-        np.maximum.at(top, pos[ok], pos[col[ok]])
-    for b in range(-1, table.cap + 2):
-        assert blocks.wl_end(b) == int((table.wl <= b).sum()), b
-    top = np.maximum.accumulate(top)
-    for h in range(1, table.size + 1):
-        assert blocks.reach(h) == blocks.wl_end(int(wl[h - 1]) + table.d_mu), h
-        assert blocks.reach(h) >= max(h, top[h - 1] + 1), h
+        ok = np.flatnonzero(col >= 0)
+        assert got == list(zip(ok.tolist(), col[ok].tolist()))
+
+
+def assert_runs_match_in_pieces(table):
+    """The runs of the table built on the runs path, with the default piece
+    size and with pieces of at most three ids, match the reference edges."""
+    nbr = reference_nbr(table)
+    for chunk in (engine._CHUNK, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK", chunk)
+            assert_runs_match_reference(both_paths(table)[0], nbr)
 
 
 @pytest.mark.parametrize("table,weights,d_mu", prefix_tables(),
                          ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "f2-drift", "z3-z5-z",
                               "ab-BA"])
 def test_block_runs_match_the_nbr_construction(table, weights, d_mu):
-    assert_blocks_match_reference(table, reference_nbr(table))
+    assert_runs_match_in_pieces(table)
 
 
 @pytest.mark.parametrize("make_group,texts,cap", [
@@ -1584,19 +1578,17 @@ def test_block_runs_match_the_nbr_construction(table, weights, d_mu):
 def test_block_runs_match_the_nbr_construction_on_multi_syllable_supports(make_group, texts,
                                                                           cap):
     group = make_group()
-    table = BallTable(group, _parse(group, texts), cap)
-    assert_blocks_match_reference(table, reference_nbr(table))
+    assert_runs_match_in_pieces(BallTable(group, _parse(group, texts), cap))
 
 
-def assert_same_levels(table, weights, n_steps, horizon=None, radius=0):
-    """levels on the block layout are levels on the table, in block ids, bit
-    for bit (Python ints included), and zero from their hi on."""
-    blocks = table.blocks()
-    pairs = zip(levels(table, weights, n_steps, horizon, radius),
-                levels(blocks, weights, n_steps, horizon, radius))
-    for t, ((w, hi), (wb, hb)) in enumerate(pairs):
-        assert wb.dtype == w.dtype and np.array_equal(wb[blocks.pos], w), (t, horizon, radius)
-        assert not wb[hb:].any(), (t, horizon, radius)
+def assert_same_levels(runs, add_at, weights, n_steps, horizon=None, radius=0):
+    """levels on the runs path equal levels on the np.add.at path bit for
+    bit (Python ints included), with the same hi, and are zero from it on."""
+    pairs = zip(levels(runs, weights, n_steps, horizon, radius),
+                levels(add_at, weights, n_steps, horizon, radius), strict=True)
+    for t, ((w, hi), (ref, ref_hi)) in enumerate(pairs):
+        assert w.dtype == ref.dtype and np.array_equal(w, ref), (t, horizon, radius)
+        assert hi == ref_hi and not w[hi:].any(), (t, horizon, radius)
 
 
 def readers(table, weights, order, absorb):
@@ -1609,23 +1601,20 @@ def readers(table, weights, order, absorb):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_products())
-def test_block_order_equals_table_order_on_random_products(case):
-    """On random products: the runs are the reference edges, levels are the
-    same in block ids, exact and float, unbounded and bounded, and the
-    forced layout leaves every whole-table reader `==`."""
+def test_step_paths_agree_on_random_products(case):
+    """On random products: the runs are the reference edges, and the two
+    step paths give the same levels, exact and float, unbounded and
+    bounded, and leave every whole-table reader `==`."""
     group, support, cap = case
-    table = BallTable(group, support, cap)
-    assert_blocks_match_reference(table, reference_nbr(table))
+    runs, add_at = both_paths(BallTable(group, support, cap))
+    assert_runs_match_reference(runs, reference_nbr(runs))
     ints = [1 + k % 3 for k in range(len(support))]
     n = 2 * cap + 2
     for weights in (ints, np.array(ints, dtype=object)):
         for horizon, radius in [(None, 0), (n, 0), (n, 1), (n - 1, 2)]:
-            assert_same_levels(table, weights, n, horizon, radius)
-    absorb = table.subgroup_ids(1)
-    want = readers(table, ints, n, absorb)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_BLOCK_MIN_IDS", 0)
-        assert readers(table, ints, n, absorb) == want
+            assert_same_levels(runs, add_at, weights, n, horizon, radius)
+    absorb = runs.subgroup_ids(1)
+    assert readers(runs, ints, n, absorb) == readers(add_at, ints, n, absorb)
 
 
 def block_walks():
@@ -1677,69 +1666,50 @@ def every_reader(measure, order):
 @pytest.mark.parametrize("make", block_walks(),
                          ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "multi-f2", "long-steps"])
 def test_forced_block_order_leaves_every_reader_equal(monkeypatch, make):
-    """With every table in block order (and runs cut into pieces of at most
-    five ids), every reader of `levels` gives `==` results; the whole-table
-    DPs did run on a layout."""
-    want, table = every_reader(make(), 12)
-    assert table._blocks is None
-    monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
+    """With every table on the runs path (and runs cut into pieces of at
+    most five ids), every reader of `levels` gives the `==` results of
+    every table on the np.add.at path, which these small tables take
+    unforced."""
+    want, table = on_path("add.at", lambda: every_reader(make(), 12))
+    assert table.runs is None and every_reader(make(), 12)[0] == want
     monkeypatch.setattr(engine, "_CHUNK", 5)
-    got, table = every_reader(make(), 12)
-    assert table._blocks is not None
-    assert max(n for _, _, length in table._blocks.runs for n in length) == 5
+    got, table = on_path("runs", lambda: every_reader(make(), 12))
+    assert max(n for _, _, length in table.runs for n in length) == 5
     assert got == want
 
 
-def test_prefix_dps_build_no_layout(monkeypatch):
-    """Return numbers, distributions and pairings run on their `reach_cap`
-    table in table ids, even where a table of any size would get a layout
-    and a step of theirs reads the whole table (float returns at odd n)."""
-    monkeypatch.setattr(engine, "_BLOCK_MIN_IDS", 0)
-    for make in (lambda: lazy_walk(free_group(2)), lambda: f2_walk(NS97, 97),
-                 lambda: f2_walk(LONG_STEPS, 8)):
-        for n in prefix_ns(make()):
-            for measure in (make(), make().as_float()):
-                return_sequence(measure, n)
-                distribution(measure, n)
-                distribution(measure, n, 1)
-                d_mu = max(1, measure.d_mu)
-                table = measure.table(engine.reach_cap(n, d_mu))
-                pruned_power_sequence(table, make().integerized()[0], n, False)
-                tables = [v for k, v in measure._memo.items() if k[0] == "table"]
-                assert tables and all(t._blocks is None for t in tables)
+def test_step_path_follows_the_edges_per_piece():
+    """Lazy F2 at cap 11 (5,210 edges per piece) steps by runs.  Z^2*Z/3 at
+    cap 7 (about 200) and the d_mu = 2 walk, whose columns break into runs
+    of a few edges, step by np.add.at, at cap 8 and at cap 14 (390,049
+    ids) alike."""
+    assert lazy_walk(free_group(2)).table(11).runs is not None
+    cfg = load_config(str(CONFIGS / "z2-z3-lazy.json"))
+    assert build_measure(cfg, build_group(cfg), "exact").table(7).runs is None
+    for cap in (8, 14):
+        assert f2_walk(LONG_STEPS, 8).table(cap).runs is None, cap
 
 
-def test_whole_table_dps_share_one_layout():
-    """On the cap-11 lazy-F2 table (354,293 ids): float return numbers and a
-    field that never reads the whole table build no layout; a field of a
-    larger order builds one, and a second field, an absorbed profile and
-    Green pair series reuse it; the field equals the table-order field."""
-    from freewalk import green
+def test_lazy_f2_columns_are_a_few_dozen_runs():
+    """In table ids each stored column of lazy F2 at cap 11 is at most 40
+    runs (32 measured) of consecutive sources onto consecutive targets,
+    where source-major breadth-first ids gave one run per edge (177,146)."""
+    table = lazy_walk(free_group(2)).table(11)
+    for src, tgt, length in table.runs:
+        joined = sum(s + n == s2 and g + n == g2
+                     for s, g, n, s2, g2 in zip(src, tgt, length, src[1:], tgt[1:]))
+        assert len(src) - joined <= 40
 
-    built = []
-    real = engine.BlockLayout.__init__
 
-    def spy(self, table):
-        built.append(table)
-        real(self, table)
-
-    mu = lazy_walk(free_group(2)).as_float()
-    weights = mu.entries.values()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine.BlockLayout, "__init__", spy)
-        return_sequence(mu, 23)  # its cap-11 table; steps 12 and 13 read all of it
-        table = mu.table(11)
-        assert table.size >= engine._BLOCK_MIN_IDS and built == []
-        green_field(table, weights, 11, [0.5])
-        assert built == []
-        got = green_field(table, weights, 13, [0.5])
-        green_field(table, weights, 14, [0.25])
-        absorbed_profile(table, weights, table.subgroup_ids(1), 13)
-        green._target_series(mu, [mu.group.identity], 24, 11)
-        assert built == [table]
-        mp.setattr(engine, "_BLOCK_MIN_IDS", table.size + 1)
-        want = green_field(table, weights, 13, [0.5])
-    assert np.array_equal(got["final"][0.5], want["final"][0.5])
-    assert got["e_series"] == want["e_series"]
-    assert all(t == u and np.array_equal(w, v)
-               for (t, w), (u, v) in zip(got["last_levels"], want["last_levels"], strict=True))
+def test_src_has_one_id_order():
+    """No src module names `BlockLayout`, `level_table` or `blocks`, or
+    reads an attribute `pos`: every DP runs in the table's own ids."""
+    banned = {"BlockLayout", "level_table", "blocks"}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.arg if isinstance(node, ast.arg) else
+                    node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None)
+            assert name not in banned, (path.name, name)
+            assert not (isinstance(node, ast.Attribute) and node.attr == "pos"), path.name
