@@ -3,9 +3,11 @@
 One command per process, ``freewalk COMMAND CONFIG [--out DIR] [flags]``; a
 command accepts only the flags that ``COMMANDS`` lists for it.  Every run
 past the usage check writes a manifest (config hash, version, budgets,
-resolved r values, wall time) next to its artifacts.  Exit status 0 on
-success and after ``--help``, 1 on a usage, configuration, validation or
-any other error, 2 when a memory budget was exhausted (partial results kept).
+resolved r values, wall time, and in its `engine` block each ball table the
+run built: cap, elements, step path and kept bytes) next to its artifacts.
+Exit status 0 on success and after ``--help``, 1 on a usage, configuration,
+validation or any other error, 2 when a memory budget was exhausted
+(partial results kept).
 """
 
 from __future__ import annotations
@@ -534,8 +536,8 @@ FLAGS = {  # add_argument keywords; each budget override's dest is its budget ke
     "--truncation": {"metavar": "m,B"},
     "--memory-cap": {"dest": "memory_cap_mb", "type": int, "metavar": "MB",
                      "help": "ball-table budget of MB * 10^6 / TABLE_BYTES_PER_ELEMENT "
-                             f"({TABLE_BYTES_PER_ELEMENT}) elements, the measured peak bytes "
-                             "per element of a table build and one float step"},
+                             f"({TABLE_BYTES_PER_ELEMENT}) elements, the largest measured peak "
+                             "bytes per element of a table build and one float step"},
     "--r-grid": {"metavar": "f1,f2,..."},
     "--export-dot": {"action": "store_true"},
     "--input": {"help": "CSV with n in the first column and the value in the second "
@@ -595,6 +597,7 @@ def main(argv=None) -> int:
     out_dir = None
     cfg_text = ""
     budgets: dict = {}
+    measure = None
     try:
         if args.out is not None:  # a config that cannot be loaded still gets a manifest
             out_dir = _make_dir(args.out)
@@ -641,6 +644,9 @@ def main(argv=None) -> int:
             "wall_time_s": round(time.monotonic() - t0, 3),
             "exit_status": status,
             "partial": status == 2,
+            "engine": {"tables": [
+                {"cap": t.cap, "elements": t.size, "step": t.step_path, "bytes": t.nbytes}
+                for t in (measure.tables() if measure is not None else [])]},
         }
         _write_json(out_dir / "manifest.json", manifest)
     return status

@@ -3,27 +3,29 @@
 This is the workhorse behind exact convolution powers, Green evaluations
 and first-return kernels.  Elements reachable from e inside a word-radius
 cap are interned once into a trie of (parent id, syllable code) rows,
-grown breadth first one generation at a time, ending with the compact
-step adjacency.  A generation steps its sources support column by support
-column, syllable by syllable, reading every product off one small table
-per build, indexed by last syllable, and interns the new ones through
-sorted key runs that merge geometrically, so no step copies the whole key
-array.  Every random-walk computation is then a sequence of level steps
-over flat weight arrays.
+grown breadth first one generation at a time, ending with the table's one
+step relation: its runs, or a compact adjacency.  A generation steps its
+sources support column by support column, syllable by syllable, reading
+every product off one small table per build, indexed by last syllable, and
+interns the new ones through sorted key runs that merge geometrically, so
+no step copies the whole key array.  Every random-walk computation is
+then a sequence of level steps over flat weight arrays.
 
 Ids are numbered generation by generation, and within one by support
 column, syllable depth and source id.  On a free product an element's
 cone type is fixed by its last syllable, so right multiplication by a
 support element sends long ranges of consecutive ids onto consecutive
 ids: a stored support column is a few dozen runs (lazy F2 at cap 11: 32
-runs for 177,146 edges), derived once by the build.  A step scales the
-level once per support column, so every element sums its incoming weight
-in support order, by one of two paths.  On a table whose columns average
-at least _RUN_EDGES edges per run piece, each piece is one slice add; on
-any other table each column's dense prefix (the ids whose products all
-stay in the table) is scaled with no gather, the rest of its sources are
-gathered, and both are added by `np.add.at`.  Both add the same products
-in the same order: every level is the same bit for bit.
+runs for 177,146 edges), derived once by the build.  A table keeps the
+step relation once, in the form its step reads.  A step scales the level
+once per support column, so every element sums its incoming weight in
+support order, by one of two paths.  A table whose columns average at
+least _RUN_EDGES edges per run piece keeps only its runs, and each piece
+is one slice add; any other table keeps the per-edge adjacency, each
+column's dense prefix (the ids whose products all stay in the table) is
+scaled with no gather, the rest of its sources are gathered, and both are
+added by `np.add.at`.  Both add the same products in the same order:
+every level is the same bit for bit.
 
 `levels` is the one level driver: every DP over a table (return numbers,
 Green fields, absorbed profiles, distributions) is a loop over the levels
@@ -63,8 +65,13 @@ class BudgetExceededError(RuntimeError):
 _INT32_MAX = np.iinfo(np.int32).max
 _ZERO = -2  # merge row value: the two syllables cancel
 _OUT = -1  # merge row value: the sum is not in the alphabet (or not a merge)
-# cells (source x syllable step) per builder chunk; bounds the chunk temporaries
-_PASS = 1 << 18
+# Cells (source x syllable step) per builder chunk; bounds the chunk
+# temporaries, which set a run table's build peak once its neighbour arrays
+# go before the key merge.  2^18 -> 2^17 on a 2-vCPU VM, lazy F2 at cap 12:
+# build peak 61.0 -> 54.5 B per element; build time, min of 4 builds per
+# process, median of 10 alternating processes, 276 -> 261 ms; Z^2*Z/3 at cap
+# 10 488 -> 495 ms, within the spread between processes.
+_PASS = 1 << 17
 _BLOCK = 1 << 16  # entries per block of an exact dot; bounds its temporaries
 _CHUNK = 1 << 15  # ids per run piece; bounds the one buffer of a runs step
 # Tables whose stored columns average at least this many edges per run
@@ -76,14 +83,15 @@ _CHUNK = 1 << 15  # ids per run piece; bounds the one buffer of a runs step
 # 2.54 ms.  The d_mu = 2 walk {e, ab, BA, a^2, B} breaks into runs of about
 # four edges at every cap.
 _RUN_EDGES = 1 << 10  # at least 1
-# Peak bytes per table element of a BallTable build, which ends with its step
-# adjacency and runs, and one unbounded float64 step, under tracemalloc, on
-# lazy F2 at cap 12 (1,062,881 elements, five support columns): the build
-# peaks at 66.0 B, a runs step, with no column-sized temporary, at 68.3 B,
-# and an np.add.at step at 73.3 B, rounded up.  It does not cover Green
-# fields, pair matrices, Python-int levels or more support columns; the CLI
-# turns --memory-cap into an element budget with it.
-TABLE_BYTES_PER_ELEMENT = 75
+# Peak bytes per table element of a BallTable build and one unbounded float64
+# step, under tracemalloc, the largest over three tables: lazy F2 at cap 12
+# (1,062,881 elements, runs) 54.5 B, at the build's chunk temporaries;
+# Z^2*Z/3 (configs/z2-z3-lazy.json) at cap 9 (391,927, runs, six support
+# columns) 70.5 B, also in the build; the d_mu = 2 walk {e, ab, BA, a^2, B}
+# at cap 14 (390,049, np.add.at) 75.9 B, in its step; rounded up.  It does
+# not cover Green fields, pair matrices, Python-int levels or more support
+# columns; the CLI turns --memory-cap into an element budget with it.
+TABLE_BYTES_PER_ELEMENT = 76
 
 
 def _syllable_alphabet(group: FreeProduct, support, cap: int) -> list[FactorElement]:
@@ -271,8 +279,9 @@ class BallTable:
         when the columns average fewer than _RUN_EDGES edges per piece, and
         the table steps by `np.add.at`.
 
-    The step relation g -> g * support_j is held once, as the compact
-    `adjacency` that the build ends with, beside its runs; the (src, tgt)
+    The step relation g -> g * support_j is held once, in the form the
+    table's step reads: its `runs`, or else the compact `adjacency`, never
+    both.  `reach` reads whichever the table holds, and the (src, tgt)
     `columns` are derived from it only when asked for.
     """
 
@@ -352,14 +361,19 @@ class BallTable:
         depend on the chunk size.  A product's last syllable lies in the
         factor of its step syllable, so keys are indexed per factor: a
         chunk's keys come out of its sort already sorted and join its
-        factor's `_KeyIndex` of sorted runs, the only one it searches; the
-        build ends by merging them into one.  The per-id arrays get room for
-        a chunk's new elements before it starts and are trimmed to the table
-        at the end.  One neighbour array per stored support column j holds
-        the ids of element_i * support_j (-1 beyond the cap), and the
-        partial products of its step while the generation runs, until the
-        build ends by deriving that column's runs and its part of the step
-        adjacency and dropping it.
+        factor's `_KeyIndex` of sorted runs, the only one it searches.  The
+        per-id arrays get room for a chunk's new elements before it starts
+        and are trimmed to the table at the end.  One neighbour array per
+        stored support column j holds the ids of element_i * support_j (-1
+        beyond the cap), and the partial products of its step while the
+        generation runs.
+
+        The build ends by deriving every column's runs from its neighbour
+        array, then merging the per-factor key indexes into one.  A table
+        that steps by runs drops its neighbour arrays before that merge and
+        keeps nothing per edge; any other table drops its runs, and after
+        the merge turns each neighbour array into its part of the compact
+        adjacency, dropping the array as it goes.
         """
         stride, slen = self._stride, self._len
         products = self._products()[self._first():]
@@ -432,25 +446,32 @@ class BallTable:
                         res[fl] = got[inv]
                         col[a:b] = res
             lo = top
+        col = None  # the loop's name would keep the last neighbour array alive
         self.size = n
         for arr in per_id:
             arr.resize(n, refcheck=False)
         self.parent, self.code, self.wl, self.rel, self.maxfac = per_id
+        runs, pieces, edges = [], 0, 0
+        most = len(nbr) * n // _RUN_EDGES  # more pieces cannot average _RUN_EDGES edges
+        for j in range(len(nbr)):  # by index: no loop name keeps a neighbour array alive
+            got = _runs(nbr[j], most - pieces)
+            if got is None:
+                break
+            runs.append(got)
+            pieces += len(got[0])
+            edges += int(got[2].sum())
+        self.runs = self._adj = None
+        if len(runs) == len(nbr) and pieces * _RUN_EDGES <= edges:
+            self.runs = [tuple(a.tolist() for a in piece) for piece in runs]
+            nbr.clear()  # the runs are the step relation: nothing per edge stays
+        else:
+            self._adj = []
         whole = _KeyIndex()
         while index:
             whole.add(*index.popitem()[1].merged())
         self._keys, self._kid = whole.merged()
-        self._adj, runs, pieces = [], [], 0
-        most = len(nbr) * n // _RUN_EDGES  # more pieces cannot average _RUN_EDGES edges
-        while nbr:  # each column's neighbour array goes as its runs and adjacency come
+        while nbr:  # each column's neighbour array goes as its adjacency comes
             col = nbr.pop(0)
-            if runs is not None:
-                got = _runs(col, most - pieces)
-                if got is None:
-                    runs = None
-                else:
-                    runs.append(got)
-                    pieces += len(got[0])
             out = col < 0
             d = int(out.argmax()) if out.any() else n
             tail = d + np.flatnonzero(col[d:] >= 0)
@@ -458,10 +479,6 @@ class BallTable:
             tgt[:d] = col[:d]
             tgt[d:] = col[tail]
             self._adj.append((d, tail, tgt))
-        edges = sum(len(tgt) for _, _, tgt in self._adj)
-        self.runs = None
-        if runs is not None and pieces * _RUN_EDGES <= edges:
-            self.runs = [tuple(a.tolist() for a in piece) for piece in runs]
 
     def _first(self) -> int:
         """1 when support element 0 is the identity (its column is the
@@ -469,16 +486,16 @@ class BallTable:
         return 1 if self.support and not self.support[0].syllables else 0
 
     def adjacency(self):
-        """The compact step adjacency, one (d, tail, tgt) per support column
-        from _first() on.
+        """The compact step adjacency of a table that steps by `np.add.at`,
+        one (d, tail, tgt) per support column from _first() on; None on a
+        table with `runs`, which hold the step relation instead.
 
         Column j's sources are the ids whose product with support_j stays in
         the table, ascending.  They start with the dense prefix [0, d), where
         d is the first id whose product leaves the table; `tail` holds the
         sources from d on, and `tgt` (int64) the targets of all sources in
         order.  On a breadth-first table d covers the inner ball, so only the
-        outer shell stores its source ids.  The build leaves it; a table's
-        `runs`, when it has them, hold the same relation.
+        outer shell stores its source ids.
         """
         return self._adj
 
@@ -486,34 +503,65 @@ class BallTable:
         """Per-support (source ids, target ids) of the edges that stay in
         the table, int64, sources ascending; the identity column included.
 
-        Derived from `adjacency` on the first call and kept; no DP reads it.
+        Derived from the runs or the adjacency, whichever the table holds,
+        on the first call and kept; no DP reads it.
         """
         if self._cols is None:
             cols = []
             if self._first():
                 ids = np.arange(self.size, dtype=np.int64)
                 cols.append((ids, ids))
-            for d, tail, tgt in self.adjacency():
-                cols.append((np.concatenate([np.arange(d, dtype=np.int64), tail]), tgt))
+            if self.runs is not None:
+                for src, tgt, length in self.runs:
+                    n = np.array(length, dtype=np.int64)
+                    off = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+                    cols.append(tuple(np.repeat(np.array(x, dtype=np.int64), n) + off
+                                      for x in (src, tgt)))
+            else:
+                for d, tail, tgt in self._adj:
+                    cols.append((np.concatenate([np.arange(d, dtype=np.int64), tail]), tgt))
             self._cols = cols
         return self._cols
 
     def reach(self, h: int) -> int:
         """Exclusive id bound on the ids [0, h) and their one-step images:
-        max(h, 1 + the largest target of a source below h).  A column's
-        sources below h are a prefix of its sources, so their targets are a
-        prefix of its tgt.  Holds for any id order; tight for the
-        breadth-first one."""
+        max(h, 1 + the largest target of a source below h), read off the
+        runs or the adjacency.  A column's sources below h are a prefix of
+        its pieces, the last one cut at h, or of its tgt.  Holds for any id
+        order; tight for the breadth-first one."""
         if h >= self.size:
             return self.size
         r = self._reach.get(h)
         if r is None:
             r = h
-            for d, tail, tgt in self._adj:
-                m = h if h <= d else d + int(tail.searchsorted(h))
-                r = max(r, 1 + int(tgt[:m].max(initial=-1)))
+            if self.runs is not None:
+                for src, tgt, length in self.runs:
+                    for s, g, n in zip(src[:bisect_left(src, h)], tgt, length):
+                        r = max(r, g + min(n, h - s))
+            else:
+                for d, tail, tgt in self._adj:
+                    m = h if h <= d else d + int(tail.searchsorted(h))
+                    r = max(r, 1 + int(tgt[:m].max(initial=-1)))
             self._reach[h] = r
         return r
+
+    @property
+    def step_path(self) -> str:
+        """How `_step` steps this table: "runs" or "np.add.at"."""
+        return "runs" if self.runs is not None else "np.add.at"
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the table keeps: its per-id arrays, trie keys and step
+        relation (a run piece counted as three int64), and the inverse
+        permutation and (src, tgt) columns once they are built."""
+        arrays = [self.parent, self.code, self.wl, self.rel, self.maxfac, self._keys, self._kid,
+                  self._inv_perm, self._inv_out]
+        arrays += [a for _, tail, tgt in self._adj or () for a in (tail, tgt)]
+        arrays += [a for col in self._cols or () for a in col]
+        pieces = sum(len(src) for src, _, _ in self.runs or ())
+        kept = {id(a): a.nbytes for a in arrays if a is not None}  # shared arrays count once
+        return sum(kept.values()) + 24 * pieces
 
     def wl_end(self, b: int) -> int:
         """One past the last id of word length <= b (0 if there is none)."""

@@ -119,6 +119,10 @@ class Measure:
             raise BudgetExceededError(f"ball table exceeded {budget} elements")
         return table
 
+    def tables(self) -> list[BallTable]:
+        """The ball tables memoized so far, in build order."""
+        return [value for key, value in self._memo.items() if key[0] == "table"]
+
     def drop_tables(self):
         """Forget every memoized result: the engine tables, which dominate
         memory, and everything computed on them that would keep them alive."""

@@ -1,6 +1,7 @@
 """CLI: config handling, artifacts, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,21 @@ def test_validate_command(config_path, tmp_path):
     assert manifest["command"] == "validate"
     assert manifest["exit_status"] == 0
     assert "config_sha256" in manifest and "wall_time_s" in manifest
+
+
+def test_manifest_records_each_table_built(tmp_path):
+    """`validate configs/f2-lazy.json` builds one ball table, its depth-4
+    ball of 161 elements, and the manifest's engine block records its cap,
+    size, step path and the bytes it keeps, as a fresh build counts them."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "f2-lazy.json"
+    out = tmp_path / "out"
+    assert main(["validate", str(path), "--out", str(out)]) == 0
+    cfg = load_config(str(path))
+    table = cli.build_measure(cfg, cli.build_group(cfg), "exact").table(4)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["engine"] == {"tables": [
+        {"cap": 4, "elements": 161, "step": "np.add.at", "bytes": table.nbytes}]}
+    assert table.size == 161
 
 
 def test_all_commands_produce_artifacts(config_path, tmp_path):

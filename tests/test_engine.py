@@ -1,10 +1,11 @@
 """BallTable against an independent breadth-first builder and against
 itself built in chunks of other sizes, the trie lookups and inversion, the
-step adjacency, its runs, `reach` and `subgroup_ids` against the reference
-step matrix, both DP step paths against the column-by-column bincount
-kernel and each other, the exact pairing against Python big ints, the
-level driver against the callback loop it replaced, every exact DP against
-the Fraction dict DP it replaced, and the build's memory."""
+one step relation each table keeps (its adjacency or its runs), `reach`
+and `subgroup_ids` against the reference step matrix, both DP step paths
+against the column-by-column bincount kernel and each other, the exact
+pairing against Python big ints, the level driver against the callback
+loop it replaced, every exact DP against the Fraction dict DP it replaced,
+and the build's memory."""
 
 import ast
 import math
@@ -111,24 +112,32 @@ def reference_nbr(table):
 
 def assert_step_relation_matches(table, elems, nbr):
     """The table's one step relation against the reference step matrix.
-    Each adjacency column (d, tail, tgt) holds the dense prefix up to the
-    first product that leaves the table, the remaining sources and all
-    targets in order; the identity column, first when e is support element
-    0, is not stored.  reach(h) is max(h, 1 + the largest target of a
-    source below h) at every h, and subgroup_ids(k) are the ids of e and of
-    the one-syllable elements of H_k."""
+    A table that steps by np.add.at keeps only its adjacency: each column
+    (d, tail, tgt) holds the dense prefix up to the first product that
+    leaves the table, the remaining sources and all targets in order.  A
+    table that steps by runs keeps only its runs, and its (src, tgt)
+    columns, derived from them, are the reference's.  The identity column,
+    first when e is support element 0, is not stored.  On either kind
+    reach(h) is max(h, 1 + the largest target of a source below h) at every
+    h, and subgroup_ids(k) are the ids of e and of the one-syllable
+    elements of H_k."""
     first = table._first()
     assert first == (len(table.support) > 0 and not table.support[0].syllables)
     if first:
         assert np.array_equal(nbr[:, 0], np.arange(table.size))
-    adj = table.adjacency()
-    assert len(adj) == nbr.shape[1] - first
-    for (d, tail, tgt), col in zip(adj, nbr.T[first:]):
-        out = np.flatnonzero(col < 0)
-        assert d == (out[0] if len(out) else table.size)
-        src = np.flatnonzero(col >= 0)
-        assert tail.dtype == tgt.dtype == np.int64
-        assert np.array_equal(tail, src[src >= d]) and np.array_equal(tgt, col[src])
+    if table.runs is not None:
+        assert table.adjacency() is None
+        assert_runs_match_reference(table, nbr)
+        assert_columns_match_reference(table, nbr)
+    else:
+        adj = table.adjacency()
+        assert len(adj) == nbr.shape[1] - first
+        for (d, tail, tgt), col in zip(adj, nbr.T[first:]):
+            out = np.flatnonzero(col < 0)
+            assert d == (out[0] if len(out) else table.size)
+            src = np.flatnonzero(col >= 0)
+            assert tail.dtype == tgt.dtype == np.int64
+            assert np.array_equal(tail, src[src >= d]) and np.array_equal(tgt, col[src])
     top = np.maximum.accumulate(np.concatenate([[-1], nbr.max(axis=1, initial=-1)]))
     want = np.maximum(np.arange(table.size + 1), 1 + top)
     assert [table.reach(h) for h in range(table.size + 1)] == want.tolist()
@@ -147,7 +156,8 @@ def assert_matches_reference(group, support, cap):
         np.testing.assert_array_equal(getattr(table, name), ref[name], err_msg=name)
     for name in ("parent", "code"):  # trimmed to the table after the build's headroom
         assert len(getattr(table, name)) == table.size, name
-    assert_step_relation_matches(table, elems, ref["nbr"])
+    for t in [table] + both_paths(table):
+        assert_step_relation_matches(t, elems, ref["nbr"])
     assert [table.element_of(i) for i in range(table.size)] == elems
     assert table.ids_of(elems).tolist() == list(range(table.size))
     return table, elems
@@ -606,12 +616,24 @@ def assert_key_index(table):
     assert np.array_equal(np.sort(kid), np.arange(1, table.size))
 
 
+def step_relation(table):
+    """The one step relation the table keeps, comparable by ==: its runs,
+    or its adjacency as (d, tail, tgt) with each array's dtype."""
+    if table.runs is not None:
+        assert table.adjacency() is None
+        return "runs", table.runs
+    return "add.at", [(d, tail.dtype, tail.tolist(), tgt.dtype, tgt.tolist())
+                      for d, tail, tgt in table.adjacency()]
+
+
 def assert_pass_size_free(group, support, cap):
-    """Passes of 1, 3 and 64 cells build the default table array for array
-    and, like it, refuse exactly the budgets below its size; every one keeps
-    a sound key index."""
+    """Passes of 1, 3 and 64 cells build the default table array for array,
+    and the same runs or adjacency on either forced step path, and, like it,
+    refuse exactly the budgets below its size; every one keeps a sound key
+    index."""
     base = BallTable(group, support, cap)
     assert_key_index(base)
+    relations = [step_relation(t) for t in both_paths(base)]
     budgets = (base.size, base.size - 1, base.size // 2, 1, 0)
     want = [b < base.size for b in budgets]
     for cells in (1, 3, 64):
@@ -621,12 +643,9 @@ def assert_pass_size_free(group, support, cap):
         for name in TABLE_ARRAYS:
             got, ref = getattr(table, name), getattr(base, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), (cells, name)
-        assert len(table.adjacency()) == len(base.adjacency())
-        for j, ((d, *arrays), (ref_d, *ref_arrays)) in enumerate(
-                zip(table.adjacency(), base.adjacency())):
-            assert d == ref_d, (cells, j)
-            for name, got, ref in zip(("tail", "tgt"), arrays, ref_arrays):
-                assert got.dtype == ref.dtype and np.array_equal(got, ref), (cells, j, name)
+        for path, ref in zip(("runs", "add.at"), relations):
+            got = on_path(path, lambda: build_in_passes(group, support, cap, cells))
+            assert step_relation(got) == ref, (cells, path)
         assert [refuses(group, support, cap, cells, b) for b in budgets] == want, cells
 
 
@@ -655,12 +674,10 @@ def test_pass_size_leaves_the_table_unchanged_on_random_products(case):
     assert_pass_size_free(*case)
 
 
-def traced_lazy_f2(cap):
-    """tracemalloc over a lazy-F2 build at the cap and one unbounded float
-    step from a table-sized level, which steps by runs: (elements, build
-    peak, retained after the build, peak over both, retained after the
-    step)."""
-    measure = lazy_walk(free_group(2))
+def traced(measure, cap):
+    """tracemalloc over a build of the measure's table at the cap and one
+    unbounded float step from a table-sized level: (table, build peak,
+    retained after the build, peak over both, retained after the step)."""
     cols = [float(c) for c in measure.entries.values()]
     tracemalloc.start()
     try:
@@ -670,42 +687,52 @@ def traced_lazy_f2(cap):
         kept, step_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.runs is not None
-    return table.size, build_peak, retained, max(build_peak, step_peak), kept
+    return table, build_peak, retained, max(build_peak, step_peak), kept
 
 
 @pytest.fixture(scope="module")
 def lazy_f2_cap12_memory():
-    return traced_lazy_f2(12)
+    table, *sizes = traced(lazy_walk(free_group(2)), 12)
+    assert table.runs is not None
+    return table.size, table.nbytes, *sizes
 
 
 def test_build_transient_stays_small(lazy_f2_cap12_memory):
     """The cap-12 build's temporaries: peak minus what the table keeps
-    (14.8 MB measured, at the key index's last merge, of the two factors'
-    keys into one run of 1.06 M keys, beside the four neighbour arrays;
-    15.9 MB when every interning pass inserted its keys into one sorted
-    array, 29 MB when one (M x K) neighbour matrix lived until the
-    adjacency was whole, 100 MB when passes were 2^18 sources)."""
-    size, build_peak, retained, _, _ = lazy_f2_cap12_memory
+    (23.9 MB measured, at an interning chunk of 2^17 cells; 30.8 MB with
+    chunks of 2^18 cells; 14.8 MB when the table also kept its adjacency
+    and the peak came at the key index's last merge, beside the four
+    neighbour arrays; 29 MB when one (M x K) neighbour matrix lived until
+    the adjacency was whole, 100 MB when passes were 2^18 sources)."""
+    size, _, build_peak, retained, _, _ = lazy_f2_cap12_memory
     assert size > 10**6
     assert build_peak - retained < 32e6
 
 
 def test_table_bytes_per_element_is_the_measured_peak(lazy_f2_cap12_memory):
-    """TABLE_BYTES_PER_ELEMENT is the measured peak per element of build,
-    adjacency, runs and one float step, rounded up (68.3 B measured on the
-    runs step, 73.3 B on an np.add.at step)."""
-    size, _, _, peak, _ = lazy_f2_cap12_memory
-    assert TABLE_BYTES_PER_ELEMENT - 10 < peak / size <= TABLE_BYTES_PER_ELEMENT
+    """TABLE_BYTES_PER_ELEMENT is the largest measured peak per element of
+    a build and one float step, rounded up, over three tables: lazy F2 at
+    cap 12 (runs; 54.5 B measured), Z^2*Z/3 at cap 9 (runs, six support
+    columns; 70.5 B) and the d_mu = 2 walk at cap 14 (np.add.at; 75.9 B)."""
+    size, _, _, _, peak, _ = lazy_f2_cap12_memory
+    peaks = [peak / size]
+    cfg = load_config(str(CONFIGS / "z2-z3-lazy.json"))
+    for measure, cap, path in [(build_measure(cfg, build_group(cfg), "exact"), 9, "runs"),
+                               (f2_walk(LONG_STEPS, 8), 14, "add.at")]:
+        table, _, _, peak, _ = traced(measure, cap)
+        assert (table.runs is not None) == (path == "runs"), cap
+        peaks.append(peak / table.size)
+    assert TABLE_BYTES_PER_ELEMENT - 10 < max(peaks) <= TABLE_BYTES_PER_ELEMENT, peaks
 
 
 def test_table_keeps_one_step_relation(lazy_f2_cap12_memory):
     """After its build and a step, the cap-12 table keeps its per-id arrays
-    (20 B per element), trie keys (12 B), step adjacency (21 B) and a few
-    hundred run pieces: 52.0 B per element measured.  The build's neighbour
-    arrays kept beside the adjacency would add 16 B."""
-    size, _, _, _, kept = lazy_f2_cap12_memory
-    assert kept / size < 60
+    (20 B per element), trie keys (12 B) and a few hundred run pieces, and
+    nothing per edge: 32.0 B per element measured, as `nbytes` counts it.
+    The compact adjacency kept beside the runs would add 20 B."""
+    size, nbytes, _, _, _, kept = lazy_f2_cap12_memory
+    assert kept / size < 36
+    assert abs(kept - nbytes) < 0.1 * size
 
 
 # -- the DP step -------------------------------------------------------------------
@@ -1701,15 +1728,31 @@ def test_lazy_f2_columns_are_a_few_dozen_runs():
         assert len(src) - joined <= 40
 
 
-def test_src_has_one_id_order():
-    """No src module names `BlockLayout`, `level_table` or `blocks`, or
-    reads an attribute `pos`: every DP runs in the table's own ids."""
-    banned = {"BlockLayout", "level_table", "blocks"}
+def src_nodes():
+    """(module file name, node, the name it binds or reads or None) over
+    every ast node of the package source."""
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
                     node.arg if isinstance(node, ast.arg) else
                     node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None)
-            assert name not in banned, (path.name, name)
-            assert not (isinstance(node, ast.Attribute) and node.attr == "pos"), path.name
+            yield path.name, node, name
+
+
+def test_src_has_one_id_order():
+    """No src module names `BlockLayout`, `level_table` or `blocks`, or
+    reads an attribute `pos`: every DP runs in the table's own ids."""
+    banned = {"BlockLayout", "level_table", "blocks"}
+    for module, node, name in src_nodes():
+        assert name not in banned, (module, name)
+        assert not (isinstance(node, ast.Attribute) and node.attr == "pos"), module
+
+
+def test_only_the_engine_reads_the_step_relation():
+    """No src module but engine.py names `adjacency`, `_adj` or `runs`: a
+    table keeps one of the two, so only the engine may choose which to
+    read."""
+    banned = {"adjacency", "_adj", "runs"}
+    for module, _, name in src_nodes():
+        assert module == "engine.py" or name not in banned, (module, name)
