@@ -197,14 +197,12 @@ def _resolve_r(ctx):
     """The estimate of R and the r values of the grid's fractions of it.
     A fraction whose r lies above the estimate's certified upper bound on R,
     where G(e, e | r) diverges, is refused."""
-    est = green_mod.spectral_radius(ctx["measure"], ctx["budgets"]["n_max"])
-    rs = [frac * est.point for frac in ctx["fractions"]]
-    for frac, r in zip(ctx["fractions"], rs):
-        if r > est.certified_upper:
-            raise ConfigError(f"r_grid: fraction {frac} gives r = {r!r}, above the certified "
-                              f"upper bound {est.certified_upper!r} on R "
-                              f"(n_max {ctx['budgets']['n_max']})")
-    return est, rs
+    measure, n_max = ctx["measure"], ctx["budgets"]["n_max"]
+    est = green_mod.spectral_radius(measure, n_max)
+    try:
+        return est, [green_mod.resolve_r(measure, frac, n_max) for frac in ctx["fractions"]]
+    except ValueError as exc:
+        raise ConfigError(f"r_grid: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:

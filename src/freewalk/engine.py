@@ -3,13 +3,14 @@
 This is the workhorse behind exact convolution powers, Green evaluations
 and first-return kernels.  Elements reachable from e inside a word-radius
 cap are interned once into a trie of (parent id, syllable code) rows,
-grown breadth first one generation at a time, ending with the table's one
-step relation: its runs, or a compact adjacency.  A generation steps its
-sources support column by support column, syllable by syllable, reading
-every product off one small table per build, indexed by last syllable, and
-interns the new ones through sorted key runs that merge geometrically, so
-no step copies the whole key array.  Every random-walk computation is
-then a sequence of level steps over flat weight arrays.
+grown breadth first one generation at a time, ending with where each
+generation ends and the table's one step relation: its runs, or a compact
+adjacency.  A generation steps its sources support column by support
+column, syllable by syllable, reading every product off one small table
+per build, indexed by last syllable, and interns the new ones through
+sorted key runs that merge geometrically, so no step copies the whole key
+array.  Every random-walk computation is then a sequence of level steps
+over flat weight arrays.
 
 Ids are numbered generation by generation, and within one by support
 column, syllable depth and source id.  On a free product an element's
@@ -30,12 +31,11 @@ every level is the same bit for bit.
 `levels` is the one level driver: every DP over a table (return numbers,
 Green fields, absorbed profiles, distributions) is a loop over the levels
 mu^{*t}, t = 0..n, that it yields.  Each level comes with an exclusive id
-bound hi, zero from hi on: level t lives within t support steps of e, and
-the breadth-first ids number those elements first (to within an edge),
-so a step, a pairing dot or a field update touches only the prefix
-[0, hi).  A caller may only zero entries of a yielded level in place; the
-next step starts from the edited level.  `levels` holds the one pruning
-rule, and `reach_cap` its table cap.
+bound hi, zero from hi on: level t lives in generations <= t, the id
+prefix [0, generations[t]), so a step, a pairing dot or a field update
+touches only the prefix [0, hi).  A caller may only zero entries of a
+yielded level in place; the next step starts from the edited level.
+`levels` holds the one pruning rule, and `reach_cap` its table cap.
 
 Exactness: the weights choose the number type of the levels.  An object
 array of Python ints gives Python-int levels, exact at any size; other
@@ -47,7 +47,7 @@ is exact, and combines the limb dots in Python ints.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -273,6 +273,10 @@ class BallTable:
         len(syllables))
     wl, rel, maxfac : per-id int32 arrays (word length, relative length,
         max factor word length over syllables)
+    generations : list of the ends of the breadth-first generations, from 1
+        (generation 0, e alone) to size: generation g holds the ids
+        [generations[g - 1], generations[g]), and the elements within t
+        support steps of e lie in [0, generations[t]).
     runs : per stored support column (from _first() on), the lists
         (src, tgt, length) of its run pieces: ids src + i go to tgt + i for
         i < length, sources ascending, each piece at most _CHUNK ids; None
@@ -281,8 +285,8 @@ class BallTable:
 
     The step relation g -> g * support_j is held once, in the form the
     table's step reads: its `runs`, or else the compact `adjacency`, never
-    both.  `reach` reads whichever the table holds, and the (src, tgt)
-    `columns` are derived from it only when asked for.
+    both.  `reach` reads the generation ends instead, and the (src, tgt)
+    `columns` are derived from the step relation only when asked for.
     """
 
     def __init__(self, group: FreeProduct, support: Sequence[GroupElement], cap: int,
@@ -300,7 +304,6 @@ class BallTable:
         )
         self.d_mu = max((group.word_length(g) for g in self.support), default=0)
         self._cols = None
-        self._reach: dict[int, int] = {}  # prefix bound -> bound on its one-step image
         self._wl_end: dict[int, int] = {}  # word-length bound -> id bound
         self._inv_perm: np.ndarray | None = None
         self._inv_out: np.ndarray | None = None  # ids whose inverse leaves the table
@@ -348,7 +351,8 @@ class BallTable:
     def _build(self, max_elements):
         """Grow the trie breadth first, one generation at a time.
 
-        A generation's sources are the ids [lo, top) known when it starts.
+        A generation's sources are the ids [lo, top) known when it starts,
+        and each top is recorded in `generations`.
         It runs the support columns in order, each step syllable by
         syllable, over chunks of at most _PASS of its sources (one cell is
         one source times one syllable step), reading each product off the
@@ -390,8 +394,10 @@ class BallTable:
 
         check_budget(1)
         n, lo = 1, 0
+        self.generations = []
         while lo < n:
             top = n
+            self.generations.append(top)
             for col, steps in zip(nbr, products):
                 col.resize(top, refcheck=False)
                 if not steps:  # the identity, where it is not support element 0
@@ -525,25 +531,13 @@ class BallTable:
 
     def reach(self, h: int) -> int:
         """Exclusive id bound on the ids [0, h) and their one-step images:
-        max(h, 1 + the largest target of a source below h), read off the
-        runs or the adjacency.  A column's sources below h are a prefix of
-        its pieces, the last one cut at h, or of its tgt.  Holds for any id
-        order; tight for the breadth-first one."""
-        if h >= self.size:
-            return self.size
-        r = self._reach.get(h)
-        if r is None:
-            r = h
-            if self.runs is not None:
-                for src, tgt, length in self.runs:
-                    for s, g, n in zip(src[:bisect_left(src, h)], tgt, length):
-                        r = max(r, g + min(n, h - s))
-            else:
-                for d, tail, tgt in self._adj:
-                    m = h if h <= d else d + int(tail.searchsorted(h))
-                    r = max(r, 1 + int(tgt[:m].max(initial=-1)))
-            self._reach[h] = r
-        return r
+        the end of the generation after the one holding id h - 1 (0 for h =
+        0), since a step from generation g lands in generation g + 1 at the
+        latest.  At a generation end it is the next one."""
+        if h <= 0:
+            return 0
+        ends = self.generations
+        return ends[min(bisect_right(ends, h - 1) + 1, len(ends) - 1)]
 
     @property
     def step_path(self) -> str:
@@ -767,8 +761,9 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
     """One level of the DP: nw[g s_j] += w[g] * col_weights[j] over the table.
 
     w is the prefix [0, hi) of a level that is zero from hi = len(w) on (the
-    whole level when hi = table.size); the new level is table-sized and zero
-    from table.reach(hi) on.  Every target sums its contributions in
+    whole level when hi = table.size); the new level is table-sized and
+    lives in the generations up to the one after id hi - 1's, zero from
+    table.reach(hi) on.  Every target sums its contributions in
     support-column order, starting from 0: right multiplication by s_j is
     injective, so a column hits each target at most once.  The identity
     column (support element e, first when present) is the identity map, so
@@ -828,20 +823,16 @@ def _level_bound(t: int, horizon: int | None, radius: int, d_mu: int) -> int | N
     return b if b is not None and b < t * d_mu else None
 
 
-def _next_hi(table: BallTable, hi: int, b: int | None) -> int:
-    """The id bound of the level after one with id bound hi, under bound b."""
-    return table.reach(hi) if b is None else min(table.reach(hi), table.wl_end(b))
-
-
 def levels(table: BallTable, weights: Iterable, n_steps: int, horizon: int | None = None,
            radius: int = 0) -> Iterator[tuple[np.ndarray, int]]:
     """The levels (mu^{*t}, hi_t), t = 0..n_steps, of the walk from e over
     the table, in its ids.
 
     Each level is a table-sized array that is zero from the id hi_t on:
-    hi_0 = 1, and hi_t = min(reach(hi_{t-1}), wl_end(b_t)), since a step
-    only moves mass from [0, hi) into [0, reach(hi)) and a bound b_t zeroes
-    every id longer than it.  Each step reads only the prefix [0, hi).
+    level t lives in generations <= t, and a bound b_t zeroes every id
+    longer than it, so hi_t = min(generations[t], wl_end(b_t)), the last
+    generation end once t passes it.  Each step reads only the prefix
+    [0, hi).
     `weights` are the support weights in support order: an object array of
     Python ints gives Python-int levels, and any other weights are turned
     into floats once.  Given a horizon (a reader of word length <= radius
@@ -856,10 +847,13 @@ def levels(table: BallTable, weights: Iterable, n_steps: int, horizon: int | Non
     hi = 1
     yield w, hi
     cols = list(weights) if exact else [float(c) for c in weights]
+    ends = table.generations
     for t in range(1, n_steps + 1):
         b = _level_bound(t, horizon, radius, table.d_mu)
         w = _step(table, w[:hi], cols, b)
-        hi = _next_hi(table, hi, b)
+        hi = ends[min(t, len(ends) - 1)]
+        if b is not None:
+            hi = min(hi, table.wl_end(b))
         yield w, hi
 
 

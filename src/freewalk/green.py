@@ -316,8 +316,15 @@ def spectral_radius(measure: Measure, n_max: int = 28) -> SpectralRadiusEstimate
 
 
 def resolve_r(measure: Measure, fraction: float, n_max: int = 28) -> float:
-    """r expressed as a fraction of the point estimate R-hat."""
-    return fraction * spectral_radius(measure, n_max).point
+    """r expressed as a fraction of the point estimate R-hat.  An r above
+    the estimate's certified upper bound on R, where G(e, e | r) diverges,
+    raises ValueError."""
+    est = spectral_radius(measure, n_max)
+    r = fraction * est.point
+    if r > est.certified_upper:
+        raise ValueError(f"fraction {fraction} gives r = {r!r}, above the certified upper "
+                         f"bound {est.certified_upper!r} on R (n_max {n_max})")
+    return r
 
 
 # -- spatial sums ---------------------------------------------------------------------

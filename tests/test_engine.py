@@ -1,11 +1,11 @@
 """BallTable against an independent breadth-first builder and against
 itself built in chunks of other sizes, the trie lookups and inversion, the
-one step relation each table keeps (its adjacency or its runs), `reach`
-and `subgroup_ids` against the reference step matrix, both DP step paths
-against the column-by-column bincount kernel and each other, the exact
-pairing against Python big ints, the level driver against the callback
-loop it replaced, every exact DP against the Fraction dict DP it replaced,
-and the build's memory."""
+one step relation each table keeps (its adjacency or its runs), the
+generation ends, `reach` and `subgroup_ids` against the reference builder,
+both DP step paths against the column-by-column bincount kernel and each
+other, the exact pairing against Python big ints, the level driver against
+the callback loop it replaced, every exact DP against the Fraction dict DP
+it replaced, and the build's memory."""
 
 import ast
 import math
@@ -68,14 +68,19 @@ def reference_table(group, support, cap):
     """Breadth-first generations over normal forms, one syllable at a time:
     generation g + 1 is what the support steps from generation g's elements
     discover, numbered by support column, then syllable depth, then source;
-    every intermediate product inside the cap is interned when first met."""
+    every intermediate product inside the cap is interned when first met.
+    Besides the per-id arrays: the generation ends (the element count `top`
+    as each generation starts, the last one the size), and per source the
+    largest id its steps meet, intermediate products included."""
     ids = {group.identity: 0}
     elems = [group.identity]
-    nbr = []
+    nbr, found, generations = [], [], []
     lo = 0
     while lo < len(elems):
         top = len(elems)
+        generations.append(top)
         rows = [[] for _ in range(lo, top)]
+        met = [-1] * (top - lo)
         for g in support:
             cur = elems[lo:top]  # each source's partial product, None once beyond the cap
             for syl in g.syllables:
@@ -88,13 +93,18 @@ def reference_table(group, support, cap):
                     elif x not in ids:
                         ids[x] = len(elems)
                         elems.append(x)
+                    if x is not None:
+                        met[i] = max(met[i], ids[x])
                     cur[i] = x
             for row, x in zip(rows, cur):
                 row.append(-1 if x is None else ids[x])
         nbr.extend(rows)
+        found.extend(met)
         lo = top
     arrays = {
         "nbr": np.array(nbr, dtype=np.int64).reshape(len(elems), len(support)),
+        "found": np.array(found, dtype=np.int64),
+        "generations": generations,
         "wl": [group.word_length(g) for g in elems],
         "rel": [len(g.syllables) for g in elems],
         "maxfac": [max((group.factor_word_length(*s) for s in g.syllables), default=0)
@@ -110,17 +120,26 @@ def reference_nbr(table):
     return reference_table(table.group, table.support, table.cap)[1]["nbr"]
 
 
-def assert_step_relation_matches(table, elems, nbr):
-    """The table's one step relation against the reference step matrix.
-    A table that steps by np.add.at keeps only its adjacency: each column
-    (d, tail, tgt) holds the dense prefix up to the first product that
-    leaves the table, the remaining sources and all targets in order.  A
-    table that steps by runs keeps only its runs, and its (src, tgt)
-    columns, derived from them, are the reference's.  The identity column,
-    first when e is support element 0, is not stored.  On either kind
-    reach(h) is max(h, 1 + the largest target of a source below h) at every
-    h, and subgroup_ids(k) are the ids of e and of the one-syllable
-    elements of H_k."""
+def prefix_bound(h, per_source):
+    """max(h, 1 + the largest of per_source[:h]), -1 entries ignored."""
+    return max(h, 1 + int(per_source[:h].max(initial=-1)))
+
+
+def assert_step_relation_matches(table, elems, ref):
+    """The table's one step relation and generations against the
+    reference's.  A table that steps by np.add.at keeps only its adjacency:
+    each column (d, tail, tgt) holds the dense prefix up to the first
+    product that leaves the table, the remaining sources and all targets in
+    order.  A table that steps by runs keeps only its runs, and its (src,
+    tgt) columns, derived from them, are the reference's.  The identity
+    column, first when e is support element 0, is not stored.  On either
+    kind the generation ends are the reference's; reach(h) is at least
+    max(h, 1 + the largest target of a source below h) at every h, and at a
+    generation end it is the next one, 1 + the largest id that the steps
+    from below h meet: their targets, and on a multi-syllable support their
+    intermediate products too, which can end a generation.  subgroup_ids(k)
+    are the ids of e and of the one-syllable elements of H_k."""
+    nbr = ref["nbr"]
     first = table._first()
     assert first == (len(table.support) > 0 and not table.support[0].syllables)
     if first:
@@ -138,9 +157,14 @@ def assert_step_relation_matches(table, elems, nbr):
             src = np.flatnonzero(col >= 0)
             assert tail.dtype == tgt.dtype == np.int64
             assert np.array_equal(tail, src[src >= d]) and np.array_equal(tgt, col[src])
-    top = np.maximum.accumulate(np.concatenate([[-1], nbr.max(axis=1, initial=-1)]))
-    want = np.maximum(np.arange(table.size + 1), 1 + top)
-    assert [table.reach(h) for h in range(table.size + 1)] == want.tolist()
+    assert table.generations == ref["generations"]
+    targets = nbr.max(axis=1, initial=-1)
+    for h in range(table.size + 1):
+        assert table.reach(h) >= prefix_bound(h, targets), h
+    for h in [0] + table.generations:
+        assert table.reach(h) == prefix_bound(h, ref["found"]), h
+        if all(len(g.syllables) <= 1 for g in table.support):
+            assert table.reach(h) == prefix_bound(h, targets), h
     for k in range(1, table.group.num_factors + 1):
         got = table.subgroup_ids(k)
         assert got.dtype == np.int32
@@ -157,7 +181,7 @@ def assert_matches_reference(group, support, cap):
     for name in ("parent", "code"):  # trimmed to the table after the build's headroom
         assert len(getattr(table, name)) == table.size, name
     for t in [table] + both_paths(table):
-        assert_step_relation_matches(t, elems, ref["nbr"])
+        assert_step_relation_matches(t, elems, ref)
     assert [table.element_of(i) for i in range(table.size)] == elems
     assert table.ids_of(elems).tolist() == list(range(table.size))
     return table, elems
@@ -1235,9 +1259,10 @@ def test_no_dp_builds_the_columns(monkeypatch):
         assert all((t.runs is not None) == (path == "runs") for t in tables), path
 
 
-def step_references():
-    """(file, enclosing function) of every use of the name `_step` in the
-    package source, the definition aside."""
+def references(*names, attributes_only=False):
+    """(file, enclosing function) of every use of the given names in the
+    package source, as an attribute and, unless attributes_only, as a
+    name; definitions aside."""
     found = []
 
     class Visitor(ast.NodeVisitor):
@@ -1252,11 +1277,11 @@ def step_references():
         visit_AsyncFunctionDef = visit_FunctionDef
 
         def visit_Name(self, node):
-            if node.id == "_step":
+            if node.id in names and not attributes_only:
                 found.append((self.path.name, ".".join(self.scope)))
 
         def visit_Attribute(self, node):
-            if node.attr == "_step":
+            if node.attr in names:
                 found.append((self.path.name, ".".join(self.scope)))
             self.generic_visit(node)
 
@@ -1278,7 +1303,7 @@ def test_step_is_called_only_by_the_level_driver():
     """Every DP is a loop over `engine.levels`; no module steps by itself,
     and the driver steps the prefix of each level, w[:hi], not the whole
     table."""
-    assert step_references() == [("engine.py", "levels")]
+    assert references("_step") == [("engine.py", "levels")]
     calls = step_calls_in_levels()
     assert len(calls) == 1
     level = calls[0].args[1]
@@ -1644,7 +1669,28 @@ def test_step_paths_agree_on_random_products(case):
     assert readers(runs, ints, n, absorb) == readers(add_at, ints, n, absorb)
 
 
-def block_walks():
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_products())
+def test_level_t_lives_in_generations_up_to_t(case):
+    """On random products, multi-syllable supports included, level t is
+    zero from generations[t] on (the last end once t passes it), unbounded
+    and bounded, both as `levels` yields it, with hi at most that end, and
+    as full-width steps make it."""
+    group, support, cap = case
+    table = BallTable(group, support, cap)
+    ends = table.generations
+    ints = [1 + k % 3 for k in range(len(support))]
+    n = 2 * cap + 2
+    for horizon, radius in [(None, 0), (n, 0), (n, 1), (n - 1, 2)]:
+        bound = lambda t: engine._level_bound(t, horizon, radius, table.d_mu)
+        full = reference_levels(table, ints, n, bound)
+        for t, ((w, hi), ref) in enumerate(zip(levels(table, ints, n, horizon, radius), full,
+                                               strict=True)):
+            end = ends[min(t, len(ends) - 1)]
+            assert hi <= end and not w[end:].any() and not ref[end:].any(), (t, horizon)
+
+
+def step_path_walks():
     """Measure makers: the three configs, MULTI_F2 with weights 1..4 over 10,
     and the d_mu = 2 walk {e: 1/2, ab, BA, a^2, B: 1/8 each}."""
     def config(name):
@@ -1690,13 +1736,14 @@ def every_reader(measure, order):
     return out, table
 
 
-@pytest.mark.parametrize("make", block_walks(),
+@pytest.mark.parametrize("make", step_path_walks(),
                          ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "multi-f2", "long-steps"])
-def test_forced_block_order_leaves_every_reader_equal(monkeypatch, make):
-    """With every table on the runs path (and runs cut into pieces of at
-    most five ids), every reader of `levels` gives the `==` results of
-    every table on the np.add.at path, which these small tables take
-    unforced."""
+def test_forced_step_path_leaves_every_reader_equal(monkeypatch, make):
+    """With every table forced onto the runs path (and runs cut into pieces
+    of at most five ids), every reader of `levels` gives the `==` results
+    of every table on the np.add.at path, which these small tables take
+    unforced: the levels, their id bounds from the generation ends, and
+    what each reader makes of them do not depend on the step path."""
     want, table = on_path("add.at", lambda: every_reader(make(), 12))
     assert table.runs is None and every_reader(make(), 12)[0] == want
     monkeypatch.setattr(engine, "_CHUNK", 5)
@@ -1747,6 +1794,17 @@ def test_src_has_one_id_order():
     for module, node, name in src_nodes():
         assert name not in banned, (module, name)
         assert not (isinstance(node, ast.Attribute) and node.attr == "pos"), module
+
+
+def test_only_the_build_the_step_and_its_views_read_the_step_relation():
+    """The attributes `runs`, `_adj` and `adjacency` are read in src only by
+    the build that makes the step relation, the step that reads it, and the
+    views of it: `columns`, `nbytes`, `step_path` and `adjacency` itself.
+    `reach` and `levels` read the generation ends instead."""
+    readers = {scope for _, scope in references("runs", "_adj", "adjacency",
+                                                attributes_only=True)}
+    assert readers <= {"_build", "_step", "columns", "nbytes", "step_path", "adjacency"}
+    assert {"_build", "_step"} <= readers
 
 
 def test_only_the_engine_reads_the_step_relation():

@@ -336,6 +336,17 @@ def test_resolve_r(lazy):
     assert abs(r - 0.5 * est.point) < 1e-15
 
 
+def test_resolve_r_refuses_r_above_the_certified_bound(lazy):
+    """Lazy F2 at n_max 20: R-hat = 1.0735 and the certified upper bound on
+    R is 1.2501, so 1.5 R-hat = 1.6102 lies where G(e, e | r) diverges and
+    is refused with the bound named; 0.5 R-hat keeps its value."""
+    est = spectral_radius(lazy, n_max=20)
+    assert resolve_r(lazy, 0.5, n_max=20) == 0.5 * est.point
+    with pytest.raises(ValueError, match=r"^fraction 1\.5 gives r = 1\.610.*, above the "
+                       r"certified upper bound 1\.250.* on R \(n_max 20\)$"):
+        resolve_r(lazy, 1.5, n_max=20)
+
+
 def test_derivative_identity_asymmetric(zz):
     # the identity needs no symmetry; exercises the backward Green array
     from freewalk import measure_from_pairs
