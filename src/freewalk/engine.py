@@ -282,10 +282,18 @@ class BallTable:
         i < length, sources ascending, each piece at most _CHUNK ids; None
         when the columns average fewer than _RUN_EDGES edges per piece, and
         the table steps by `np.add.at`.
+    adjacency : per stored support column, the compact (d, tail, tgt) of a
+        table that steps by `np.add.at`; None on a table with `runs`.
+        Column j's sources are the ids whose product with support_j stays
+        in the table, ascending.  They start with the dense prefix [0, d),
+        where d is the first id whose product leaves the table; `tail`
+        holds the sources from d on, and `tgt` (int64) the targets of all
+        sources in order.  On a breadth-first table d covers the inner
+        ball, so only the outer shell stores its source ids.
 
     The step relation g -> g * support_j is held once, in the form the
-    table's step reads: its `runs`, or else the compact `adjacency`, never
-    both.  `reach` reads the generation ends instead, and the (src, tgt)
+    table's step reads: its `runs`, or else its `adjacency`, never both.
+    `reach` reads the generation ends instead, and the (src, tgt)
     `columns` are derived from the step relation only when asked for.
     """
 
@@ -466,12 +474,12 @@ class BallTable:
             runs.append(got)
             pieces += len(got[0])
             edges += int(got[2].sum())
-        self.runs = self._adj = None
+        self.runs = self.adjacency = None
         if len(runs) == len(nbr) and pieces * _RUN_EDGES <= edges:
             self.runs = [tuple(a.tolist() for a in piece) for piece in runs]
             nbr.clear()  # the runs are the step relation: nothing per edge stays
         else:
-            self._adj = []
+            self.adjacency = []
         whole = _KeyIndex()
         while index:
             whole.add(*index.popitem()[1].merged())
@@ -484,26 +492,12 @@ class BallTable:
             tgt = np.empty(d + len(tail), dtype=np.int64)
             tgt[:d] = col[:d]
             tgt[d:] = col[tail]
-            self._adj.append((d, tail, tgt))
+            self.adjacency.append((d, tail, tgt))
 
     def _first(self) -> int:
         """1 when support element 0 is the identity (its column is the
         identity map and is not stored), else 0."""
         return 1 if self.support and not self.support[0].syllables else 0
-
-    def adjacency(self):
-        """The compact step adjacency of a table that steps by `np.add.at`,
-        one (d, tail, tgt) per support column from _first() on; None on a
-        table with `runs`, which hold the step relation instead.
-
-        Column j's sources are the ids whose product with support_j stays in
-        the table, ascending.  They start with the dense prefix [0, d), where
-        d is the first id whose product leaves the table; `tail` holds the
-        sources from d on, and `tgt` (int64) the targets of all sources in
-        order.  On a breadth-first table d covers the inner ball, so only the
-        outer shell stores its source ids.
-        """
-        return self._adj
 
     def columns(self):
         """Per-support (source ids, target ids) of the edges that stay in
@@ -524,7 +518,7 @@ class BallTable:
                     cols.append(tuple(np.repeat(np.array(x, dtype=np.int64), n) + off
                                       for x in (src, tgt)))
             else:
-                for d, tail, tgt in self._adj:
+                for d, tail, tgt in self.adjacency:
                     cols.append((np.concatenate([np.arange(d, dtype=np.int64), tail]), tgt))
             self._cols = cols
         return self._cols
@@ -551,7 +545,7 @@ class BallTable:
         permutation and (src, tgt) columns once they are built."""
         arrays = [self.parent, self.code, self.wl, self.rel, self.maxfac, self._keys, self._kid,
                   self._inv_perm, self._inv_out]
-        arrays += [a for _, tail, tgt in self._adj or () for a in (tail, tgt)]
+        arrays += [a for _, tail, tgt in self.adjacency or () for a in (tail, tgt)]
         arrays += [a for col in self._cols or () for a in col]
         pieces = sum(len(src) for src, _, _ in self.runs or ())
         kept = {id(a): a.nbytes for a in arrays if a is not None}  # shared arrays count once
@@ -571,12 +565,15 @@ class BallTable:
 
     def _child(self, ids: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Ids of element ids[i] times syllables[codes[i]]; -1 if absent, if
-        ids[i] is -1 or codes[i] is not in the alphabet.  Sorted queries."""
-        q = ids.astype(np.int64) * self._stride + codes
+        ids[i] is not a table id (-1 or a virtual id >= size) or codes[i] is
+        not in the alphabet.  Only the other rows are looked up, sorted."""
+        ok = np.flatnonzero((codes >= 0) & (codes < self._stride - 1)
+                            & (ids >= 0) & (ids < self.size))
+        q = ids[ok].astype(np.int64) * self._stride + codes[ok]
         order = np.argsort(q)
-        got = np.empty(len(q), dtype=np.int64)
-        got[order] = _lookup(self._keys, self._kid, q[order])
-        return np.where((codes >= 0) & (codes < self._stride - 1) & (ids >= 0), got, -1)
+        got = np.full(len(ids), -1, dtype=np.int64)
+        got[ok[order]] = _lookup(self._keys, self._kid, q[order])
+        return got
 
     def walk(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the elements spelled by the rows of (n, depth) syllable codes,
@@ -623,8 +620,10 @@ class BallTable:
         first syllable s has the inverse t^-1 s^-1, the child of its tail
         t's inverse, and its tail is the child of its parent's tail.  The
         trie is prefix-closed but not suffix-closed, so a tail can leave the
-        table while the inverse stays in; such elements spell their inverse
-        from e instead (`_walk_inverse`)."""
+        table while the inverse stays in.  Such lost rows of a relative
+        length spell their inverses by one `walk` of their negated
+        syllables, read up the parent chain; a virtual id, an inverse
+        outside the table, becomes -1."""
         if self._inv_perm is None:
             group = self.group
             neg = np.array(
@@ -643,24 +642,17 @@ class BallTable:
                     tail[ids] = self._child(tail[p], self.code[ids])
                 t = tail[ids]
                 inv[ids] = self._child(np.where(t >= 0, inv[t], -1), neg[head[ids]])
-                # before the next level reads their inverses
-                inv[ids[t < 0]] = self._walk_inverse(ids[t < 0], r, neg)
+                lost = ids[t < 0]  # spelled before the next level reads their inverses
+                if lost.size:
+                    codes = np.empty((len(lost), r), dtype=np.int64)
+                    up = lost
+                    for c in codes.T:
+                        c[:] = neg[self.code[up]]
+                        up = self.parent[up]
+                    got = self.walk(codes)[0]
+                    inv[lost] = np.where(got < self.size, got, -1)
             self._inv_perm = inv
         return self._inv_perm
-
-    def _walk_inverse(self, ids: np.ndarray, r: int, neg: np.ndarray) -> np.ndarray:
-        """Ids of the inverses of ids, all of relative length r (-1 outside
-        the table), spelled from e by their negated syllables read up the
-        parent chain.  The table is prefix-closed, so a row whose walk
-        leaves it stays out and is dropped there."""
-        out = np.full(len(ids), -1, dtype=np.int64)
-        rows, at = np.arange(len(ids)), np.zeros(len(ids), dtype=np.int64)
-        for _ in range(r):
-            at = self._child(at, neg[self.code[ids]])
-            keep = at >= 0
-            rows, at, ids = rows[keep], at[keep], self.parent[ids[keep]]
-        out[rows] = at
-        return out
 
     def pull_back(self, x: np.ndarray) -> np.ndarray:
         """x composed with inversion: at id g, x at the id of g^-1, or 0
@@ -793,7 +785,7 @@ def _step(table: BallTable, w: np.ndarray, col_weights, bound: int | None) -> np
                 np.multiply(w[s:s + n], cj, out=piece)
                 nw[g:g + n] += piece
     else:
-        for (d, tail, tgt), cj in zip(table.adjacency(), col_weights[first:]):
+        for (d, tail, tgt), cj in zip(table.adjacency, col_weights[first:]):
             if cj == 0:
                 continue
             n = min(d, hi)

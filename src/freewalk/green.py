@@ -316,9 +316,11 @@ def spectral_radius(measure: Measure, n_max: int = 28) -> SpectralRadiusEstimate
 
 
 def resolve_r(measure: Measure, fraction: float, n_max: int = 28) -> float:
-    """r expressed as a fraction of the point estimate R-hat.  An r above
-    the estimate's certified upper bound on R, where G(e, e | r) diverges,
-    raises ValueError."""
+    """r expressed as a fraction of the point estimate R-hat.  A fraction
+    that is not finite and >= 0, or an r above the estimate's certified
+    upper bound on R, where G(e, e | r) diverges, raises ValueError."""
+    if not (math.isfinite(fraction) and fraction >= 0):
+        raise ValueError(f"fraction must be finite and >= 0, got {fraction!r}")
     est = spectral_radius(measure, n_max)
     r = fraction * est.point
     if r > est.certified_upper:
@@ -330,21 +332,18 @@ def resolve_r(measure: Measure, fraction: float, n_max: int = 28) -> float:
 # -- spatial sums ---------------------------------------------------------------------
 
 
-def _ball_ids(measure: Measure, m: int, B: int, radius: int):
-    """Ids (and elements) of the relative (m, B)-ball inside the table."""
-    table = measure.table(radius)
-    elems = list(measure.group.enumerate_ball(m, B))
-    ids = table.ids_of(elems)
-    return table, [g for g, i in zip(elems, ids) if i >= 0], ids[ids >= 0]
-
-
 def _pair_matrix_ids(measure: Measure, m: int, B: int, radius: int):
-    """Table ids of gamma^-1 gamma' over the (m, B)-ball, cached per budgets."""
+    """(table, elems, ids, pair) over the relative (m, B)-ball elements that
+    the table holds, in `enumerate_ball` order: their ids, and the table
+    ids of gamma^-1 gamma' for every pair; cached per budgets."""
 
     def compute():
+        table = measure.table(radius)
+        ball = list(measure.group.enumerate_ball(m, B))
+        ids = table.ids_of(ball)
         # the table is prefix-closed, so the ball elements it holds are too
-        table, elems, ids = _ball_ids(measure, m, B, radius)
-        return table, elems, ids, engine.pair_ids(table, elems)
+        elems = [g for g, i in zip(ball, ids) if i >= 0]
+        return table, elems, ids[ids >= 0], engine.pair_ids(table, elems)
 
     return measure.memo(("pairids", m, B, radius), compute)
 

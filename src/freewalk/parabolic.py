@@ -21,8 +21,8 @@ import numpy as np
 from . import engine
 from .groups import GroupElement
 from .measures import Measure, default_radius
-from .green import (_field_arrays, _root_growth, pruned_return_weights, series_derivative,
-                    spectral_radius)
+from .green import (_field_arrays, _pair_matrix_ids, _root_growth, pruned_return_weights,
+                    resolve_r, series_derivative, spectral_radius)
 from .tauberian import _slope
 
 
@@ -316,27 +316,25 @@ def green_moments(measure: Measure, k: int, r: float,
     Geometrically decaying ladder increments mean the full series converges
     (finite Green moments); non-decaying increments mean it cannot.
 
-    One pair matrix at the ladder's largest B serves every rung: pair ids
-    depend only on the two elements, and `_factor_ball` lists each smaller
-    ball in the same order, so each rung is a sub-matrix.
+    One pair matrix serves every rung and every factor: green's cached one
+    over the relative (1, B)-ball at the ladder's largest B.  That ball
+    lists e first, then each factor's letters in letter order, as
+    `_factor_ball` does, and pair ids depend only on the two elements, so
+    each rung is a sub-matrix.
     """
-    group = measure.group
     radius = default_radius(measure, order) if radius is None else radius
-    table, gf, gb = _field_arrays(measure, r, order, radius)
-    ball = _factor_ball(group, k, max(ladder))
-    full = engine.pair_ids(table, ball)
-    wl = np.array([group.word_length(g) for g in ball[1:]], dtype=np.int64)
+    _, gf, gb = _field_arrays(measure, r, order, radius)
+    _, elems, ids, full = _pair_matrix_ids(measure, 1, max(1, *ladder), radius)
+    at = np.array([i for i, g in enumerate(elems) if g.syllables and g.syllables[0].factor == k],
+                  dtype=np.int64)  # factor k's letters
+    wl = np.array([measure.group.word_length(elems[i]) for i in at], dtype=np.int64)
 
     partials = []
     for B in ladder:
-        sub = np.concatenate([[0], 1 + np.flatnonzero(wl <= B)])  # e, then the B-ball
+        sub = np.concatenate([[0], at[wl <= B]])  # e, then the B-ball
         pair = full[np.ix_(sub, sub)]
-        # row 0 is h = e: the ids of the ball elements themselves
-        keep = pair[0] >= 0
-        ids = pair[0, keep]
-        pair = pair[np.ix_(keep, keep)]
-        v = gf[ids]
-        u = gb[ids]
+        v = gf[ids[sub]]
+        u = gb[ids[sub]]
         G = np.where(pair >= 0, gf[np.maximum(pair, 0)], 0.0)
         partials.append(float(v @ G @ u))
 
@@ -463,15 +461,16 @@ def equadiff_table(measure: Measure, fractions: Sequence[float], n_max: int = 24
                    kernel_order: int = 512, h_ball: int = 64) -> list[EquadiffRow]:
     """Rows {r, G''/(G')^3, 1 + sum_k G''_{k,r}, ratio} over r = fraction * R-hat.
 
-    G''_{k,r} is the second t-derivative of the parabolic Green series at
-    t = 1, computed term-wise from the kernel powers.
+    Each r is `resolve_r`'s, so a fraction that is not finite and >= 0, or
+    one past the certified bound on R, raises ValueError.  G''_{k,r} is
+    the second t-derivative of the parabolic Green series at t = 1,
+    computed term-wise from the kernel powers.
     """
     radius = default_radius(measure, order) if radius is None else radius
-    est = spectral_radius(measure, n_max)
     qf = pruned_return_weights(measure, order, radius)
     rows = []
     for frac in fractions:
-        r = frac * est.point
+        r = resolve_r(measure, frac, n_max)
         g1 = series_derivative(qf, r, 1)
         g2 = series_derivative(qf, r, 2)
         rhs = 1.0

@@ -145,11 +145,11 @@ def assert_step_relation_matches(table, elems, ref):
     if first:
         assert np.array_equal(nbr[:, 0], np.arange(table.size))
     if table.runs is not None:
-        assert table.adjacency() is None
+        assert table.adjacency is None
         assert_runs_match_reference(table, nbr)
         assert_columns_match_reference(table, nbr)
     else:
-        adj = table.adjacency()
+        adj = table.adjacency
         assert len(adj) == nbr.shape[1] - first
         for (d, tail, tgt), col in zip(adj, nbr.T[first:]):
             out = np.flatnonzero(col < 0)
@@ -644,10 +644,10 @@ def step_relation(table):
     """The one step relation the table keeps, comparable by ==: its runs,
     or its adjacency as (d, tail, tgt) with each array's dtype."""
     if table.runs is not None:
-        assert table.adjacency() is None
+        assert table.adjacency is None
         return "runs", table.runs
     return "add.at", [(d, tail.dtype, tail.tolist(), tgt.dtype, tgt.tolist())
-                      for d, tail, tgt in table.adjacency()]
+                      for d, tail, tgt in table.adjacency]
 
 
 def assert_pass_size_free(group, support, cap):
@@ -1313,10 +1313,10 @@ def test_step_is_called_only_by_the_level_driver():
 
 
 def called_in(module, name):
-    """Names of the functions and methods that the top-level function `name`
+    """Names of the functions and methods that the function or method `name`
     of src module `module` calls."""
     tree = ast.parse((SRC / module).read_text())
-    fn = next(node for node in tree.body
+    fn = next(node for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef) and node.name == name)
     return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
             for node in ast.walk(fn) if isinstance(node, ast.Call)
@@ -1333,20 +1333,28 @@ def test_pset_step_stays_on_syllables():
 
 def test_element_lookups_are_one_trie_walk():
     """Every element -> id lookup in src goes through `BallTable.walk`: no
-    scalar trie lookup exists, `pair_ids` inverts no element, and the
-    callers that look up many elements call `ids_of` once, not `id_of` per
-    element."""
-    for path in SRC.glob("*.py"):
-        names = {node.attr if isinstance(node, ast.Attribute) else node.id
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, (ast.Attribute, ast.Name))}
-        assert "_child_at" not in names, path.name
+    scalar trie lookup or private inverse walk exists, `pair_ids` inverts
+    no element, `inverse_perm` spells the inverses its tails miss by
+    `walk`, and the callers that look up many elements call `ids_of` once,
+    not `id_of` per element."""
+    for module, _, name in src_nodes():
+        assert name not in {"_child_at", "_walk_inverse"}, module
     assert "walk" in called_in("engine.py", "pair_ids")
     assert not called_in("engine.py", "pair_ids") & {"inverse", "id_of", "ids_of"}
-    for module, name in (("green.py", "_target_series"), ("green.py", "_ball_ids"),
+    assert "walk" in called_in("engine.py", "inverse_perm")
+    for module, name in (("green.py", "_target_series"), ("green.py", "_pair_matrix_ids"),
                          ("ancona.py", "_locate")):
         called = called_in(module, name)
         assert "ids_of" in called and "id_of" not in called, name
+
+
+def test_pair_matrices_come_from_one_cache():
+    """Outside engine.py only green's `_pair_matrix_ids` calls `pair_ids`:
+    every pair matrix, of green's spatial sums and of parabolic's Green
+    moments alike, is built there and cached per budgets."""
+    uses = {(module, scope) for module, scope in references("pair_ids")
+            if module != "engine.py"}
+    assert uses == {("green.py", "_pair_matrix_ids.compute")}
 
 # -- the exact oracle ----------------------------------------------------------------
 
@@ -1619,7 +1627,7 @@ def assert_runs_match_in_pieces(table):
 @pytest.mark.parametrize("table,weights,d_mu", prefix_tables(),
                          ids=["f2-lazy", "f2-simple", "z2-z3-lazy", "f2-drift", "z3-z5-z",
                               "ab-BA"])
-def test_block_runs_match_the_nbr_construction(table, weights, d_mu):
+def test_runs_match_the_nbr_construction(table, weights, d_mu):
     assert_runs_match_in_pieces(table)
 
 
@@ -1627,8 +1635,7 @@ def test_block_runs_match_the_nbr_construction(table, weights, d_mu):
     (free_group, MULTI_F2, 6),
     (free_group, list(LONG_STEPS), 8),
 ])
-def test_block_runs_match_the_nbr_construction_on_multi_syllable_supports(make_group, texts,
-                                                                          cap):
+def test_runs_match_the_nbr_construction_on_multi_syllable_supports(make_group, texts, cap):
     group = make_group()
     assert_runs_match_in_pieces(BallTable(group, _parse(group, texts), cap))
 
@@ -1797,20 +1804,21 @@ def test_src_has_one_id_order():
 
 
 def test_only_the_build_the_step_and_its_views_read_the_step_relation():
-    """The attributes `runs`, `_adj` and `adjacency` are read in src only by
-    the build that makes the step relation, the step that reads it, and the
-    views of it: `columns`, `nbytes`, `step_path` and `adjacency` itself.
-    `reach` and `levels` read the generation ends instead."""
-    readers = {scope for _, scope in references("runs", "_adj", "adjacency",
-                                                attributes_only=True)}
-    assert readers <= {"_build", "_step", "columns", "nbytes", "step_path", "adjacency"}
+    """The attributes `runs` and `adjacency` are read in src only by the
+    build that makes the step relation, the step that reads it, and the
+    views of it: `columns`, `nbytes` and `step_path`.  `reach` and `levels`
+    read the generation ends instead."""
+    readers = {scope for _, scope in references("runs", "adjacency", attributes_only=True)}
+    assert readers <= {"_build", "_step", "columns", "nbytes", "step_path"}
     assert {"_build", "_step"} <= readers
 
 
 def test_only_the_engine_reads_the_step_relation():
-    """No src module but engine.py names `adjacency`, `_adj` or `runs`: a
-    table keeps one of the two, so only the engine may choose which to
-    read."""
-    banned = {"adjacency", "_adj", "runs"}
-    for module, _, name in src_nodes():
-        assert module == "engine.py" or name not in banned, (module, name)
+    """`runs` and `adjacency` are plain attributes: no src module defines
+    either as a function, and no src name is `_adj`.  No src module but
+    engine.py names either: a table keeps one of the two, so only the
+    engine may choose which to read."""
+    for module, node, name in src_nodes():
+        assert name != "_adj", module
+        assert not (isinstance(node, ast.FunctionDef) and name in {"runs", "adjacency"}), module
+        assert module == "engine.py" or name not in {"runs", "adjacency"}, (module, name)

@@ -347,6 +347,15 @@ def test_resolve_r_refuses_r_above_the_certified_bound(lazy):
         resolve_r(lazy, 1.5, n_max=20)
 
 
+def test_resolve_r_refuses_fractions_that_are_not_finite_and_non_negative(lazy):
+    """nan, -0.5 and inf are refused before any bound is read (nan gave r =
+    nan and -0.5 gave r = -0.5367); 0.0 gives r = 0.0."""
+    for bad in (math.nan, -0.5, math.inf):
+        with pytest.raises(ValueError, match=r"^fraction must be finite and >= 0, got "):
+            resolve_r(lazy, bad, n_max=20)
+    assert resolve_r(lazy, 0.0, n_max=20) == 0.0
+
+
 def test_derivative_identity_asymmetric(zz):
     # the identity needs no symmetry; exercises the backward Green array
     from freewalk import measure_from_pairs

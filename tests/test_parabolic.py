@@ -15,8 +15,10 @@ from freewalk import (free_group, free_product, lazy_walk, measure_from_pairs, s
 from freewalk.groups import GroupElement
 from freewalk.cli import build_group, build_measure, load_config
 from freewalk.engine import pair_ids
-from freewalk.green import _field_arrays, resolve_r, spectral_radius
+from freewalk.green import (_field_arrays, pruned_return_weights, resolve_r, series_derivative,
+                            spectral_radius)
 from freewalk.parabolic import (
+    EquadiffRow,
     ReturnKernel,
     _absorption,
     _factor_ball,
@@ -408,6 +410,29 @@ def test_equadiff_rows(zz, lazy):
     # the series quantities have non-negative coefficients: the kernel side
     # grows with r (the lhs is a ratio and need not)
     assert rows[0].rhs <= rows[1].rhs
+
+
+def test_equadiff_resolves_each_fraction(lazy):
+    """Every r is `resolve_r`'s: on lazy F2 at n_max 20 a fraction of 1.5
+    (r = 1.6102, above the certified bound 1.2501 on R) and nan raise,
+    where they gave rows, and the rows for 0.5 and 0.7 are those of r =
+    fraction * R-hat."""
+    budgets = dict(n_max=20, order=32, radius=8, horizon=16, kernel_order=64, h_ball=16)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError, match="fraction"):
+            equadiff_table(lazy, [0.5, bad], **budgets)
+    point = spectral_radius(lazy, 20).point
+    qf = pruned_return_weights(lazy, 32, 8)
+    want = []
+    for frac in (0.5, 0.7):
+        r = frac * point
+        g1, g2 = series_derivative(qf, r, 1), series_derivative(qf, r, 2)
+        rhs = 1.0
+        for k in (1, 2):
+            rhs += series_derivative(kernel_power_series(lazy, k, r, 64, 16, 8, 16), 1.0, 2)
+        lhs = g2 / g1**3
+        want.append(EquadiffRow(r=r, lhs=lhs, rhs=rhs, ratio=lhs / rhs))
+    assert equadiff_table(lazy, [0.5, 0.7], **budgets) == want
 
 
 def test_equadiff_r_zero_row(zz, lazy):
